@@ -234,3 +234,17 @@ func TestSubtypeString(t *testing.T) {
 		t.Fatal("subtype names wrong")
 	}
 }
+
+// TestCollectiveRunsReplayExactly: a class-S run's virtual times are a
+// function of its seed alone. The collective shuffle used to emit its
+// messages in map-iteration order, so same-seed runs disagreed.
+func TestCollectiveRunsReplayExactly(t *testing.T) {
+	cfg := ClassS(16)
+	want := runBTIO(t, cfg, layout.Fixed(6, 2, 64<<10))
+	for run := 1; run < 4; run++ {
+		got := runBTIO(t, cfg, layout.Fixed(6, 2, 64<<10))
+		if got.WriteTime != want.WriteTime || got.ReadTime != want.ReadTime {
+			t.Fatalf("run %d: write/read %v/%v, first run %v/%v", run, got.WriteTime, got.ReadTime, want.WriteTime, want.ReadTime)
+		}
+	}
+}

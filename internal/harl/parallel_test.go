@@ -65,15 +65,15 @@ func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 			wantPair, wantCost := base.OptimizeRegion(sorted, 0, avg)
 
 			variants := []Optimizer{
-				{Params: params.opt.Params, Parallelism: 1},                 // cache + prune, serial
-				{Params: params.opt.Params, Parallelism: 1, noPrune: true},  // cache only
-				{Params: params.opt.Params, Parallelism: 1, noCache: true},  // prune only
-				{Params: params.opt.Params, Parallelism: 4},                 // parallel, full
-				{Params: params.opt.Params, Parallelism: 7},                 // odd worker count
-				{Params: params.opt.Params, Parallelism: 64},                // more workers than columns
-				{Params: params.opt.Params},                                 // GOMAXPROCS default
-				{Params: params.opt.Params, Parallelism: 4, noCache: true},  // parallel uncached
-				{Params: params.opt.Params, Parallelism: 4, noPrune: true},  // parallel unpruned
+				{Params: params.opt.Params, Parallelism: 1},                // cache + prune, serial
+				{Params: params.opt.Params, Parallelism: 1, noPrune: true}, // cache only
+				{Params: params.opt.Params, Parallelism: 1, noCache: true}, // prune only
+				{Params: params.opt.Params, Parallelism: 4},                // parallel, full
+				{Params: params.opt.Params, Parallelism: 7},                // odd worker count
+				{Params: params.opt.Params, Parallelism: 64},               // more workers than columns
+				{Params: params.opt.Params},                                // GOMAXPROCS default
+				{Params: params.opt.Params, Parallelism: 4, noCache: true}, // parallel uncached
+				{Params: params.opt.Params, Parallelism: 4, noPrune: true}, // parallel unpruned
 			}
 			for vi, v := range variants {
 				gotPair, gotCost := v.OptimizeRegion(sorted, 0, avg)

@@ -16,7 +16,10 @@
 // per-class sub-request maxima and server counts of Section III-D).
 package layout
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Mapper is the placement contract a file layout provides to the file
 // system: where every logical byte lives. Striping (two-tier) and Tiered
@@ -51,17 +54,36 @@ func Fixed(m, n int, stripe int64) Striping {
 	return Striping{M: m, N: n, H: stripe, S: stripe}
 }
 
-// Validate reports whether the configuration can hold data.
+// Validate reports whether the configuration can hold data: its round
+// size must be positive and fit in an int64.
 func (st Striping) Validate() error {
 	switch {
 	case st.M < 0 || st.N < 0 || st.M+st.N == 0:
 		return fmt.Errorf("layout: invalid server counts M=%d N=%d", st.M, st.N)
 	case st.H < 0 || st.S < 0:
 		return fmt.Errorf("layout: negative stripe size H=%d S=%d", st.H, st.S)
-	case st.HBytes()+st.SBytes() == 0:
+	}
+	round, ok := addZone(0, st.M, st.H)
+	if ok {
+		round, ok = addZone(round, st.N, st.S)
+	}
+	switch {
+	case !ok:
+		return fmt.Errorf("layout: striping %v round size overflows int64", st)
+	case round == 0:
 		return fmt.Errorf("layout: striping %v stores no data", st)
 	}
 	return nil
+}
+
+// addZone adds a tier's zone of count stripes of the given size to a
+// round size, reporting false if the sum overflows int64. All three
+// inputs must be non-negative.
+func addZone(round int64, count int, stripe int64) (int64, bool) {
+	if count > 0 && stripe > (math.MaxInt64-round)/int64(count) {
+		return 0, false
+	}
+	return round + int64(count)*stripe, true
 }
 
 // HBytes returns the bytes per round stored on HServers (M*H).
@@ -141,55 +163,25 @@ type SubRequest struct {
 // sub-requests. Because a contiguous logical range touches a contiguous
 // run of each server's stripes, each touched server receives exactly one
 // contiguous sub-request; results are ordered by server index.
+//
+// The walk costs O(size/min stripe) and allocates only the result, never
+// scratch proportional to the server count (see mapRange).
 func (st Striping) Map(off, size int64) []SubRequest {
-	if off < 0 || size < 0 {
-		panic(fmt.Sprintf("layout: invalid range %d+%d", off, size))
-	}
+	checkRange(off, size)
 	if size == 0 {
 		return nil
 	}
-	round := st.RoundSize()
-	if round <= 0 {
+	if st.RoundSize() <= 0 {
 		panic(fmt.Sprintf("layout: %v stores no data", st))
 	}
-
-	// first[i]/last[i] track the first and last local byte touched on
-	// server i; contiguity of the stripe run guarantees everything in
-	// between is covered.
-	total := st.Servers()
-	first := make([]int64, total)
-	last := make([]int64, total)
-	for i := range first {
-		first[i] = -1
+	minStripe := int64(math.MaxInt64)
+	if st.M > 0 && st.H > 0 {
+		minStripe = st.H
 	}
-
-	// Walk stripe fragments. Each iteration consumes to the end of the
-	// current stripe (or the request, whichever is first), so the loop
-	// runs O(size / min stripe + servers) times.
-	pos := off
-	end := off + size
-	for pos < end {
-		server, local := st.Locate(pos)
-		stripe := st.StripeOf(server)
-		inStripe := local % stripe
-		frag := stripe - inStripe
-		if rem := end - pos; frag > rem {
-			frag = rem
-		}
-		if first[server] == -1 {
-			first[server] = local
-		}
-		last[server] = local + frag
-		pos += frag
+	if st.N > 0 && st.S > 0 {
+		minStripe = min(minStripe, st.S)
 	}
-
-	var subs []SubRequest
-	for i := 0; i < total; i++ {
-		if first[i] >= 0 {
-			subs = append(subs, SubRequest{Server: i, Local: first[i], Size: last[i] - first[i]})
-		}
-	}
-	return subs
+	return mapRange(st, st.Servers(), minStripe, off, size)
 }
 
 // Distribution summarizes how a request spreads over the two server

@@ -1,6 +1,9 @@
 package layout
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Tiered generalizes Striping to any number of server performance
 // classes — the paper's first future-work item ("extend our cost model
@@ -34,8 +37,14 @@ func (t Tiered) Validate() error {
 		if t.Stripes[i] < 0 {
 			return fmt.Errorf("layout: tier %d has negative stripe %d", i, t.Stripes[i])
 		}
+		if c > math.MaxInt-total {
+			return fmt.Errorf("layout: tiered config %v has too many servers", t)
+		}
 		total += c
-		bytes += int64(c) * t.Stripes[i]
+		var ok bool
+		if bytes, ok = addZone(bytes, c, t.Stripes[i]); !ok {
+			return fmt.Errorf("layout: tiered config %v round size overflows int64", t)
+		}
 	}
 	if total == 0 {
 		return fmt.Errorf("layout: tiered config has no servers")
@@ -129,46 +138,23 @@ func (t Tiered) Locate(off int64) (server int, local int64) {
 }
 
 // Map splits [off, off+size) into per-server sub-requests, one contiguous
-// range per touched server, ordered by server index.
+// range per touched server, ordered by server index. It is the same walk
+// as Striping.Map (see mapRange).
 func (t Tiered) Map(off, size int64) []SubRequest {
-	if off < 0 || size < 0 {
-		panic(fmt.Sprintf("layout: invalid range %d+%d", off, size))
-	}
+	checkRange(off, size)
 	if size == 0 {
 		return nil
 	}
-	round := t.RoundSize()
-	if round <= 0 {
+	if t.RoundSize() <= 0 {
 		panic(fmt.Sprintf("layout: %v stores no data", t))
 	}
-	total := t.Servers()
-	first := make([]int64, total)
-	last := make([]int64, total)
-	for i := range first {
-		first[i] = -1
-	}
-	pos := off
-	end := off + size
-	for pos < end {
-		server, local := t.Locate(pos)
-		stripe := t.StripeOf(server)
-		frag := stripe - local%stripe
-		if rem := end - pos; frag > rem {
-			frag = rem
-		}
-		if first[server] == -1 {
-			first[server] = local
-		}
-		last[server] = local + frag
-		pos += frag
-	}
-	var subs []SubRequest
-	for i := 0; i < total; i++ {
-		if first[i] >= 0 {
-			subs = append(subs, SubRequest{Server: i, Local: first[i], Size: last[i] - first[i]})
+	minStripe := int64(math.MaxInt64)
+	for i, c := range t.Counts {
+		if c > 0 && t.Stripes[i] > 0 {
+			minStripe = min(minStripe, t.Stripes[i])
 		}
 	}
-	return subs
+	return mapRange(t, t.Servers(), minStripe, off, size)
 }
 
 // TierDistribution generalizes Distribution: per tier, the number of

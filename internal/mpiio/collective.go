@@ -83,19 +83,24 @@ func (w *World) CollectiveWrite(f File, pieces [][]CollPiece, done func(error)) 
 		bytes    int64
 		pieces   []CollPiece
 	}
+	// Messages go out rank by rank in ascending aggregator order, so their
+	// transfer order, and with it every virtual time, is fixed by the
+	// inputs alone.
 	var msgs []msg
+	perAgg := make([]msg, len(aggs))
 	for r, ps := range pieces {
-		perAgg := make(map[int][]CollPiece)
-		var perAggBytes = make(map[int]int64)
+		clear(perAgg)
 		for _, p := range ps {
 			for _, cut := range cutByDomains(p, domains) {
-				ai := cut.agg
-				perAgg[ai] = append(perAgg[ai], cut.piece)
-				perAggBytes[ai] += int64(len(cut.piece.Data))
+				m := &perAgg[cut.agg]
+				m.pieces = append(m.pieces, cut.piece)
+				m.bytes += int64(len(cut.piece.Data))
 			}
 		}
-		for ai, cps := range perAgg {
-			msgs = append(msgs, msg{fromRank: r, agg: ai, bytes: perAggBytes[ai], pieces: cps})
+		for ai, m := range perAgg {
+			if m.pieces != nil {
+				msgs = append(msgs, msg{fromRank: r, agg: ai, bytes: m.bytes, pieces: m.pieces})
+			}
 		}
 	}
 	if len(msgs) == 0 {

@@ -163,6 +163,14 @@ func (n *Network) Transfer(from, to *Node, size int64, done func(at sim.Time)) {
 // covering submission to last-byte arrival, with the transmit-lane queue
 // wait as a tag.
 func (n *Network) TransferSpan(parent obs.SpanID, from, to *Node, size int64, done func(at sim.Time)) {
+	n.TransferCall(parent, from, to, size, callDone, done)
+}
+
+// TransferCall is TransferSpan with a closure-free completion: fn(arg,
+// at) fires when the last byte lands. With a package-level fn and a
+// pooled arg the transfer allocates nothing, which is what the file
+// system's per-sub-request hot path runs on. fn may be nil.
+func (n *Network) TransferCall(parent obs.SpanID, from, to *Node, size int64, fn func(arg any, at sim.Time), arg any) {
 	if from == nil || to == nil {
 		panic("netsim: transfer between nil nodes")
 	}
@@ -174,7 +182,7 @@ func (n *Network) TransferSpan(parent obs.SpanID, from, to *Node, size int64, do
 
 	x := n.allocXfer()
 	x.n, x.parent, x.from, x.to, x.size = n, parent, from, to, size
-	x.submit, x.done = n.engine.Now(), done
+	x.submit, x.fn, x.arg = n.engine.Now(), fn, arg
 
 	if from == to {
 		x.loopback = true
@@ -192,12 +200,6 @@ func (n *Network) TransferSpan(parent obs.SpanID, from, to *Node, size int64, do
 	txStart, _ := from.tx.Use(wire, nil)
 	x.txStart = txStart
 	to.rx.UseCallAt(txStart.Add(n.cfg.Latency), wire, xferDone, x)
-}
-
-func (n *Network) finish(done func(at sim.Time)) {
-	if done != nil {
-		done(n.engine.Now())
-	}
 }
 
 // RoundTrip sends a control message from a to b and the reply back,

@@ -225,3 +225,47 @@ func TestReceiverBandwidthConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// relay sends the next 64 KB message each time the previous one lands,
+// until count messages have gone: the closure-free completion shape.
+type relay struct {
+	n        *Network
+	from, to *Node
+	count    int
+}
+
+func relayNext(arg any, _ sim.Time) {
+	r := arg.(*relay)
+	if r.count > 0 {
+		r.count--
+		r.n.TransferCall(0, r.from, r.to, 64<<10, relayNext, r)
+	}
+}
+
+// TestTransferCallAllocatesNothing pins the pooled wire path: once the
+// transfer and event pools are warm, a TransferCall and its completion
+// allocate nothing.
+func TestTransferCallAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := MustNew(e, cfg100())
+	r := &relay{n: n, from: n.AddNode("a"), to: n.AddNode("b")}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.count = 8
+		relayNext(r, 0)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per 8 transfers, want 0", allocs)
+	}
+}
+
+// BenchmarkTransfer sends 64 KB messages between two nodes, one in flight
+// at a time, through the closure-free completion.
+func BenchmarkTransfer(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEngine(1)
+	n := MustNew(e, GigabitEthernet())
+	r := &relay{n: n, from: n.AddNode("a"), to: n.AddNode("b"), count: b.N}
+	relayNext(r, 0)
+	e.Run()
+}

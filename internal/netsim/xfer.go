@@ -7,8 +7,9 @@ import (
 
 // xfer carries one transfer's state from submission to last-byte
 // arrival. Records are pooled on the Network free list and completed
-// through the package-level xferDone, so the wire hot path allocates
-// nothing when tracing is off.
+// through the package-level xferDone, which hands the arrival time to
+// the caller's fn with its arg; with a package-level fn and a pooled arg
+// the wire hot path allocates nothing when tracing is off.
 type xfer struct {
 	next     *xfer
 	n        *Network
@@ -19,7 +20,8 @@ type xfer struct {
 	submit   sim.Time
 	txStart  sim.Time
 	loopback bool
-	done     func(at sim.Time)
+	fn       func(arg any, at sim.Time)
+	arg      any
 }
 
 // xferPoolCap bounds the free list; see the event-pool rationale in
@@ -52,7 +54,7 @@ func (n *Network) recycleXfer(x *xfer) {
 // for loopback.
 func xferDone(arg any, _, end sim.Time) {
 	x := arg.(*xfer)
-	n, done := x.n, x.done
+	n, fn, farg := x.n, x.fn, x.arg
 	if tr := n.tracer; tr != nil {
 		if x.loopback {
 			tr.Emit(x.to.track, "xfer", x.parent, x.submit, end,
@@ -68,5 +70,15 @@ func xferDone(arg any, _, end sim.Time) {
 	// Feed the sketch layer before recycling clears the record.
 	n.sketches.ObserveNet(x.to.name, end.Sub(x.submit), x.size)
 	n.recycleXfer(x)
-	n.finish(done)
+	if fn != nil {
+		fn(farg, n.engine.Now())
+	}
+}
+
+// callDone is the completion of closure-style transfers: the caller's
+// func(at) rides as the arg.
+func callDone(arg any, at sim.Time) {
+	if done := arg.(func(at sim.Time)); done != nil {
+		done(at)
+	}
 }

@@ -59,13 +59,13 @@ type ServerWindow struct {
 	WriteOps int64
 	Bytes    int64
 
-	P50, P99           float64 // total latency (wait + service)
-	WaitP99            float64
-	ServiceP50         float64
-	ServiceP99         float64
-	Busy               float64 // summed service seconds completed in the window
-	Util               float64 // Busy over the window length
-	MaxQueue           int     // deepest observed disk queue
+	P50, P99   float64 // total latency (wait + service)
+	WaitP99    float64
+	ServiceP50 float64
+	ServiceP99 float64
+	Busy       float64 // summed service seconds completed in the window
+	Util       float64 // Busy over the window length
+	MaxQueue   int     // deepest observed disk queue
 }
 
 // serverSketch is one server's accumulator: cumulative per-op digests

@@ -209,34 +209,24 @@ func (f *File) WriteAt(data []byte, off int64, done func(error)) {
 // WriteAtSpan is WriteAt under a parent span: the operation and all its
 // sub-requests record as children when tracing is on.
 func (f *File) WriteAtSpan(parent obs.SpanID, data []byte, off int64, done func(error)) {
-	c := f.client
 	size := int64(len(data))
 	if size == 0 {
-		c.fs.engine.Schedule(0, func() { done(nil) })
+		f.client.fs.engine.Schedule(0, func() { done(nil) })
 		return
 	}
-	span, finish := f.beginOp("pfs.write", parent, off, size)
-	subs := f.meta.Layout.Map(off, size)
-	remaining := sim.NewErrCountdown(len(subs), func(err error) {
-		finish(err)
-		if err != nil {
-			done(err)
-			return
-		}
-		if eof := off + size; eof > f.meta.Size {
-			f.meta.Size = eof
-		}
-		done(nil)
-	})
-	// Split the client buffer per sub-request in logical order. Map
-	// returns per-server ranges; recover each sub-request's slice of the
-	// logical buffer by walking the same stripe fragments.
-	bufs := f.splitBuffer(data, off)
-	for _, sub := range subs {
-		f.issueSub(device.Write, sub, bufs[sub.Server], false, span, func(_ []byte, err error) {
-			remaining.Done(err)
-		})
+	c := f.startOp(device.Write, false, parent, off, size)
+	c.done = done
+	// Copy the client buffer into one payload per sub-request, each in
+	// its server's local order, by walking the stripe fragments Map
+	// walked.
+	c.useBufs()
+	for i, sub := range c.subs {
+		c.bufs[i] = make([]byte, sub.Size)
 	}
+	layout.Fragments(f.meta.Layout, c.subs, off, size, func(i int, at, pos, n int64) {
+		copy(c.bufs[i][at:at+n], data[pos-off:])
+	})
+	c.launch()
 }
 
 // ReadAt fetches size bytes at the logical offset; done receives the
@@ -248,101 +238,13 @@ func (f *File) ReadAt(off, size int64, done func([]byte, error)) {
 
 // ReadAtSpan is ReadAt under a parent span.
 func (f *File) ReadAtSpan(parent obs.SpanID, off, size int64, done func([]byte, error)) {
-	c := f.client
 	if size == 0 {
-		c.fs.engine.Schedule(0, func() { done(nil, nil) })
+		f.client.fs.engine.Schedule(0, func() { done(nil, nil) })
 		return
 	}
-	span, finish := f.beginOp("pfs.read", parent, off, size)
-	subs := f.meta.Layout.Map(off, size)
-	out := make([]byte, size)
-	remaining := sim.NewErrCountdown(len(subs), func(err error) {
-		finish(err)
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(out, nil)
-	})
-	for _, sub := range subs {
-		sub := sub
-		f.issueSub(device.Read, sub, nil, false, span, func(data []byte, err error) {
-			if err == nil {
-				f.scatterIntoBuffer(out, off, sub.Server, data)
-			}
-			remaining.Done(err)
-		})
-	}
-}
-
-// beginOp opens a client-operation span and returns a completion hook
-// that closes it and feeds the op-latency histogram. Both are cheap
-// no-ops when uninstrumented.
-func (f *File) beginOp(name string, parent obs.SpanID, off, size int64) (obs.SpanID, func(error)) {
-	fs := f.client.fs
-	tr, reg := fs.tracer, fs.metrics
-	if tr == nil && reg == nil {
-		return 0, func(error) {}
-	}
-	var span obs.SpanID
-	if tr != nil {
-		tags := make([]obs.Tag, 0, 3+len(f.spanTags))
-		tags = append(tags, obs.T("file", f.meta.Name), obs.TInt("off", off), obs.TInt("bytes", size))
-		tags = append(tags, f.spanTags...)
-		span = tr.Begin(f.client.name, name, parent, tags...)
-	}
-	start := fs.engine.Now()
-	return span, func(err error) {
-		if tr != nil {
-			tr.End(span, obs.T("status", errStatus(err)))
-		}
-		if reg != nil {
-			reg.Histogram("pfs_op_seconds", 0, 2, 80, obs.T("op", name)).
-				Observe(fs.engine.Now().Sub(start).Seconds())
-			reg.Counter("pfs_op_total", obs.T("op", name)).Inc()
-			reg.Counter("pfs_op_bytes_total", obs.T("op", name)).Add(size)
-		}
-	}
-}
-
-// splitBuffer carves the logical write buffer into per-server payloads in
-// server-local order, mirroring Striping.Map's fragment walk.
-func (f *File) splitBuffer(data []byte, off int64) map[int][]byte {
-	st := f.meta.Layout
-	bufs := make(map[int][]byte)
-	pos := off
-	end := off + int64(len(data))
-	for pos < end {
-		server, local := st.Locate(pos)
-		stripe := st.StripeOf(server)
-		frag := stripe - local%stripe
-		if rem := end - pos; frag > rem {
-			frag = rem
-		}
-		bufs[server] = append(bufs[server], data[pos-off:pos-off+frag]...)
-		pos += frag
-	}
-	return bufs
-}
-
-// scatterIntoBuffer places one server's contiguous reply back into the
-// logical read buffer.
-func (f *File) scatterIntoBuffer(out []byte, off int64, server int, data []byte) {
-	st := f.meta.Layout
-	pos := off
-	end := off + int64(len(out))
-	var consumed int64
-	for pos < end {
-		srv, local := st.Locate(pos)
-		stripe := st.StripeOf(srv)
-		frag := stripe - local%stripe
-		if rem := end - pos; frag > rem {
-			frag = rem
-		}
-		if srv == server {
-			copy(out[pos-off:pos-off+frag], data[consumed:consumed+frag])
-			consumed += frag
-		}
-		pos += frag
-	}
+	c := f.startOp(device.Read, false, parent, off, size)
+	c.rdone = done
+	c.out = make([]byte, size)
+	c.useBufs()
+	c.launch()
 }

@@ -9,21 +9,23 @@ import (
 // diskOp carries one sub-request's state from admission to disk
 // completion. Records are pooled on the FS free list and dispatched
 // through the package-level diskOpDone, so the per-sub-request hot path
-// — the dominant allocation site in large runs — allocates nothing.
-// Exactly one of done (payload ops) and pdone (phantom ops) is set.
+// — the dominant allocation site in large runs — allocates nothing. The
+// caller's continuation is fn(arg, data, err): with a package-level fn
+// and a pooled arg (the client's subLeg) it costs no closure either.
 type diskOp struct {
-	next   *diskOp
-	s      *Server
-	op     device.Op
-	fileID uint64
-	local  int64
-	data   []byte
-	size   int64
-	parent obs.SpanID
-	submit sim.Time
-	epoch  uint64
-	done   func(data []byte, err error)
-	pdone  func(err error)
+	next    *diskOp
+	s       *Server
+	op      device.Op
+	fileID  uint64
+	local   int64
+	data    []byte
+	size    int64
+	phantom bool // move no bytes: the object store is never touched
+	parent  obs.SpanID
+	submit  sim.Time
+	epoch   uint64
+	fn      func(arg any, data []byte, err error)
+	arg     any
 }
 
 // diskOpPoolCap bounds the FS-wide diskOp free list; completions beyond
@@ -43,7 +45,7 @@ func (fs *FS) allocOp() *diskOp {
 
 // recycleOp returns a completed record to the pool with every pointer
 // field nilled, so pooled records never retain payload buffers or
-// completion closures.
+// continuations.
 func (fs *FS) recycleOp(o *diskOp) {
 	*o = diskOp{}
 	if fs.opsPooled >= diskOpPoolCap {
@@ -61,20 +63,16 @@ func (fs *FS) recycleOp(o *diskOp) {
 func diskOpDone(arg any, start, end sim.Time) {
 	o := arg.(*diskOp)
 	s, op, fileID, local := o.s, o.op, o.fileID, o.local
-	data, size, epoch := o.data, o.size, o.epoch
-	done, pdone := o.done, o.pdone
+	data, size, epoch, phantom := o.data, o.size, o.epoch, o.phantom
+	fn, farg := o.fn, o.arg
 	s.observeDisk(op, o.parent, o.submit, start, end, size)
 	s.fs.recycleOp(o)
 	err, ok := s.deliver(epoch)
 	if !ok {
 		return
 	}
-	if pdone != nil {
-		pdone(err)
-		return
-	}
-	if err != nil {
-		done(nil, err)
+	if phantom || err != nil {
+		fn(farg, nil, err)
 		return
 	}
 	obj := s.object(fileID)
@@ -82,10 +80,15 @@ func diskOpDone(arg any, start, end sim.Time) {
 		before := obj.Bytes()
 		obj.WriteAt(data, local)
 		s.stored += obj.Bytes() - before
-		done(nil, nil)
+		fn(farg, nil, nil)
 		return
 	}
 	buf := make([]byte, size)
 	obj.ReadAt(buf, local)
-	done(buf, nil)
+	fn(farg, buf, nil)
 }
+
+// errDone adapts a func(error) continuation, riding as the arg, to the
+// disk-op completion shape; the replication protocol's server-side
+// steps still pass closures.
+func errDone(arg any, _ []byte, err error) { arg.(func(error))(err) }

@@ -108,13 +108,14 @@ func (s *Server) object(fileID uint64) *device.Store {
 	return obj
 }
 
-// serve runs one sub-request through the disk queue and calls done when
-// the disk finishes. Data movement against the object store happens at
-// completion time. A crashed server swallows the request — done never
-// fires, and clients recover through their deadline timers; a flaky
-// server may reply with a transient error, in which case a write is NOT
-// committed (so acknowledged bytes are exactly the committed bytes).
-func (s *Server) serve(op device.Op, fileID uint64, local int64, data []byte, size int64, parent obs.SpanID, done func(data []byte, err error)) {
+// serve runs one sub-request through the disk queue and calls fn(arg,
+// data, err) when the disk finishes. Data movement against the object
+// store happens at completion time. A crashed server swallows the
+// request — fn never fires, and clients recover through their deadline
+// timers; a flaky server may reply with a transient error, in which
+// case a write is NOT committed (so acknowledged bytes are exactly the
+// committed bytes).
+func (s *Server) serve(op device.Op, fileID uint64, local int64, data []byte, size int64, parent obs.SpanID, fn func(arg any, data []byte, err error), arg any) {
 	epoch, ok := s.admit()
 	if !ok {
 		return
@@ -122,7 +123,7 @@ func (s *Server) serve(op device.Op, fileID uint64, local int64, data []byte, si
 	service := s.scale(s.Dev.ServiceTime(op, local, size, s.fs.engine.Rand()))
 	o := s.fs.allocOp()
 	o.s, o.op, o.fileID, o.local, o.data, o.size = s, op, fileID, local, data, size
-	o.parent, o.submit, o.epoch, o.done = parent, s.fs.engine.Now(), epoch, done
+	o.parent, o.submit, o.epoch, o.fn, o.arg = parent, s.fs.engine.Now(), epoch, fn, arg
 	s.enqueue()
 	s.disk.UseCall(service, diskOpDone, o)
 }
@@ -160,10 +161,15 @@ type FS struct {
 	nextID  uint64
 	health  []Health
 
-	// diskOp free list (diskop.go): pooled sub-request records so the
-	// serve hot path is allocation-free.
-	freeOps   *diskOp
-	opsPooled int
+	// Free lists of pooled records, so the client data path is
+	// allocation-free: disk sub-requests (diskop.go), client sub-request
+	// attempts (retry.go) and client operations (clientop.go).
+	freeOps         *diskOp
+	opsPooled       int
+	freeSubs        *subOp
+	subsPooled      int
+	freeClientOps   *clientOp
+	clientOpsPooled int
 
 	// MDSLookups counts metadata RPCs for overhead reports.
 	MDSLookups uint64

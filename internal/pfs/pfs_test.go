@@ -14,20 +14,26 @@ import (
 
 // testbed builds the paper's default system: 6 HServers + 2 SServers.
 func testbed(t testing.TB) (*sim.Engine, *FS) {
+	return testbedOf(t, 6, 2)
+}
+
+// testbedOf builds a file system of hdds HServers followed by ssds
+// SServers.
+func testbedOf(t testing.TB, hdds, ssds int) (*sim.Engine, *FS) {
 	t.Helper()
 	e := sim.NewEngine(1)
 	net := netsim.MustNew(e, netsim.GigabitEthernet())
-	profiles := make([]device.Profile, 0, 8)
-	for i := 0; i < 6; i++ {
+	profiles := make([]device.Profile, 0, hdds+ssds)
+	for i := 0; i < hdds; i++ {
 		profiles = append(profiles, device.DefaultHDD())
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < ssds; i++ {
 		profiles = append(profiles, device.DefaultSSD())
 	}
 	return e, MustNew(e, net, profiles)
 }
 
-func mustCreate(t *testing.T, e *sim.Engine, c *Client, name string, st layout.Striping) *File {
+func mustCreate(t testing.TB, e *sim.Engine, c *Client, name string, st layout.Striping) *File {
 	t.Helper()
 	var f *File
 	e.Schedule(0, func() {

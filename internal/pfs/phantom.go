@@ -3,7 +3,6 @@ package pfs
 import (
 	"harl/internal/device"
 	"harl/internal/obs"
-	"harl/internal/sim"
 )
 
 // Phantom I/O: benchmark-scale operations that move simulated time and
@@ -23,29 +22,13 @@ func (f *File) WriteZeros(off, size int64, done func(error)) {
 
 // WriteZerosSpan is WriteZeros under a parent span.
 func (f *File) WriteZerosSpan(parent obs.SpanID, off, size int64, done func(error)) {
-	c := f.client
 	if size == 0 {
-		c.fs.engine.Schedule(0, func() { done(nil) })
+		f.client.fs.engine.Schedule(0, func() { done(nil) })
 		return
 	}
-	span, finish := f.beginOp("pfs.write", parent, off, size)
-	subs := f.meta.Layout.Map(off, size)
-	remaining := sim.NewErrCountdown(len(subs), func(err error) {
-		finish(err)
-		if err != nil {
-			done(err)
-			return
-		}
-		if eof := off + size; eof > f.meta.Size {
-			f.meta.Size = eof
-		}
-		done(nil)
-	})
-	for _, sub := range subs {
-		f.issueSub(device.Write, sub, nil, true, span, func(_ []byte, err error) {
-			remaining.Done(err)
-		})
-	}
+	c := f.startOp(device.Write, true, parent, off, size)
+	c.done = done
+	c.launch()
 }
 
 // ReadDiscard behaves like ReadAt but never materializes the data.
@@ -55,37 +38,28 @@ func (f *File) ReadDiscard(off, size int64, done func(error)) {
 
 // ReadDiscardSpan is ReadDiscard under a parent span.
 func (f *File) ReadDiscardSpan(parent obs.SpanID, off, size int64, done func(error)) {
-	c := f.client
 	if size == 0 {
-		c.fs.engine.Schedule(0, func() { done(nil) })
+		f.client.fs.engine.Schedule(0, func() { done(nil) })
 		return
 	}
-	span, finish := f.beginOp("pfs.read", parent, off, size)
-	subs := f.meta.Layout.Map(off, size)
-	remaining := sim.NewErrCountdown(len(subs), func(err error) {
-		finish(err)
-		done(err)
-	})
-	for _, sub := range subs {
-		f.issueSub(device.Read, sub, nil, true, span, func(_ []byte, err error) {
-			remaining.Done(err)
-		})
-	}
+	c := f.startOp(device.Read, true, parent, off, size)
+	c.done = done
+	c.launch()
 }
 
 // servePhantom runs a sub-request through the disk queue without touching
-// the object store. It shares serve's fault semantics: crashed servers
-// swallow the request, flaky servers may drop it or reply with a
-// transient error.
-func (s *Server) servePhantom(op device.Op, local, size int64, parent obs.SpanID, done func(err error)) {
+// the object store; fn(arg, nil, err) fires at completion. It shares
+// serve's fault semantics: crashed servers swallow the request, flaky
+// servers may drop it or reply with a transient error.
+func (s *Server) servePhantom(op device.Op, local, size int64, parent obs.SpanID, fn func(arg any, data []byte, err error), arg any) {
 	epoch, ok := s.admit()
 	if !ok {
 		return
 	}
 	service := s.scale(s.Dev.ServiceTime(op, local, size, s.fs.engine.Rand()))
 	o := s.fs.allocOp()
-	o.s, o.op, o.local, o.size = s, op, local, size
-	o.parent, o.submit, o.epoch, o.pdone = parent, s.fs.engine.Now(), epoch, done
+	o.s, o.op, o.local, o.size, o.phantom = s, op, local, size, true
+	o.parent, o.submit, o.epoch, o.fn, o.arg = parent, s.fs.engine.Now(), epoch, fn, arg
 	s.enqueue()
 	s.disk.UseCall(service, diskOpDone, o)
 }

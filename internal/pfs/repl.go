@@ -229,120 +229,6 @@ func (fs *FS) ReplStatus(name string) []repl.Status {
 	return out
 }
 
-// runRepl is subOp.run for replicated files: the wire exchange targets
-// the slot's current serving replica (wherever the view moved it) and the
-// server side runs the replication protocol instead of a plain disk op.
-// Deadline, retry, backoff and hedging machinery are shared with the
-// unreplicated path through subOp.outcome.
-func (o *subOp) runRepl(rs *replState) {
-	c := o.f.client
-	p := c.Policy
-	fs := c.fs
-	slot := o.sub.Server
-	rg := rs.groups[slot]
-
-	sid, ok := rg.g.Serving()
-	if !ok {
-		// No eligible replica: resolve as a retryable failure after a
-		// fixed pause, so even zero-backoff policies let the clock reach
-		// the view change or catch-up that restores service. The bounce
-		// still records an attempt span — a group blackout must be
-		// visible to the availability SLO and the flight recorder, not
-		// just to the retry counters.
-		fs.Repl.Unavailable++
-		primary := fs.servers[slot]
-		var bounce obs.SpanID
-		if tr := fs.tracer; tr != nil {
-			bounce = tr.Begin(c.name, "attempt", o.parent,
-				obs.T("op", o.op.String()), obs.T("server", primary.Name),
-				obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size),
-				obs.TInt("group", int64(slot)), obs.TInt("view", int64(rg.g.View())))
-		}
-		fs.engine.Schedule(replUnavailDelay, func() {
-			err := fmt.Errorf("%w: slot %d view %d", ErrUnavailable, slot, rg.g.View())
-			fs.tracer.End(bounce, obs.T("outcome", attemptOutcome(false, err)))
-			o.outcome(primary, nil, err)
-		})
-		return
-	}
-	server := fs.servers[sid]
-
-	tr := fs.tracer
-	var span obs.SpanID
-	if tr != nil {
-		span = tr.Begin(c.name, "attempt", o.parent,
-			obs.T("op", o.op.String()), obs.T("server", server.Name),
-			obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size),
-			obs.TInt("group", int64(slot)), obs.TInt("view", int64(rg.g.View())))
-	}
-
-	resolved := false
-	resolve := func(hedge bool, data []byte, err error) {
-		if resolved || o.settled {
-			return
-		}
-		resolved = true
-		if hedge {
-			fs.Faults.HedgeWins++
-		}
-		if tr != nil {
-			tr.End(span, obs.T("outcome", attemptOutcome(hedge, err)))
-		}
-		o.outcome(server, data, err)
-	}
-
-	exchange := func(hedge bool, target *Server) {
-		var outBytes, replyBytes int64
-		if o.op == device.Write {
-			outBytes = o.sub.Size
-		} else {
-			replyBytes = o.sub.Size
-		}
-		fs.net.TransferSpan(span, c.node, target.node, outBytes, func(sim.Time) {
-			handle := func(data []byte, err error) {
-				back := replyBytes
-				if err != nil {
-					back = 0 // error replies carry no payload
-				}
-				fs.net.TransferSpan(span, target.node, c.node, back, func(sim.Time) {
-					resolve(hedge, data, err)
-				})
-			}
-			if o.op == device.Write {
-				fs.beginReplWrite(o.f.meta, slot, target, o.sub.Local, o.payload, o.sub.Size, span, handle)
-			} else {
-				fs.replRead(o.f.meta, slot, target, o.sub.Local, o.sub.Size, o.phantom, span, handle)
-			}
-		})
-	}
-
-	exchange(false, server)
-	if o.op == device.Read && p.HedgeAfter > 0 {
-		fs.engine.Schedule(p.HedgeAfter, func() {
-			if resolved || o.settled {
-				return
-			}
-			fs.Faults.Hedges++
-			// Replication gives the hedge somewhere better to go than the
-			// same straggling server: an eligible backup holds every acked
-			// byte and can serve the read itself.
-			target := server
-			if alt, altOK := rg.g.AlternateFor(server.ID); altOK {
-				target = fs.servers[alt]
-			}
-			if tr != nil {
-				tr.Instant(c.name, "hedge", span, obs.T("server", target.Name))
-			}
-			exchange(true, target)
-		})
-	}
-	if p.Timeout > 0 {
-		fs.engine.Schedule(p.Timeout, func() {
-			resolve(false, nil, fmt.Errorf("%w: server %s", ErrTimeout, server.Name))
-		})
-	}
-}
-
 // beginReplWrite runs one write through a slot's replica group, entered
 // at the server the client believed was serving. The record is logged,
 // committed locally, and forwarded to the live chained backups; reply
@@ -409,7 +295,7 @@ func (fs *FS) replicaWrite(meta *FileMeta, rg *replGroup, member *Server, rec re
 			obs.TInt("view", int64(rg.g.View())), obs.TInt("seq", int64(rec.Seq)),
 			obs.TInt("bytes", rec.Size))
 	}
-	member.servePhantom(device.Write, rec.Local, rec.Size, wspan, func(err error) {
+	member.servePhantom(device.Write, rec.Local, rec.Size, wspan, errDone, func(err error) {
 		if err == nil {
 			err = fs.replApply(meta, rg, member, rec)
 		}
@@ -476,7 +362,7 @@ func (fs *FS) replCommit(meta *FileMeta, rg *replGroup, server int, seq uint64, 
 // bytes older than an acknowledged write.
 func (fs *FS) replRead(meta *FileMeta, slot int, s *Server, local, size int64, phantom bool, span obs.SpanID, reply func([]byte, error)) {
 	rg := meta.Repl.groups[slot]
-	s.servePhantom(device.Read, local, size, span, func(err error) {
+	s.servePhantom(device.Read, local, size, span, errDone, func(err error) {
 		if err != nil {
 			reply(nil, err)
 			return
@@ -752,7 +638,7 @@ func (fs *FS) catchStep(meta *FileMeta, rg *replGroup, server int, token int) {
 			obs.TInt("seq", int64(rec.Seq)), obs.TInt("lag", int64(g.Lag(server))))
 	}
 	fs.net.TransferSpan(cspan, source.node, member.node, rec.Size, func(sim.Time) {
-		member.servePhantom(device.Write, rec.Local, rec.Size, cspan, func(err error) {
+		member.servePhantom(device.Write, rec.Local, rec.Size, cspan, errDone, func(err error) {
 			if cs.token != token || !cs.active {
 				fs.tracer.End(cspan, obs.T("status", "superseded"))
 				return
@@ -834,7 +720,7 @@ func (fs *FS) catchResync(meta *FileMeta, rg *replGroup, server, src, token int)
 			obs.TInt("bytes", size))
 	}
 	fs.net.TransferSpan(rspan, source.node, member.node, size, func(sim.Time) {
-		member.servePhantom(device.Write, 0, size, rspan, func(err error) {
+		member.servePhantom(device.Write, 0, size, rspan, errDone, func(err error) {
 			if cs.token != token || !cs.active {
 				fs.tracer.End(rspan, obs.T("status", "superseded"))
 				return

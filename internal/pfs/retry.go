@@ -52,162 +52,320 @@ type Policy struct {
 	FailFast bool
 }
 
-// subOp drives one striped sub-request through deadline, retry, backoff
-// and hedging. done fires exactly once per sub-request, with the data
-// (reads) or the first fatal error.
+// subOp is one attempt at one striped sub-request: the primary wire
+// exchange, an optional hedge for reads, and a deadline timer. The first
+// of the three to produce an outcome resolves the attempt; the losers
+// find resolved set and fall silent. A retry hands the sub-request to a
+// fresh record, so a late callback of an earlier attempt only ever sees
+// its own, resolved, record.
+//
+// Records are pooled on the FS, and every step (request leg, service
+// completion, reply leg, hedge timer, deadline timer, retry backoff) is
+// dispatched through a package-level function with the record or one of
+// its legs as the arg, so a sub-request costs no closure. Timers are
+// never cancelled, so a record goes back to the pool only when pending,
+// its legs in flight plus its armed timers, drops to zero. A leg whose
+// request or reply a server swallows never comes back; its record is
+// left to the garbage collector.
 type subOp struct {
+	next    *subOp
 	f       *File
 	op      device.Op
-	sub     layout.SubRequest
-	payload []byte // write payload; nil for reads and phantom ops
 	phantom bool
 	parent  obs.SpanID // enclosing operation's span; 0 when untraced
-	done    func([]byte, error)
+	sub     layout.SubRequest
+	payload []byte // write payload; nil for reads and phantom ops
 
-	attempt int
-	settled bool
+	// cop receives the sub-request's single report, as entry idx. It is
+	// nil once reported or handed on to a retry.
+	cop *clientOp
+	idx int
+
+	attempt  int
+	server   *Server    // the server the attempt is charged to
+	span     obs.SpanID // the attempt's span; 0 when untraced
+	start    sim.Time
+	resolved bool
+	pending  int
+	legs     [2]subLeg // the primary exchange, then the hedge
 }
 
-// issueSub launches one sub-request under the client's policy. With the
-// zero policy this is exactly the legacy wire protocol: request out,
-// disk service, reply back, done. parent is the enclosing operation's
-// span; each attempt records a child span when tracing is on.
-func (f *File) issueSub(op device.Op, sub layout.SubRequest, payload []byte, phantom bool, parent obs.SpanID, done func([]byte, error)) {
-	o := &subOp{f: f, op: op, sub: sub, payload: payload, phantom: phantom, parent: parent, done: done}
-	o.run()
+// subLeg is one wire exchange of an attempt: request out, service at
+// target, reply back. data and err ride the reply transfer.
+type subLeg struct {
+	o      *subOp
+	hedge  bool
+	target *Server
+	data   []byte
+	err    error
 }
 
-func (o *subOp) settle(data []byte, err error) {
-	if o.settled {
+// subOpPoolCap bounds the sub-op free list, as diskOpPoolCap does. The
+// pool only has to absorb swings in the in-flight population, not hold
+// all of it, so the cap sits below ScaleHuge's ~1.3K concurrent
+// sub-requests and keeps the pooled records' share of the live heap
+// small.
+const subOpPoolCap = 1 << 9
+
+func (fs *FS) allocSub() *subOp {
+	if o := fs.freeSubs; o != nil {
+		fs.freeSubs = o.next
+		fs.subsPooled--
+		o.next = nil
+		return o
+	}
+	return &subOp{}
+}
+
+func (fs *FS) recycleSub(o *subOp) {
+	*o = subOp{}
+	if fs.subsPooled >= subOpPoolCap {
 		return
 	}
-	o.settled = true
-	o.done(data, err)
+	o.next = fs.freeSubs
+	fs.freeSubs = o
+	fs.subsPooled++
 }
 
-// run launches one attempt: the primary wire exchange, an optional hedge
-// for reads, and a deadline timer. The first of the three to produce an
-// outcome resolves the attempt; the losers find resolved set and fall
-// silent, so late completions never touch freed state.
+// arm schedules one of the attempt's timers.
+func (o *subOp) arm(delay sim.Duration, fn func(arg any, start, end sim.Time)) {
+	o.pending++
+	o.f.client.fs.engine.ScheduleCall(delay, fn, o)
+}
+
+// release retires one outstanding callback; the last one recycles the
+// record. Callbacks call it after their own work, so the record is never
+// pooled while a step still runs on it.
+func (o *subOp) release() {
+	if o.pending--; o.pending == 0 {
+		o.f.client.fs.recycleSub(o)
+	}
+}
+
+// run launches the attempt. With the zero policy this is exactly the
+// legacy wire protocol: request out, service, reply back, report. Each
+// attempt records a child span of the operation when tracing is on.
 func (o *subOp) run() {
+	fs := o.f.client.fs
+	var rg *replGroup
 	if rs := o.f.meta.Repl; rs != nil {
-		o.runRepl(rs)
-		return
-	}
-	c := o.f.client
-	p := c.Policy
-	fs := c.fs
-	server := fs.servers[o.sub.Server]
-	attemptStart := fs.engine.Now()
-
-	tr := fs.tracer
-	var span obs.SpanID
-	if tr != nil {
-		span = tr.Begin(c.name, "attempt", o.parent,
-			obs.T("op", o.op.String()), obs.T("server", server.Name),
-			obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size))
-	}
-
-	resolved := false
-	resolve := func(hedge bool, data []byte, err error) {
-		if resolved || o.settled {
+		// A replicated slot is served by its current serving replica,
+		// wherever the view moved it (repl.go).
+		rg = rs.groups[o.sub.Server]
+		sid, ok := rg.g.Serving()
+		if !ok {
+			o.bounce(rg)
 			return
 		}
-		resolved = true
-		if hedge {
-			fs.Faults.HedgeWins++
-		}
-		if tr != nil {
-			tr.End(span, obs.T("outcome", attemptOutcome(hedge, err)))
-		}
-		if err == nil {
-			// Successful sub-request: attribute client-observed latency and
-			// bytes to the handle's layout region for the skew heatmap.
-			fs.sketches.ObserveRegion(o.f.region, o.sub.Server,
-				o.sub.Size, fs.engine.Now().Sub(attemptStart))
-		}
-		o.outcome(server, data, err)
+		o.server = fs.servers[sid]
+	} else {
+		o.server = fs.servers[o.sub.Server]
 	}
-
-	// exchange performs one full wire round trip against the server.
-	// A request the server drops simply never calls back; the deadline
-	// timer is then the only way this attempt resolves.
-	exchange := func(hedge bool) {
-		var outBytes, replyBytes int64
-		if o.op == device.Write {
-			outBytes = o.sub.Size
-		} else {
-			replyBytes = o.sub.Size
-		}
-		fs.net.TransferSpan(span, c.node, server.node, outBytes, func(sim.Time) {
-			handle := func(data []byte, err error) {
-				back := replyBytes
-				if err != nil {
-					back = 0 // error replies carry no payload
-				}
-				fs.net.TransferSpan(span, server.node, c.node, back, func(sim.Time) {
-					resolve(hedge, data, err)
-				})
-			}
-			if o.phantom {
-				server.servePhantom(o.op, o.sub.Local, o.sub.Size, span, func(err error) {
-					handle(nil, err)
-				})
-			} else {
-				server.serve(o.op, o.f.meta.ID, o.sub.Local, o.payload, o.sub.Size, span, handle)
-			}
-		})
-	}
-
-	exchange(false)
+	o.start = fs.engine.Now()
+	o.span = o.beginAttempt(rg)
+	o.exchange(0, o.server)
+	p := o.f.client.Policy
 	if o.op == device.Read && p.HedgeAfter > 0 {
-		fs.engine.Schedule(p.HedgeAfter, func() {
-			if resolved || o.settled {
-				return
-			}
-			fs.Faults.Hedges++
-			if tr != nil {
-				tr.Instant(c.name, "hedge", span, obs.T("server", server.Name))
-			}
-			exchange(true)
-		})
+		o.arm(p.HedgeAfter, hedgeFired)
 	}
 	if p.Timeout > 0 {
-		fs.engine.Schedule(p.Timeout, func() {
-			resolve(false, nil, fmt.Errorf("%w: server %s", ErrTimeout, server.Name))
-		})
+		o.arm(p.Timeout, deadlineFired)
 	}
 }
 
-// outcome handles one attempt's result: success clears Suspect, a
+// beginAttempt opens the attempt's span, tagged with the replica group's
+// coordinates on replicated files; 0 when tracing is off.
+func (o *subOp) beginAttempt(rg *replGroup) obs.SpanID {
+	c := o.f.client
+	tr := c.fs.tracer
+	if tr == nil {
+		return 0
+	}
+	tags := []obs.Tag{obs.T("op", o.op.String()), obs.T("server", o.server.Name),
+		obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size)}
+	if rg != nil {
+		tags = append(tags, obs.TInt("group", int64(o.sub.Server)), obs.TInt("view", int64(rg.g.View())))
+	}
+	return tr.Begin(c.name, "attempt", o.parent, tags...)
+}
+
+// bounce fails an attempt on a replicated slot that has no eligible
+// serving replica, as a retryable error after a fixed pause, so even
+// zero-backoff policies let the clock reach the view change or catch-up
+// that restores service. The bounce still records an attempt span: a
+// group blackout must be visible to the availability SLO and the flight
+// recorder, not just to the retry counters.
+func (o *subOp) bounce(rg *replGroup) {
+	fs := o.f.client.fs
+	fs.Repl.Unavailable++
+	o.server = fs.servers[o.sub.Server]
+	o.span = o.beginAttempt(rg)
+	o.arm(replUnavailDelay, bounceFired)
+}
+
+// exchange starts leg i (0 the primary, 1 the hedge) against target. A
+// request the server drops simply never calls back; the deadline timer
+// is then the only way the attempt resolves.
+func (o *subOp) exchange(i int, target *Server) {
+	l := &o.legs[i]
+	l.o, l.hedge, l.target = o, i == 1, target
+	o.pending++
+	var out int64
+	if o.op == device.Write {
+		out = o.sub.Size
+	}
+	c := o.f.client
+	c.fs.net.TransferCall(o.span, c.node, target.node, out, legLanded, l)
+}
+
+// legLanded serves a request that reached its target: the replication
+// protocol on replicated files, a disk pass otherwise.
+func legLanded(arg any, _ sim.Time) {
+	l := arg.(*subLeg)
+	o := l.o
+	switch fs := o.f.client.fs; {
+	case o.f.meta.Repl != nil:
+		reply := func(data []byte, err error) { legServed(l, data, err) }
+		if o.op == device.Write {
+			fs.beginReplWrite(o.f.meta, o.sub.Server, l.target, o.sub.Local, o.payload, o.sub.Size, o.span, reply)
+		} else {
+			fs.replRead(o.f.meta, o.sub.Server, l.target, o.sub.Local, o.sub.Size, o.phantom, o.span, reply)
+		}
+	case o.phantom:
+		l.target.servePhantom(o.op, o.sub.Local, o.sub.Size, o.span, legServed, l)
+	default:
+		l.target.serve(o.op, o.f.meta.ID, o.sub.Local, o.payload, o.sub.Size, o.span, legServed, l)
+	}
+}
+
+// legServed sends the service outcome back to the client. Read replies
+// carry the payload; error replies carry none.
+func legServed(arg any, data []byte, err error) {
+	l := arg.(*subLeg)
+	o := l.o
+	c := o.f.client
+	var back int64
+	if o.op != device.Write && err == nil {
+		back = o.sub.Size
+	}
+	l.data, l.err = data, err
+	c.fs.net.TransferCall(o.span, l.target.node, c.node, back, legReplied, l)
+}
+
+func legReplied(arg any, _ sim.Time) {
+	l := arg.(*subLeg)
+	o := l.o
+	data, err := l.data, l.err
+	l.data, l.err = nil, nil
+	o.resolve(l.hedge, data, err)
+	o.release()
+}
+
+// hedgeFired re-issues a read that is still outstanding. Replication
+// gives the hedge somewhere better to go than the same straggling
+// server: an eligible backup holds every acked byte and can serve the
+// read itself.
+func hedgeFired(arg any, _, _ sim.Time) {
+	o := arg.(*subOp)
+	if !o.resolved {
+		fs := o.f.client.fs
+		fs.Faults.Hedges++
+		target := o.server
+		if rs := o.f.meta.Repl; rs != nil {
+			if alt, ok := rs.groups[o.sub.Server].g.AlternateFor(o.server.ID); ok {
+				target = fs.servers[alt]
+			}
+		}
+		if tr := fs.tracer; tr != nil {
+			tr.Instant(o.f.client.name, "hedge", o.span, obs.T("server", target.Name))
+		}
+		o.exchange(1, target)
+	}
+	o.release()
+}
+
+func deadlineFired(arg any, _, _ sim.Time) {
+	o := arg.(*subOp)
+	if !o.resolved {
+		o.resolve(false, nil, fmt.Errorf("%w: server %s", ErrTimeout, o.server.Name))
+	}
+	o.release()
+}
+
+func bounceFired(arg any, _, _ sim.Time) {
+	o := arg.(*subOp)
+	slot := o.sub.Server
+	o.resolve(false, nil, fmt.Errorf("%w: slot %d view %d", ErrUnavailable, slot, o.f.meta.Repl.groups[slot].g.View()))
+	o.release()
+}
+
+func retryFired(arg any, _, _ sim.Time) {
+	o := arg.(*subOp)
+	o.run()
+	o.release()
+}
+
+// resolve takes the attempt's first outcome; later ones are dropped.
+func (o *subOp) resolve(hedge bool, data []byte, err error) {
+	if o.resolved {
+		return
+	}
+	o.resolved = true
+	fs := o.f.client.fs
+	if hedge {
+		fs.Faults.HedgeWins++
+	}
+	if tr := fs.tracer; tr != nil {
+		tr.End(o.span, obs.T("outcome", attemptOutcome(hedge, err)))
+	}
+	if err == nil && o.f.meta.Repl == nil {
+		// Successful sub-request: attribute client-observed latency and
+		// bytes to the handle's layout region for the skew heatmap.
+		fs.sketches.ObserveRegion(o.f.region, o.sub.Server,
+			o.sub.Size, fs.engine.Now().Sub(o.start))
+	}
+	o.outcome(data, err)
+}
+
+// outcome handles the attempt's result: success clears Suspect, a
 // retryable failure re-runs after backoff while budget remains, and
 // anything else settles the sub-request with an error.
-func (o *subOp) outcome(server *Server, data []byte, err error) {
+func (o *subOp) outcome(data []byte, err error) {
 	fs := o.f.client.fs
 	if err == nil {
-		fs.markHealthy(server.ID)
+		fs.markHealthy(o.server.ID)
 		o.settle(data, nil)
 		return
 	}
 	if errors.Is(err, ErrTimeout) {
 		fs.Faults.Timeouts++
-		fs.markSuspect(server.ID)
+		fs.markSuspect(o.server.ID)
 	}
 	p := o.f.client.Policy
 	if o.attempt < p.MaxRetries && Retryable(err) {
-		o.attempt++
+		next := fs.allocSub()
+		*next = subOp{f: o.f, op: o.op, phantom: o.phantom, parent: o.parent, sub: o.sub,
+			payload: o.payload, cop: o.cop, idx: o.idx, attempt: o.attempt + 1}
+		o.cop = nil
 		fs.Faults.Retries++
 		if tr := fs.tracer; tr != nil {
 			tr.Instant(o.f.client.name, "retry", o.parent,
-				obs.T("server", server.Name), obs.TInt("attempt", int64(o.attempt)))
+				obs.T("server", o.server.Name), obs.TInt("attempt", int64(next.attempt)))
 		}
-		fs.engine.Schedule(o.backoff(p), o.run)
+		next.arm(next.backoff(p), retryFired)
 		return
 	}
 	if p.MaxRetries > 0 {
 		err = fmt.Errorf("%w: %w", ErrRetriesExhausted, err)
 	}
 	o.settle(nil, err)
+}
+
+// settle reports the sub-request's final outcome to its operation.
+func (o *subOp) settle(data []byte, err error) {
+	c := o.cop
+	o.cop = nil
+	c.report(o.idx, data, err)
 }
 
 // attemptOutcome renders an attempt's result for the span's outcome tag.

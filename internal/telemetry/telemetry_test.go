@@ -43,8 +43,8 @@ func TestRecorderEvictionAndWindow(t *testing.T) {
 func TestRecorderOrphanRewrite(t *testing.T) {
 	r := NewRecorder(2)
 	r.Add(span(1, 0, "a", 0, 1))
-	r.Add(span(2, 1, "a", 1, 2))  // child of 1
-	r.Add(span(3, 2, "a", 2, 3))  // child of 2; evicts 1
+	r.Add(span(2, 1, "a", 1, 2)) // child of 1
+	r.Add(span(3, 2, "a", 2, 3)) // child of 2; evicts 1
 	for _, s := range r.Window() {
 		if s.ID == 2 && s.Parent != 0 {
 			t.Fatalf("span 2's evicted parent not rewritten: %d", s.Parent)
