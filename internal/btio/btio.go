@@ -118,62 +118,121 @@ func blocksOf(rank, p int) []block {
 	return blocks
 }
 
-// pieces returns rank r's contributions to one snapshot at the given file
-// base offset: one CollPiece per contiguous row of each owned block. fill
-// generates the payload for [elem, elem+count) cells, where elem is the
-// linear cell index within the snapshot; a nil fill yields zero payloads
-// (sized but unwritten, for phantom-free simplicity the data is real but
-// zero — BTIO verification uses a non-nil fill).
-func (c Config) pieces(rank, p int, base int64, fill func(elem int64, buf []byte)) []mpiio.CollPiece {
+// rows returns the linear cell index of the first cell of each
+// contiguous row of rank r's blocks, in the rank's file order.
+func (c Config) rows(rank, p int) []int64 {
 	n := int64(c.Grid)
 	b := n / int64(p)
-	var out []mpiio.CollPiece
+	var out []int64
 	for _, blk := range blocksOf(rank, p) {
 		for dz := int64(0); dz < b; dz++ {
 			z := int64(blk.bk)*b + dz
 			for dy := int64(0); dy < b; dy++ {
 				y := int64(blk.bj)*b + dy
 				x := int64(blk.bi) * b
-				elem := (z*n+y)*n + x
-				buf := make([]byte, b*CellBytes)
-				if fill != nil {
-					fill(elem, buf)
-				}
-				out = append(out, mpiio.CollPiece{Off: base + elem*CellBytes, Data: buf})
+				out = append(out, (z*n+y)*n+x)
 			}
 		}
 	}
 	return out
 }
 
-// ranges returns the read-back ranges matching pieces.
-func (c Config) ranges(rank, p int, base int64) []mpiio.CollRange {
-	n := int64(c.Grid)
-	b := n / int64(p)
-	var out []mpiio.CollRange
-	for _, blk := range blocksOf(rank, p) {
-		for dz := int64(0); dz < b; dz++ {
-			z := int64(blk.bk)*b + dz
-			for dy := int64(0); dy < b; dy++ {
-				y := int64(blk.bj)*b + dy
-				x := int64(blk.bi) * b
-				elem := (z*n+y)*n + x
-				out = append(out, mpiio.CollRange{Off: base + elem*CellBytes, Size: b * CellBytes})
+// solution is every rank's share of the solution array, which BT keeps
+// in one fixed buffer between dumps. Rank r's rows are views of one slab
+// built once per run; each snapshot re-bases their file offsets and,
+// when verifying, refills them. Reusing the slab is safe because a
+// collective write copies the payload and keeps no reference to it once
+// done fires, and a file write copies it when submitted.
+type solution struct {
+	snapBytes int64
+	rowBytes  int
+	pat       pattern   // nil unless verifying
+	elems     [][]int64 // elems[r][i]: first cell of rank r's row i
+	pieces    [][]mpiio.CollPiece
+	ranges    [][]mpiio.CollRange
+}
+
+// newSolution lays out every rank's rows, with zero payloads.
+func (c Config) newSolution(p int) *solution {
+	s := &solution{
+		snapBytes: c.SnapshotBytes(),
+		rowBytes:  c.Grid / p * CellBytes,
+		elems:     make([][]int64, c.Ranks),
+		pieces:    make([][]mpiio.CollPiece, c.Ranks),
+		ranges:    make([][]mpiio.CollRange, c.Ranks),
+	}
+	if c.Verify {
+		s.pat = newPattern(s.rowBytes)
+	}
+	for r := range s.elems {
+		elems := c.rows(r, p)
+		slab := make([]byte, len(elems)*s.rowBytes)
+		s.elems[r] = elems
+		s.pieces[r] = make([]mpiio.CollPiece, len(elems))
+		s.ranges[r] = make([]mpiio.CollRange, len(elems))
+		for i := range elems {
+			at := i * s.rowBytes
+			s.pieces[r][i].Data = slab[at : at+s.rowBytes : at+s.rowBytes]
+			s.ranges[r][i].Size = int64(s.rowBytes)
+		}
+	}
+	return s
+}
+
+// writes re-bases every row onto snapshot snap, fills it with the
+// snapshot's pattern when verifying, and returns the per-rank pieces.
+func (s *solution) writes(snap int) [][]mpiio.CollPiece {
+	base := int64(snap) * s.snapBytes
+	for r, elems := range s.elems {
+		for i, e := range elems {
+			s.pieces[r][i].Off = base + e*CellBytes
+			if s.pat != nil {
+				copy(s.pieces[r][i].Data, s.pat.row(snap, e, s.rowBytes))
 			}
 		}
 	}
-	return out
+	return s.pieces
 }
 
-// fillPattern writes a deterministic, position-dependent byte pattern so
-// the verification pass detects any misplacement.
-func fillPattern(snapshot int) func(elem int64, buf []byte) {
-	return func(elem int64, buf []byte) {
-		seed := elem*31 + int64(snapshot)*101
-		for i := range buf {
-			buf[i] = byte(seed + int64(i)*7)
+// reads re-bases the read-back ranges onto snapshot snap and returns
+// them; they mirror writes(snap).
+func (s *solution) reads(snap int) [][]mpiio.CollRange {
+	base := int64(snap) * s.snapBytes
+	for r, elems := range s.elems {
+		for i, e := range elems {
+			s.ranges[r][i].Off = base + e*CellBytes
 		}
 	}
+	return s.ranges
+}
+
+// check reports whether data is rank r's row i of snapshot snap.
+func (s *solution) check(snap, r, i int, data []byte) bool {
+	return bytes.Equal(data, s.pat.row(snap, s.elems[r][i], s.rowBytes))
+}
+
+// pattern is the deterministic, position-dependent verification pattern
+// that detects any misplacement: byte i of the row starting at cell elem
+// of snapshot snap is byte(seed + 7i), seed = 31·elem + 101·snap. As 7
+// is odd, byte(seed + 7i) = byte(7(i + j)) with j = 183·seed mod 256
+// (183 is 7's inverse mod 256), so every row is a window of one table
+// and producing or checking it is a memmove or a memcmp.
+type pattern []byte
+
+// newPattern builds the table for rows of up to row bytes.
+func newPattern(row int) pattern {
+	t := make(pattern, 256+row)
+	for k := range t {
+		t[k] = byte(7 * k)
+	}
+	return t
+}
+
+// row returns the n-byte pattern of the row starting at cell elem.
+func (t pattern) row(snap int, elem int64, n int) []byte {
+	seed := elem*31 + int64(snap)*101
+	j := int(byte(seed) * 183)
+	return t[j : j+n]
 }
 
 // Result reports one BTIO run.
@@ -218,6 +277,7 @@ func Run(w *mpiio.World, f mpiio.File, cfg Config) (Result, error) {
 	}
 	res := Result{Config: cfg, Verified: true}
 	var verifyErr error
+	sol := cfg.newSolution(p)
 
 	w.Run(func() {
 		writeStart := w.Engine().Now()
@@ -235,17 +295,12 @@ func Run(w *mpiio.World, f mpiio.File, cfg Config) (Result, error) {
 						res.ReadTime = w.Engine().Now().Sub(readStart)
 						return
 					}
-					base := int64(snap) * cfg.SnapshotBytes()
-					ranges := make([][]mpiio.CollRange, cfg.Ranks)
-					for r := 0; r < cfg.Ranks; r++ {
-						ranges[r] = cfg.ranges(r, p, base)
-					}
-					w.CollectiveRead(f, ranges, func(bufs [][][]byte, err error) {
+					w.CollectiveRead(f, sol.reads(snap), func(bufs [][][]byte, err error) {
 						if err != nil && verifyErr == nil {
 							verifyErr = err
 						}
-						if cfg.Verify {
-							if err := cfg.verifySnapshot(snap, p, bufs); err != nil {
+						if cfg.Verify && err == nil {
+							if err := sol.verify(snap, bufs); err != nil {
 								res.Verified = false
 								if verifyErr == nil {
 									verifyErr = err
@@ -258,16 +313,7 @@ func Run(w *mpiio.World, f mpiio.File, cfg Config) (Result, error) {
 				readSnapshot(0)
 				return
 			}
-			base := int64(snap) * cfg.SnapshotBytes()
-			var fill func(int64, []byte)
-			if cfg.Verify {
-				fill = fillPattern(snap)
-			}
-			pieces := make([][]mpiio.CollPiece, cfg.Ranks)
-			for r := 0; r < cfg.Ranks; r++ {
-				pieces[r] = cfg.pieces(r, p, base, fill)
-			}
-			w.CollectiveWrite(f, pieces, func(err error) {
+			w.CollectiveWrite(f, sol.writes(snap), func(err error) {
 				if err != nil && verifyErr == nil {
 					verifyErr = err
 				}
@@ -282,28 +328,13 @@ func Run(w *mpiio.World, f mpiio.File, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// verifySnapshot checks every rank's read-back buffers against the write
+// verify checks every rank's read-back buffers against the snapshot's
 // pattern.
-func (c Config) verifySnapshot(snap, p int, bufs [][][]byte) error {
-	n := int64(c.Grid)
-	b := n / int64(p)
-	fill := fillPattern(snap)
-	want := make([]byte, b*CellBytes)
-	for r := 0; r < c.Ranks; r++ {
-		idx := 0
-		for _, blk := range blocksOf(r, p) {
-			for dz := int64(0); dz < b; dz++ {
-				z := int64(blk.bk)*b + dz
-				for dy := int64(0); dy < b; dy++ {
-					y := int64(blk.bj)*b + dy
-					x := int64(blk.bi) * b
-					elem := (z*n+y)*n + x
-					fill(elem, want)
-					if !bytes.Equal(bufs[r][idx], want) {
-						return fmt.Errorf("btio: snapshot %d rank %d row %d mismatch", snap, r, idx)
-					}
-					idx++
-				}
+func (s *solution) verify(snap int, bufs [][][]byte) error {
+	for r, rows := range s.elems {
+		for i := range rows {
+			if !s.check(snap, r, i, bufs[r][i]) {
+				return fmt.Errorf("btio: snapshot %d rank %d row %d mismatch", snap, r, i)
 			}
 		}
 	}

@@ -73,8 +73,8 @@ func TestPiecesTileSnapshotExactly(t *testing.T) {
 	const p = 2
 	covered := make(map[int64]bool)
 	var total int64
-	for r := 0; r < c.Ranks; r++ {
-		for _, piece := range c.pieces(r, p, 0, nil) {
+	for _, pieces := range c.newSolution(p).writes(0) {
+		for _, piece := range pieces {
 			for i := int64(0); i < int64(len(piece.Data)); i++ {
 				off := piece.Off + i
 				if covered[off] {
@@ -93,15 +93,66 @@ func TestPiecesTileSnapshotExactly(t *testing.T) {
 func TestRangesMirrorPieces(t *testing.T) {
 	c := ClassS(4)
 	const p = 2
-	for r := 0; r < c.Ranks; r++ {
-		pieces := c.pieces(r, p, 1000, nil)
-		ranges := c.ranges(r, p, 1000)
-		if len(pieces) != len(ranges) {
-			t.Fatalf("rank %d: %d pieces vs %d ranges", r, len(pieces), len(ranges))
+	sol := c.newSolution(p)
+	for snap := 0; snap < 3; snap++ {
+		all, ranges := sol.writes(snap), sol.reads(snap)
+		for r, pieces := range all {
+			if len(pieces) != len(ranges[r]) {
+				t.Fatalf("rank %d: %d pieces vs %d ranges", r, len(pieces), len(ranges[r]))
+			}
+			for i := range pieces {
+				if pieces[i].Off != ranges[r][i].Off || int64(len(pieces[i].Data)) != ranges[r][i].Size {
+					t.Fatalf("snapshot %d rank %d piece %d mismatch", snap, r, i)
+				}
+				if lo := int64(snap) * c.SnapshotBytes(); pieces[i].Off < lo || pieces[i].Off >= lo+c.SnapshotBytes() {
+					t.Fatalf("snapshot %d rank %d piece %d at %d, outside the snapshot", snap, r, i, pieces[i].Off)
+				}
+			}
 		}
-		for i := range pieces {
-			if pieces[i].Off != ranges[i].Off || int64(len(pieces[i].Data)) != ranges[i].Size {
-				t.Fatalf("rank %d piece %d mismatch", r, i)
+	}
+}
+
+// TestPatternMatchesFormula pins the table-window pattern to its
+// definition, byte(31·elem + 101·snap + 7i), over every residue of the
+// seed and rows longer than the table's period.
+func TestPatternMatchesFormula(t *testing.T) {
+	const row = 700
+	pat := newPattern(row)
+	for snap := 0; snap < 5; snap++ {
+		for elem := int64(0); elem < 600; elem += 7 {
+			got := pat.row(snap, elem, row)
+			seed := elem*31 + int64(snap)*101
+			for i := range got {
+				if want := byte(seed + int64(i)*7); got[i] != want {
+					t.Fatalf("snap %d elem %d byte %d = %d, want %d", snap, elem, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestSolutionRefillsEachSnapshot: the reused solution slab carries each
+// snapshot's own pattern when verifying, and stays zero otherwise.
+func TestSolutionRefillsEachSnapshot(t *testing.T) {
+	c := ClassS(4)
+	const p = 2
+	sol := c.newSolution(p)
+	for _, snap := range []int{0, 1, 0} {
+		for r, pieces := range sol.writes(snap) {
+			for i, piece := range pieces {
+				if !sol.check(snap, r, i, piece.Data) {
+					t.Fatalf("snapshot %d rank %d row %d not refilled", snap, r, i)
+				}
+			}
+		}
+	}
+	c.Verify = false
+	for _, pieces := range c.newSolution(p).writes(2) {
+		for _, piece := range pieces {
+			for _, b := range piece.Data {
+				if b != 0 {
+					t.Fatal("unverified payload must stay zero")
+				}
 			}
 		}
 	}

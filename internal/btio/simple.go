@@ -1,7 +1,6 @@
 package btio
 
 import (
-	"bytes"
 	"fmt"
 
 	"harl/internal/mpiio"
@@ -19,6 +18,7 @@ import (
 func runSimple(w *mpiio.World, f mpiio.File, cfg Config, p int) (Result, error) {
 	res := Result{Config: cfg, Verified: true}
 	var runErr error
+	sol := cfg.newSolution(p)
 
 	w.Run(func() {
 		writeStart := w.Engine().Now()
@@ -32,14 +32,10 @@ func runSimple(w *mpiio.World, f mpiio.File, cfg Config, p int) (Result, error) 
 				readAll()
 				return
 			}
-			base := int64(snap) * cfg.SnapshotBytes()
-			var fill func(int64, []byte)
-			if cfg.Verify {
-				fill = fillPattern(snap)
-			}
+			all := sol.writes(snap)
 			barrier := sim.NewCountdown(cfg.Ranks, func() { writeSnapshot(snap + 1) })
 			for r := 0; r < cfg.Ranks; r++ {
-				pieces := cfg.pieces(r, p, base, fill)
+				pieces := all[r]
 				r := r
 				var issue func(i int)
 				issue = func(i int) {
@@ -67,10 +63,10 @@ func runSimple(w *mpiio.World, f mpiio.File, cfg Config, p int) (Result, error) 
 					res.ReadTime = w.Engine().Now().Sub(readStart)
 					return
 				}
-				base := int64(snap) * cfg.SnapshotBytes()
+				all := sol.reads(snap)
 				barrier := sim.NewCountdown(cfg.Ranks, func() { readSnapshot(snap + 1) })
 				for r := 0; r < cfg.Ranks; r++ {
-					ranges := cfg.ranges(r, p, base)
+					ranges := all[r]
 					r := r
 					var issue func(i int)
 					issue = func(i int) {
@@ -84,9 +80,7 @@ func runSimple(w *mpiio.World, f mpiio.File, cfg Config, p int) (Result, error) 
 								runErr = err
 							}
 							if cfg.Verify && runErr == nil {
-								want := make([]byte, rg.Size)
-								fillPattern(snap)(elemOf(rg.Off-base), want)
-								if !bytes.Equal(data, want) {
+								if !sol.check(snap, r, i, data) {
 									res.Verified = false
 									if runErr == nil {
 										runErr = fmt.Errorf("btio: simple subtype snapshot %d rank %d row %d mismatch", snap, r, i)
@@ -106,10 +100,6 @@ func runSimple(w *mpiio.World, f mpiio.File, cfg Config, p int) (Result, error) 
 	})
 	return res, runErr
 }
-
-// elemOf converts a snapshot-relative byte offset back to its linear
-// cell index.
-func elemOf(off int64) int64 { return off / CellBytes }
 
 // Hook Simple into Run: the dispatch lives here to keep btio.go focused
 // on the collective (paper) path.

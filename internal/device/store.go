@@ -56,9 +56,7 @@ func (s *Store) ReadAt(p []byte, offset int64) {
 		if page, ok := s.pages[pageNo]; ok {
 			copy(p[:n], page[in:in+n])
 		} else {
-			for i := 0; i < n; i++ {
-				p[i] = 0
-			}
+			clear(p[:n])
 		}
 		p = p[n:]
 		offset += int64(n)

@@ -1,7 +1,9 @@
 package mpiio
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"harl/internal/obs"
@@ -33,13 +35,16 @@ type CollRange struct {
 // interval is a covered byte range within a file domain.
 type interval struct {
 	off  int64
+	end  int64
 	data []byte // writes only
 }
 
 // CollectiveWrite performs MPI_File_write_all: pieces[r] lists rank r's
 // contributions (nil for non-contributing ranks). done fires when the
 // slowest aggregator's last file request completes — the collective's
-// implicit synchronization.
+// implicit synchronization. Each payload byte is copied once, into its
+// aggregator's interval buffer, and the collective keeps no reference to
+// any piece's Data once done fires.
 func (w *World) CollectiveWrite(f File, pieces [][]CollPiece, done func(error)) {
 	if len(pieces) != w.Ranks() {
 		panic(fmt.Sprintf("mpiio: pieces for %d ranks, world has %d", len(pieces), w.Ranks()))
@@ -67,16 +72,22 @@ func (w *World) CollectiveWrite(f File, pieces [][]CollPiece, done func(error)) 
 
 	// Shuffle phase: move each rank's bytes into its target aggregators'
 	// buffers, one coalesced network message per (rank, aggregator) pair.
-	type aggState struct {
-		rank   int
-		pieces []CollPiece
+	// A counting pass sizes the plan exactly: aggregator a's cut pieces
+	// occupy planned[base[a]:base[a+1]], rank-major, so every message's
+	// pieces are one contiguous run of it.
+	nAgg := len(aggs)
+	base := make([]int, nAgg+1)
+	for _, ps := range pieces {
+		for _, p := range ps {
+			cutByDomains(p.Off, int64(len(p.Data)), domains, func(ai int, _, _ int64) { base[ai+1]++ })
+		}
 	}
-	states := make([]*aggState, len(aggs))
-	for i, r := range aggs {
-		states[i] = &aggState{rank: r}
+	for ai := 0; ai < nAgg; ai++ {
+		base[ai+1] += base[ai]
 	}
+	planned := make([]CollPiece, base[nAgg])
+	fill := append([]int(nil), base[:nAgg]...)
 
-	// Plan the shuffle messages first so the completion countdown is exact.
 	type msg struct {
 		fromRank int
 		agg      int
@@ -87,19 +98,22 @@ func (w *World) CollectiveWrite(f File, pieces [][]CollPiece, done func(error)) 
 	// transfer order, and with it every virtual time, is fixed by the
 	// inputs alone.
 	var msgs []msg
-	perAgg := make([]msg, len(aggs))
+	first := make([]int, nAgg) // fill at the current rank's start
+	sent := make([]int64, nAgg)
 	for r, ps := range pieces {
-		clear(perAgg)
+		copy(first, fill)
+		clear(sent)
 		for _, p := range ps {
-			for _, cut := range cutByDomains(p, domains) {
-				m := &perAgg[cut.agg]
-				m.pieces = append(m.pieces, cut.piece)
-				m.bytes += int64(len(cut.piece.Data))
-			}
+			cutByDomains(p.Off, int64(len(p.Data)), domains, func(ai int, off, n int64) {
+				at := off - p.Off
+				planned[fill[ai]] = CollPiece{Off: off, Data: p.Data[at : at+n]}
+				fill[ai]++
+				sent[ai] += n
+			})
 		}
-		for ai, m := range perAgg {
-			if m.pieces != nil {
-				msgs = append(msgs, msg{fromRank: r, agg: ai, bytes: m.bytes, pieces: m.pieces})
+		for ai := 0; ai < nAgg; ai++ {
+			if fill[ai] > first[ai] {
+				msgs = append(msgs, msg{fromRank: r, agg: ai, bytes: sent[ai], pieces: planned[first[ai]:fill[ai]]})
 			}
 		}
 	}
@@ -108,43 +122,47 @@ func (w *World) CollectiveWrite(f File, pieces [][]CollPiece, done func(error)) 
 		return
 	}
 
+	// Each aggregator's pieces land in arrived in message-arrival order,
+	// the order mergePieces resolves overlaps by.
+	arrived := make([]CollPiece, len(planned))
+	copy(fill, base[:nAgg])
+
 	writeBack := func() {
 		// Write phase: each aggregator flushes its covered intervals.
 		var reqs int
-		intervalsByAgg := make([][]interval, len(aggs))
-		for i, st := range states {
-			intervalsByAgg[i] = mergePieces(st.pieces)
-			reqs += len(intervalsByAgg[i])
+		intervalsByAgg := make([][]interval, nAgg)
+		for ai := range intervalsByAgg {
+			intervalsByAgg[ai] = mergePieces(arrived[base[ai]:base[ai+1]])
+			reqs += len(intervalsByAgg[ai])
 		}
 		if reqs == 0 {
 			w.engine.Schedule(0, func() { done(nil) })
 			return
 		}
 		finish := sim.NewErrCountdown(reqs, done)
-		for i, ivs := range intervalsByAgg {
-			aggRank := states[i].rank
+		for ai, ivs := range intervalsByAgg {
 			for _, iv := range ivs {
-				f.WriteAt(aggRank, iv.off, iv.data, func(err error) {
-					finish.Done(err)
-				})
+				f.WriteAt(aggs[ai], iv.off, iv.data, finish.Done)
 			}
 		}
 	}
 	shuffle := sim.NewCountdown(len(msgs), writeBack)
-	for _, m := range msgs {
-		m := m
+	land := func(arg any, _ sim.Time) {
+		m := arg.(*msg)
+		fill[m.agg] += copy(arrived[fill[m.agg]:], m.pieces)
+		shuffle.Done()
+	}
+	for i := range msgs {
+		m := &msgs[i]
 		from := w.Client(m.fromRank)
 		to := w.Client(aggs[m.agg])
-		w.fs.Network().TransferSpan(collSpan, from.Node(), to.Node(), m.bytes, func(sim.Time) {
-			states[m.agg].pieces = append(states[m.agg].pieces, m.pieces...)
-			shuffle.Done()
-		})
+		w.fs.Network().TransferCall(collSpan, from.Node(), to.Node(), m.bytes, land, m)
 	}
 }
 
 // CollectiveRead performs MPI_File_read_all: ranges[r] lists rank r's
 // requests; done receives per-rank, per-request buffers in the same
-// shape.
+// shape. Each rank's buffers are views of one slab.
 func (w *World) CollectiveRead(f File, ranges [][]CollRange, done func([][][]byte, error)) {
 	if len(ranges) != w.Ranks() {
 		panic(fmt.Sprintf("mpiio: ranges for %d ranks, world has %d", len(ranges), w.Ranks()))
@@ -153,19 +171,22 @@ func (w *World) CollectiveRead(f File, ranges [][]CollRange, done func([][][]byt
 	lo, hi := int64(1<<62), int64(0)
 	var any bool
 	for r, rs := range ranges {
-		out[r] = make([][]byte, len(rs))
-		for i, rg := range rs {
-			out[r][i] = make([]byte, rg.Size)
+		var total int64
+		for _, rg := range rs {
+			total += rg.Size
 			if rg.Size == 0 {
 				continue
 			}
 			any = true
-			if rg.Off < lo {
-				lo = rg.Off
-			}
-			if rg.Off+rg.Size > hi {
-				hi = rg.Off + rg.Size
-			}
+			lo = min(lo, rg.Off)
+			hi = max(hi, rg.Off+rg.Size)
+		}
+		slab := make([]byte, total)
+		out[r] = make([][]byte, len(rs))
+		var at int64
+		for i, rg := range rs {
+			out[r][i] = slab[at : at+rg.Size : at+rg.Size]
+			at += rg.Size
 		}
 	}
 	if !any {
@@ -173,14 +194,15 @@ func (w *World) CollectiveRead(f File, ranges [][]CollRange, done func([][][]byt
 		return
 	}
 	aggs := w.aggregators()
-	domains := splitDomains(lo, hi, len(aggs))
+	nAgg, nRanks := len(aggs), len(ranges)
+	domains := splitDomains(lo, hi, nAgg)
 
 	tr := w.fs.Tracer()
 	var collSpan obs.SpanID
 	if tr != nil {
 		collSpan = tr.Begin("mpiio", "coll.read", 0,
 			obs.T("file", f.Name()), obs.TInt("lo", lo), obs.TInt("hi", hi),
-			obs.TInt("aggregators", int64(len(aggs))))
+			obs.TInt("aggregators", int64(nAgg)))
 		origDone := done
 		done = func(bufs [][][]byte, err error) {
 			tr.End(collSpan, obs.T("status", opStatus(err)))
@@ -189,104 +211,107 @@ func (w *World) CollectiveRead(f File, ranges [][]CollRange, done func([][][]byt
 	}
 
 	// Aggregators read the covered intervals of their domains. Coverage
-	// is the union of all rank ranges clipped to the domain.
-	coverage := make([][]CollRange, len(aggs))
+	// is the union of all rank ranges clipped to the domain: aggregator
+	// a's cuts occupy coverage[base[a]:base[a+1]], sized by a counting
+	// pass and merged in place.
+	base := make([]int, nAgg+1)
 	for _, rs := range ranges {
 		for _, rg := range rs {
-			for _, cut := range cutRangeByDomains(rg, domains) {
-				coverage[cut.agg] = append(coverage[cut.agg], cut.rng)
-			}
+			cutByDomains(rg.Off, rg.Size, domains, func(ai int, _, _ int64) { base[ai+1]++ })
 		}
 	}
-
+	for ai := 0; ai < nAgg; ai++ {
+		base[ai+1] += base[ai]
+	}
+	coverage := make([]CollRange, base[nAgg])
+	fill := append([]int(nil), base[:nAgg]...)
+	for _, rs := range ranges {
+		for _, rg := range rs {
+			cutByDomains(rg.Off, rg.Size, domains, func(ai int, off, n int64) {
+				coverage[fill[ai]] = CollRange{Off: off, Size: n}
+				fill[ai]++
+			})
+		}
+	}
+	// got lists every aggregator read in (aggregator, offset) order. The
+	// domains ascend and are disjoint, so got is sorted by offset.
 	type readPiece struct {
+		agg  int
 		off  int64
+		end  int64
 		data []byte
 	}
 	var got []readPiece
-	var reads int
-	merged := make([][]CollRange, len(aggs))
-	for i := range coverage {
-		merged[i] = mergeRanges(coverage[i])
-		reads += len(merged[i])
+	for ai := 0; ai < nAgg; ai++ {
+		for _, rg := range mergeRanges(coverage[base[ai]:base[ai+1]]) {
+			got = append(got, readPiece{agg: ai, off: rg.Off, end: rg.Off + rg.Size})
+		}
 	}
-	if reads == 0 {
+	if len(got) == 0 {
 		w.engine.Schedule(0, func() { done(out, nil) })
 		return
 	}
 
 	scatter := func() {
 		// Scatter phase: aggregators ship each rank its bytes; one
-		// message per (aggregator, rank) pair with that rank's total.
-		type outMsg struct {
-			agg, rank int
-			bytes     int64
-		}
-		var msgs []outMsg
-		perPair := make(map[[2]int]int64)
-		fill := func(rank int, idx int, rg CollRange) {
-			for _, rp := range got {
-				ov := overlap(rg.Off, rg.Off+rg.Size, rp.off, rp.off+int64(len(rp.data)))
-				if ov.length <= 0 {
-					continue
-				}
-				copy(out[rank][idx][ov.lo-rg.Off:ov.lo-rg.Off+ov.length],
-					rp.data[ov.lo-rp.off:ov.lo-rp.off+ov.length])
-				ai := domainOf(ov.lo, domains)
-				perPair[[2]int{ai, rank}] += ov.length
-			}
-		}
+		// message per (aggregator, rank) pair with that rank's total,
+		// sent in (aggregator, rank) order.
+		pairBytes := make([]int64, nAgg*nRanks)
 		for r, rs := range ranges {
 			for i, rg := range rs {
-				if rg.Size > 0 {
-					fill(r, i, rg)
+				end := rg.Off + rg.Size
+				k := sort.Search(len(got), func(k int) bool { return got[k].end > rg.Off })
+				for ; k < len(got) && got[k].off < end; k++ {
+					rp := &got[k]
+					ov := overlap(rg.Off, end, rp.off, rp.end)
+					if ov.length <= 0 {
+						continue
+					}
+					copy(out[r][i][ov.lo-rg.Off:ov.lo-rg.Off+ov.length],
+						rp.data[ov.lo-rp.off:ov.lo-rp.off+ov.length])
+					pairBytes[rp.agg*nRanks+r] += ov.length
 				}
 			}
 		}
-		for pair, bytes := range perPair {
-			msgs = append(msgs, outMsg{agg: pair[0], rank: pair[1], bytes: bytes})
-		}
-		sort.Slice(msgs, func(i, j int) bool {
-			if msgs[i].agg != msgs[j].agg {
-				return msgs[i].agg < msgs[j].agg
+		var msgs int
+		for _, b := range pairBytes {
+			if b > 0 {
+				msgs++
 			}
-			return msgs[i].rank < msgs[j].rank
-		})
-		if len(msgs) == 0 {
+		}
+		if msgs == 0 {
 			w.engine.Schedule(0, func() { done(out, nil) })
 			return
 		}
-		finish := sim.NewCountdown(len(msgs), func() { done(out, nil) })
-		for _, m := range msgs {
-			from := w.Client(aggs[m.agg])
-			to := w.Client(m.rank)
-			w.fs.Network().TransferSpan(collSpan, from.Node(), to.Node(), m.bytes, func(sim.Time) {
-				finish.Done()
-			})
+		finish := sim.NewCountdown(msgs, func() { done(out, nil) })
+		landed := func(sim.Time) { finish.Done() }
+		for i, b := range pairBytes {
+			if b > 0 {
+				from := w.Client(aggs[i/nRanks])
+				to := w.Client(i % nRanks)
+				w.fs.Network().TransferSpan(collSpan, from.Node(), to.Node(), b, landed)
+			}
 		}
 	}
 
 	// The gather waits for every aggregator read (first error wins), then
 	// fails fast: a failed read leaves holes in the aggregation buffers,
 	// so the scatter phase is skipped rather than shipping bad bytes.
-	gather := sim.NewErrCountdown(reads, func(err error) {
+	gather := sim.NewErrCountdown(len(got), func(err error) {
 		if err != nil {
 			done(nil, err)
 			return
 		}
 		scatter()
 	})
-	for i, ivs := range merged {
-		aggRank := aggs[i]
-		for _, rg := range ivs {
-			rg := rg
-			f.ReadAt(aggRank, rg.Off, rg.Size, func(data []byte, err error) {
-				if err == nil {
-					got = append(got, readPiece{off: rg.Off, data: data})
-				}
-				gather.Done(err)
-			})
-		}
+	for k := range got {
+		rp := &got[k]
+		f.ReadAt(aggs[rp.agg], rp.off, rp.end-rp.off, func(data []byte, err error) {
+			if err == nil {
+				rp.data = data
+			}
+			gather.Done(err)
+		})
 	}
 }
 
@@ -331,99 +356,82 @@ func domainOf(off int64, bounds []int64) int {
 	return i
 }
 
-type pieceCut struct {
-	agg   int
-	piece CollPiece
-}
-
-func cutByDomains(p CollPiece, bounds []int64) []pieceCut {
-	var cuts []pieceCut
-	off := p.Off
-	data := p.Data
-	for len(data) > 0 {
-		ai := domainOf(off, bounds)
-		domEnd := bounds[ai+1]
-		n := int64(len(data))
-		if off+n > domEnd && ai < len(bounds)-2 {
-			n = domEnd - off
+// cutByDomains calls fn once for each piece of [off, off+n) that falls
+// in one domain, in offset order, walking the domains forward from the
+// first one the range touches. Bytes past the last bound belong to the
+// last domain.
+func cutByDomains(off, n int64, bounds []int64, fn func(agg int, off, n int64)) {
+	last := len(bounds) - 2
+	ai := domainOf(off, bounds)
+	for n > 0 {
+		for ai < last && bounds[ai+1] <= off {
+			ai++
 		}
-		cuts = append(cuts, pieceCut{agg: ai, piece: CollPiece{Off: off, Data: data[:n]}})
-		off += n
-		data = data[n:]
-	}
-	return cuts
-}
-
-type rangeCut struct {
-	agg int
-	rng CollRange
-}
-
-func cutRangeByDomains(rg CollRange, bounds []int64) []rangeCut {
-	var cuts []rangeCut
-	off, size := rg.Off, rg.Size
-	for size > 0 {
-		ai := domainOf(off, bounds)
-		domEnd := bounds[ai+1]
-		n := size
-		if off+n > domEnd && ai < len(bounds)-2 {
-			n = domEnd - off
+		take := n
+		if ai < last && off+take > bounds[ai+1] {
+			take = bounds[ai+1] - off
 		}
-		cuts = append(cuts, rangeCut{agg: ai, rng: CollRange{Off: off, Size: n}})
-		off += n
-		size -= n
+		fn(ai, off, take)
+		off += take
+		n -= take
 	}
-	return cuts
 }
 
-// mergePieces sorts a domain's pieces and merges adjacent/overlapping
-// ones into maximal contiguous intervals (later pieces win overlaps,
-// matching write ordering).
+// mergePieces sorts a domain's pieces by offset and merges
+// adjacent/overlapping ones into maximal contiguous intervals. Later
+// pieces win overlaps, matching write ordering: the sort is stable and
+// pieces are copied in sorted order. A first pass sizes every interval,
+// so each is allocated once and each piece copied once. Empty pieces are
+// skipped.
 func mergePieces(pieces []CollPiece) []interval {
-	if len(pieces) == 0 {
-		return nil
-	}
-	sort.SliceStable(pieces, func(i, j int) bool { return pieces[i].Off < pieces[j].Off })
+	slices.SortStableFunc(pieces, func(a, b CollPiece) int { return cmp.Compare(a.Off, b.Off) })
 	var out []interval
-	cur := interval{off: pieces[0].Off, data: append([]byte(nil), pieces[0].Data...)}
-	for _, p := range pieces[1:] {
-		curEnd := cur.off + int64(len(cur.data))
-		switch {
-		case p.Off > curEnd:
-			out = append(out, cur)
-			cur = interval{off: p.Off, data: append([]byte(nil), p.Data...)}
-		case p.Off+int64(len(p.Data)) <= curEnd:
-			copy(cur.data[p.Off-cur.off:], p.Data)
-		default:
-			keep := curEnd - p.Off
-			copy(cur.data[p.Off-cur.off:], p.Data[:keep])
-			cur.data = append(cur.data, p.Data[keep:]...)
+	for _, p := range pieces {
+		if len(p.Data) == 0 {
+			continue
 		}
+		end := p.Off + int64(len(p.Data))
+		if k := len(out) - 1; k >= 0 && p.Off <= out[k].end {
+			out[k].end = max(out[k].end, end)
+			continue
+		}
+		out = append(out, interval{off: p.Off, end: end})
 	}
-	out = append(out, cur)
+	for i := range out {
+		out[i].data = make([]byte, out[i].end-out[i].off)
+	}
+	k := 0
+	for _, p := range pieces {
+		if len(p.Data) == 0 {
+			continue
+		}
+		for p.Off >= out[k].end {
+			k++
+		}
+		copy(out[k].data[p.Off-out[k].off:], p.Data)
+	}
 	return out
 }
 
 // mergeRanges merges overlapping/adjacent read ranges into maximal
-// contiguous ranges.
+// contiguous ranges, in place: the result reuses the input's prefix.
 func mergeRanges(ranges []CollRange) []CollRange {
 	if len(ranges) == 0 {
 		return nil
 	}
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].Off < ranges[j].Off })
-	var out []CollRange
-	cur := ranges[0]
+	slices.SortFunc(ranges, func(a, b CollRange) int { return cmp.Compare(a.Off, b.Off) })
+	out := ranges[:1]
 	for _, r := range ranges[1:] {
+		cur := &out[len(out)-1]
 		if r.Off <= cur.Off+cur.Size {
 			if end := r.Off + r.Size; end > cur.Off+cur.Size {
 				cur.Size = end - cur.Off
 			}
 			continue
 		}
-		out = append(out, cur)
-		cur = r
+		out = append(out, r)
 	}
-	return append(out, cur)
+	return out
 }
 
 type ov struct {

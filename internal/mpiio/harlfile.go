@@ -193,7 +193,8 @@ func (f *HARLFile) WriteAt(rank int, off int64, data []byte, done func(error)) {
 	}
 }
 
-// ReadAt implements File: gather the pieces back in logical order.
+// ReadAt implements File: every region span reads straight into its
+// place in the one logical buffer.
 func (f *HARLFile) ReadAt(rank int, off, size int64, done func([]byte, error)) {
 	spans := f.split(off, size)
 	if len(spans) == 0 {
@@ -212,21 +213,14 @@ func (f *HARLFile) ReadAt(rank int, off, size int64, done func([]byte, error)) {
 		}
 		done(out, nil)
 	})
-	var consumed int64
+	var at int64
 	for _, sp := range spans {
-		sp := sp
-		at := consumed
-		consumed += sp.length
 		if f.mRegionRead != nil {
 			f.mRegionRead[sp.region].Add(sp.length)
 		}
 		f.mon.Observe(device.Read, sp.region, sp.local, sp.length)
-		f.handles[sp.region][rank].ReadAtSpan(mpiSpan, sp.local, sp.length, func(data []byte, err error) {
-			if err == nil {
-				copy(out[at:at+sp.length], data)
-			}
-			remaining.Done(err)
-		})
+		f.handles[sp.region][rank].ReadIntoSpan(mpiSpan, out[at:at+sp.length], sp.local, remaining.Done)
+		at += sp.length
 	}
 }
 

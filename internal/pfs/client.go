@@ -236,15 +236,34 @@ func (f *File) ReadAt(off, size int64, done func([]byte, error)) {
 	f.ReadAtSpan(0, off, size, done)
 }
 
-// ReadAtSpan is ReadAt under a parent span.
+// ReadAtSpan is ReadAt under a parent span: it allocates the buffer and
+// reads into it.
 func (f *File) ReadAtSpan(parent obs.SpanID, off, size int64, done func([]byte, error)) {
 	if size == 0 {
 		f.client.fs.engine.Schedule(0, func() { done(nil, nil) })
 		return
 	}
-	c := f.startOp(device.Read, false, parent, off, size)
-	c.rdone = done
-	c.out = make([]byte, size)
+	f.read(parent, make([]byte, size), off, nil, done)
+}
+
+// ReadIntoSpan fills dst from the logical offset under a parent span;
+// done fires once the last server replies, or with the first fatal error
+// once every sub-request has settled. The replies are reassembled
+// straight into dst, which the caller must not touch until done. On an
+// error dst holds unspecified bytes.
+func (f *File) ReadIntoSpan(parent obs.SpanID, dst []byte, off int64, done func(error)) {
+	if len(dst) == 0 {
+		f.client.fs.engine.Schedule(0, func() { done(nil) })
+		return
+	}
+	f.read(parent, dst, off, done, nil)
+}
+
+// read issues a payload read into dst; exactly one of done and rdone is
+// set, and names the continuation's shape.
+func (f *File) read(parent obs.SpanID, dst []byte, off int64, done func(error), rdone func([]byte, error)) {
+	c := f.startOp(device.Read, false, parent, off, int64(len(dst)))
+	c.done, c.rdone, c.out = done, rdone, dst
 	c.useBufs()
 	c.launch()
 }

@@ -7,7 +7,7 @@ import (
 	"harl/internal/sim"
 )
 
-// clientOp is one file operation (WriteAt, ReadAt, WriteZeros or
+// clientOp is one file operation (WriteAt, a payload read, WriteZeros or
 // ReadDiscard) waiting on its sub-requests. Each sub-request reports
 // into it exactly once (subOp.settle). The first error wins, but the
 // operation completes only after the last report, like errgroup.Wait, so
@@ -28,11 +28,11 @@ type clientOp struct {
 	// payloads, or the read replies until reassembly. Its capacity
 	// survives pooling.
 	bufs [][]byte
-	out  []byte // ReadAt's reassembly buffer
+	out  []byte // a payload read's destination; nil otherwise
 
 	remaining int
 	err       error
-	done      func(error)         // WriteAt, WriteZeros, ReadDiscard
+	done      func(error)         // WriteAt, WriteZeros, ReadDiscard, ReadIntoSpan
 	rdone     func([]byte, error) // ReadAt
 }
 
@@ -116,14 +116,14 @@ func (c *clientOp) report(i int, data []byte, err error) {
 	}
 }
 
-// complete closes the operation: span and metrics, read reassembly, EOF
-// advance on a successful write, then the caller's continuation. The
-// record is recycled before the continuation runs, which may start new
-// operations that reuse it.
+// complete closes the operation: span and metrics, read reassembly into
+// the destination, EOF advance on a successful write, then the caller's
+// continuation. The record is recycled before the continuation runs,
+// which may start new operations that reuse it.
 func (c *clientOp) complete() {
 	f, err := c.f, c.err
 	f.endOp(c, err)
-	if c.rdone != nil && err == nil {
+	if c.out != nil && err == nil {
 		layout.Fragments(f.meta.Layout, c.subs, c.off, c.size, func(i int, at, pos, n int64) {
 			copy(c.out[pos-c.off:pos-c.off+n], c.bufs[i][at:at+n])
 		})
