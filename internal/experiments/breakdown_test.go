@@ -64,6 +64,7 @@ func TestTracingDisabledDifferential(t *testing.T) {
 	if bare.End != traced.End {
 		t.Errorf("end time diverges under tracing: bare %v, traced %v", bare.End, traced.End)
 	}
+	pinNanos(t, "ior_end", int64(bare.End), 852_789_329)
 	if bp, tp := bare.FS.Engine().Processed, traced.FS.Engine().Processed; bp != tp {
 		t.Errorf("event counts diverge under tracing: bare %d, traced %d", bp, tp)
 	}

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// chaosSeeds is the integrity suite's seed set; CHAOS_SEED (wired
-// through `make chaos`) prepends an operator-chosen schedule so any red
-// run is reproduced by its seed alone.
+// chaosSeeds is the integrity suite's seed set: seeds 1-3, with
+// CHAOS_SEED (passed through by `make chaos` and `make verify` only when
+// set) prepended so any red run is reproduced by its seed alone.
 func chaosSeeds(t *testing.T) []int64 {
 	seeds := []int64{1, 2, 3}
 	if s := os.Getenv("CHAOS_SEED"); s != "" {

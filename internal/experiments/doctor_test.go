@@ -39,6 +39,9 @@ func TestDoctorNamesSeededStragglerSeeds(t *testing.T) {
 		if diff := onset - run.StraggleAt; diff < -run.Window || diff > run.Window {
 			t.Errorf("seed %d: onset %v, want within one window of injection %v", seed, onset, run.StraggleAt)
 		}
+		if seed == 1 {
+			pinNanos(t, "doctor_detect", secondsToNanos(run.DetectSeconds), 64_000_000)
+		}
 		if run.DetectSeconds < 0 {
 			t.Errorf("seed %d: straggler never confirmed", seed)
 		} else if limit := (2 * run.Window).Seconds(); run.DetectSeconds > limit+1e-9 {

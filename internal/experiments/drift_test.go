@@ -90,6 +90,7 @@ func TestDriftMonitorDifferential(t *testing.T) {
 	if bare.End != mon.End {
 		t.Errorf("end time diverged: bare %v, monitored %v", bare.End, mon.End)
 	}
+	pinNanos(t, "drift_end", int64(bare.End), 2_640_637_661)
 	if bare.Events != mon.Events {
 		t.Errorf("event count diverged: bare %d, monitored %d", bare.Events, mon.Events)
 	}

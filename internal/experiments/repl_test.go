@@ -177,6 +177,7 @@ func TestReplRecoveryMeasured(t *testing.T) {
 	if rec.RecoverySeconds <= 0 {
 		t.Errorf("recovery took %.6fs, want > 0", rec.RecoverySeconds)
 	}
+	pinNanos(t, "repl_recovery", secondsToNanos(rec.RecoverySeconds), 60_000_000)
 	if rec.CatchUps == 0 || rec.LaggedRecords == 0 || rec.LaggedBytes == 0 {
 		t.Errorf("no catch-up activity: %+v", rec)
 	}

@@ -124,7 +124,7 @@ func RunScaleHuge(seed int64) (*ScaleHugeResult, error) {
 // FigScaleHuge renders the scenario's deterministic facts as a table —
 // wall-clock numbers deliberately stay out so the table participates in
 // byte-identical serial/parallel and wheel/heap comparisons. The timing
-// lives in BenchStats and the committed benchguard snapshot.
+// is measured by the scale_huge workload of the bench module.
 func FigScaleHuge(o Options) (*Table, error) {
 	res, err := RunScaleHuge(o.Seed)
 	if err != nil {

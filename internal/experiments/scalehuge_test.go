@@ -3,11 +3,11 @@ package experiments
 import "testing"
 
 // TestScaleHugeScale asserts the acceptance floor: at least 1000
-// servers and 1M processed events, a deterministic virtual end time,
-// and all traffic acknowledged (RunScaleHuge fails internally on any
-// I/O error). The 10 s wall bound is enforced by the benchguard
-// snapshot, not here — this test also runs under -race, which slows
-// the event loop by an order of magnitude.
+// servers and 1M processed events, the pinned virtual end time, and all
+// traffic acknowledged (RunScaleHuge fails internally on any I/O error).
+// Wall time and events/sec are measured by the bench module's
+// scale_huge workload, not here — this test also runs under -race,
+// which slows the event loop by an order of magnitude.
 func TestScaleHugeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ScaleHuge is a multi-second run")
@@ -25,9 +25,7 @@ func TestScaleHugeScale(t *testing.T) {
 	if res.Requests != scaleHugeClients*scaleHugeWrites {
 		t.Errorf("requests = %d, want %d", res.Requests, scaleHugeClients*scaleHugeWrites)
 	}
-	if res.EndSeconds <= 0 {
-		t.Errorf("virtual end %v not positive", res.EndSeconds)
-	}
+	pinNanos(t, "scale_huge_end", secondsToNanos(res.EndSeconds), 2_320_871_934)
 	// Determinism: a replay reproduces the virtual facts exactly.
 	again, err := RunScaleHuge(1)
 	if err != nil {

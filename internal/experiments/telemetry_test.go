@@ -136,6 +136,9 @@ func TestSLOAlertsOnDoubleCrashSeeds(t *testing.T) {
 		if len(run.Alerts) == 0 {
 			t.Fatalf("seed %d: double-crash fired no alerts", seed)
 		}
+		if seed == 1 {
+			pinNanos(t, "slo_alert", int64(run.Alerts[0].At), 246_796_734)
+		}
 		// The availability or catch-up objective must be among them, and
 		// its detail must name a replica group.
 		var incident *telemetry.Alert

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"harl/internal/cost"
+	"harl/internal/layout"
 	"harl/internal/trace"
 )
 
@@ -195,15 +196,8 @@ func (t *TieredRST) Validate() error {
 		if len(e.Stripes) != len(t.Counts) {
 			return fmt.Errorf("harl: tiered RST entry %d has %d stripes for %d tiers", i, len(e.Stripes), len(t.Counts))
 		}
-		var bytes int64
-		for ti, s := range e.Stripes {
-			if s < 0 {
-				return fmt.Errorf("harl: tiered RST entry %d has negative stripe", i)
-			}
-			bytes += int64(t.Counts[ti]) * s
-		}
-		if bytes == 0 {
-			return fmt.Errorf("harl: tiered RST entry %d stores no data", i)
+		if err := (layout.Tiered{Counts: t.Counts, Stripes: e.Stripes}).Validate(); err != nil {
+			return fmt.Errorf("harl: tiered RST entry %d: %w", i, err)
 		}
 		if i == 0 {
 			if e.Offset != 0 {

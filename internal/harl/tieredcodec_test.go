@@ -42,15 +42,18 @@ func TestTieredRSTWriteRejectsInvalid(t *testing.T) {
 
 func TestReadTieredRSTErrors(t *testing.T) {
 	cases := []string{
-		"0 10 1\n",                                   // no header
-		"#harl-tiered-rst v1\n0 10 1\n",              // no counts
-		"#harl-tiered-rst v1\n#counts 2\n0 10 1 2\n", // field count mismatch
-		"#harl-tiered-rst v1\n#counts x\n",           // bad count
-		"#harl-tiered-rst v1\n#counts 1\nz 10 1\n",   // bad offset
-		"#harl-tiered-rst v1\n#counts 1\n0 z 1\n",    // bad end
-		"#harl-tiered-rst v1\n#counts 1\n0 10 z\n",   // bad stripe
-		"#harl-tiered-rst v1\n#counts 1\n5 10 1\n",   // not at 0
-		"#harl-tiered-rst v1\n#counts 1\n0 10 0\n",   // stores nothing
+		"0 10 1\n",                                                       // no header
+		"#harl-tiered-rst v1\n0 10 1\n",                                  // no counts
+		"#harl-tiered-rst v1\n#counts 2\n0 10 1 2\n",                     // field count mismatch
+		"#harl-tiered-rst v1\n#counts x\n",                               // bad count
+		"#harl-tiered-rst v1\n#counts 1\nz 10 1\n",                       // bad offset
+		"#harl-tiered-rst v1\n#counts 1\n0 z 1\n",                        // bad end
+		"#harl-tiered-rst v1\n#counts 1\n0 10 z\n",                       // bad stripe
+		"#harl-tiered-rst v1\n#counts 1\n5 10 1\n",                       // not at 0
+		"#harl-tiered-rst v1\n#counts 1\n0 10 0\n",                       // stores nothing
+		"#harl-tiered-rst v1\n#counts -1 2\n0 10 1 1\n",                  // negative count
+		"#harl-tiered-rst v1\n#counts 2\n0 10 4611686018427387904\n",     // round overflows int64
+		"#harl-tiered-rst v1\n#counts 1 1\n0 10 9223372036854775807 1\n", // round overflows int64
 	}
 	for i, in := range cases {
 		if _, err := ReadTieredRST(strings.NewReader(in)); err == nil {

@@ -100,8 +100,8 @@ func TestChromeCounterTrack(t *testing.T) {
 }
 
 // Mixed traces (spans, instants, counters, an unfinished span) must be
-// byte-identical across identical recordings — the golden determinism
-// contract the make trace target enforces end to end.
+// byte-identical across identical recordings — the unit form of the
+// determinism contract `make trace` checks on two harlctl trace exports.
 func TestChromeExportDeterministic(t *testing.T) {
 	record := func() *bytes.Buffer {
 		e := sim.NewEngine(7)
