@@ -6,7 +6,7 @@ GO ?= go
 chaos_env = $(if $(CHAOS_SEED),CHAOS_SEED=$(CHAOS_SEED) )
 chaos_hint = echo "reproduce a chaos failure with: make chaos CHAOS_SEED=$(or $(CHAOS_SEED),<seed it printed>)"
 
-.PHONY: verify build test race vet chaos trace
+.PHONY: verify build test race vet chaos trace fuzz
 
 # verify is the tier-1 gate: everything must pass before a commit lands.
 # One race pass runs every test once, including the chaos, replication,
@@ -36,6 +36,21 @@ trace:
 	else \
 		echo "trace determinism check failed: same-seed exports differ"; rm -rf $$tmp; exit 1; \
 	fi
+
+# fuzz runs each native fuzz target in turn for FUZZTIME. The seed
+# corpora under each package's testdata/fuzz already run with every go
+# test; this explores beyond them, and a failing input it finds is
+# written to that directory for replay.
+FUZZTIME ?= 10s
+fuzz_targets = layout:FuzzStripingMap layout:FuzzTieredMap mpiio:FuzzMergePieces \
+	harl:FuzzReadRST harl:FuzzReadTieredRST harl:FuzzReadFingerprint trace:FuzzReadTrace
+
+fuzz:
+	@set -e; for t in $(fuzz_targets); do \
+		pkg=./internal/$${t%%:*}; name=$${t#*:}; \
+		echo "fuzz $$name in $$pkg for $(FUZZTIME)"; \
+		$(GO) test -run='^$$' -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+	done
 
 build:
 	$(GO) build ./...

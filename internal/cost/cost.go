@@ -20,11 +20,12 @@
 // swapped in (Eqs. 7-8); SServer writes are slower than reads, reflecting
 // flash garbage collection and wear leveling.
 //
-// The per-request quantities (m, n, s_m, s_n) come from the striping
-// geometry in package layout. The paper derives them with the closed-form
-// case analysis of its Figures 4-5; this implementation computes them
-// exactly for all four cases (and the degenerate h=0 / s=0 layouts) from
-// the same round-robin geometry, in O(M+N) per request.
+// The per-request quantities (m, n, s_m, s_n), one (touched servers,
+// largest sub-request) pair per tier, come from package layout's one
+// cover loop, Geometry.Distribute, which Params, Evaluator and
+// MultiParams all read. It computes exactly, in O(servers) per request,
+// what the paper derives with the case analysis of its Figures 4-5;
+// package layout keeps that closed form as the loop's test oracle.
 package cost
 
 import (
@@ -123,21 +124,20 @@ func (p Params) RequestBreakdown(op device.Op, offset, size, h, s int64) Breakdo
 	if size <= 0 {
 		return Breakdown{}
 	}
-	st := layout.Striping{M: p.M, N: p.N, H: h, S: s}
-	if err := st.Validate(); err != nil {
+	geo, err := layout.NewGeometry(layout.TieredOf(layout.Striping{M: p.M, N: p.N, H: h, S: s}))
+	if err != nil {
 		panic(err)
 	}
-	return p.distributionBreakdown(op, st.DistributeAnalytic(offset, size))
+	var loads [2]layout.Load
+	geo.Distribute(offset, size, loads[:])
+	return p.breakdown(op, loads)
 }
 
-// distributionBreakdown applies Eqs. (1)-(6) to a computed sub-request
-// distribution. It is the single arithmetic path shared by
-// RequestBreakdown and Evaluator, so cached and uncached evaluations are
-// bit-identical.
-func (p Params) distributionBreakdown(op device.Op, d layout.Distribution) Breakdown {
-	sm := float64(d.MaxH)
-	sn := float64(d.MaxS)
-
+// breakdown applies Eqs. (1)-(6) to the HServer and SServer loads of one
+// request. It is the single arithmetic path shared by RequestBreakdown
+// and Evaluator, so cached and uncached evaluations are bit-identical.
+func (p Params) breakdown(op device.Op, loads [2]layout.Load) Breakdown {
+	sm, sn := float64(loads[0].Max), float64(loads[1].Max)
 	var b Breakdown
 	// Eq. (1): network transfer of the largest sub-request on each class.
 	b.Network = math.Max(sm, sn) * p.NetUnit
@@ -154,11 +154,11 @@ func (p Params) distributionBreakdown(op device.Op, d layout.Distribution) Break
 
 	// Eqs. (2)-(5): expected maximum startup across the touched servers.
 	var hStart, sStart float64
-	hStart = expectedMaxUniform(p.AlphaHMin, p.AlphaHMax, d.MTouched*startupScale)
+	hStart = expectedMaxUniform(p.AlphaHMin, p.AlphaHMax, loads[0].Touched*startupScale)
 	if op == device.Read {
-		sStart = expectedMaxUniform(p.AlphaSRMin, p.AlphaSRMax, d.NTouched)
+		sStart = expectedMaxUniform(p.AlphaSRMin, p.AlphaSRMax, loads[1].Touched)
 	} else {
-		sStart = expectedMaxUniform(p.AlphaSWMin, p.AlphaSWMax, d.NTouched*startupScale)
+		sStart = expectedMaxUniform(p.AlphaSWMin, p.AlphaSWMax, loads[1].Touched*startupScale)
 	}
 	b.Startup = math.Max(hStart, sStart)
 

@@ -9,7 +9,7 @@ import (
 // It is the inner loop of Algorithm 2's grid search: RequestCost
 // re-validates the striping and re-derives its round geometry on every
 // call, while an Evaluator does both once per candidate and memoizes the
-// sub-request Distribution of each distinct request shape.
+// per-tier sub-request loads of each distinct request shape.
 //
 // The memoization key is (Canonical(offset), size): distributions are
 // periodic in the striping round (layout.Geometry.Canonical), so the many
@@ -22,12 +22,12 @@ import (
 // each worker its own and Reset it between candidates.
 type Evaluator struct {
 	p     Params
+	tiers layout.Tiered // the M HServers and N SServers; Stripes holds (h, s)
 	geo   layout.Geometry
-	cache map[requestShape]layout.Distribution
+	cache map[requestShape][2]layout.Load
 }
 
-// requestShape identifies a distribution-equivalent request class under
-// the pinned candidate: its offset within the striping round and its size.
+// requestShape is a memo key: a request's offset in the round and its size.
 type requestShape struct {
 	off, size int64
 }
@@ -35,7 +35,7 @@ type requestShape struct {
 // NewEvaluator returns an evaluator pinned to stripe sizes (h, s) on this
 // parameter set's M+N servers.
 func (p Params) NewEvaluator(h, s int64) (*Evaluator, error) {
-	e := &Evaluator{p: p, cache: make(map[requestShape]layout.Distribution)}
+	e := &Evaluator{p: p, tiers: layout.TieredOf(layout.Striping{M: p.M, N: p.N}), cache: make(map[requestShape][2]layout.Load)}
 	if err := e.Reset(h, s); err != nil {
 		return nil, err
 	}
@@ -44,10 +44,13 @@ func (p Params) NewEvaluator(h, s int64) (*Evaluator, error) {
 
 // Reset re-pins the evaluator to a new candidate pair, dropping the
 // memoized distributions (they are geometry-specific) but keeping the
-// allocated cache storage.
+// allocated cache storage. A rejected pair leaves the previous one pinned.
 func (e *Evaluator) Reset(h, s int64) error {
-	geo, err := layout.NewGeometry(layout.Striping{M: e.p.M, N: e.p.N, H: h, S: s})
+	h0, s0 := e.Pair()
+	e.tiers.Stripes[0], e.tiers.Stripes[1] = h, s
+	geo, err := layout.NewGeometry(e.tiers)
 	if err != nil {
+		e.tiers.Stripes[0], e.tiers.Stripes[1] = h0, s0
 		return err
 	}
 	e.geo = geo
@@ -56,10 +59,7 @@ func (e *Evaluator) Reset(h, s int64) error {
 }
 
 // Pair returns the pinned (h, s) candidate.
-func (e *Evaluator) Pair() (h, s int64) {
-	st := e.geo.Striping()
-	return st.H, st.S
-}
+func (e *Evaluator) Pair() (h, s int64) { return e.tiers.Stripes[0], e.tiers.Stripes[1] }
 
 // RequestCost returns the modeled completion time (seconds) of one
 // request, bit-identical to Params.RequestCost under the pinned pair.
@@ -76,7 +76,9 @@ func (e *Evaluator) RequestCostDirect(op device.Op, offset, size int64) float64 
 	if size <= 0 {
 		return 0
 	}
-	return e.p.distributionBreakdown(op, e.geo.Distribute(offset, size)).Total()
+	var loads [2]layout.Load
+	e.geo.Distribute(offset, size, loads[:])
+	return e.p.breakdown(op, loads).Total()
 }
 
 // RequestBreakdown is RequestCost with the three terms itemized.
@@ -85,10 +87,10 @@ func (e *Evaluator) RequestBreakdown(op device.Op, offset, size int64) Breakdown
 		return Breakdown{}
 	}
 	shape := requestShape{off: e.geo.Canonical(offset), size: size}
-	d, ok := e.cache[shape]
+	loads, ok := e.cache[shape]
 	if !ok {
-		d = e.geo.Distribute(shape.off, size)
-		e.cache[shape] = d
+		e.geo.Distribute(shape.off, size, loads[:])
+		e.cache[shape] = loads
 	}
-	return e.p.distributionBreakdown(op, d)
+	return e.p.breakdown(op, loads)
 }

@@ -97,3 +97,36 @@ func TestEvaluatorErrors(t *testing.T) {
 		t.Fatalf("zero-size cost = %v", got)
 	}
 }
+
+var costSink float64
+
+// TestRequestCostAllocations pins the one cover loop's callers: the
+// two-tier paths build their geometry and loads on the stack, and the
+// k-tier path allocates only its tier counts and its loads.
+func TestRequestCostAllocations(t *testing.T) {
+	p := evalParams()
+	e, err := p.NewEvaluator(16<<10, 128<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp := MultiOf(p)
+	stripes := []int64{16 << 10, 128 << 10}
+	var off int64
+	for _, c := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"Params.RequestCost", 0, func() { costSink = p.RequestCost(device.Write, off, 512<<10, 16<<10, 128<<10) }},
+		{"Evaluator.RequestCostDirect", 0, func() { costSink = e.RequestCostDirect(device.Read, off, 512<<10) }},
+		{"MultiParams.RequestBreakdown", 2, func() { costSink = mp.RequestBreakdown(device.Read, off, 512<<10, stripes).Total() }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			off += 4096
+			c.fn()
+		})
+		if allocs > c.max {
+			t.Errorf("%s: %.1f allocs per call, want <= %v", c.name, allocs, c.max)
+		}
+	}
+}

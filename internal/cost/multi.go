@@ -107,21 +107,19 @@ func (p MultiParams) RequestCost(op device.Op, offset, size int64, stripes []int
 
 // RequestBreakdown itemizes the generalized cost terms.
 func (p MultiParams) RequestBreakdown(op device.Op, offset, size int64, stripes []int64) Breakdown {
-	if len(stripes) != len(p.Tiers) {
-		panic(fmt.Sprintf("cost: %d stripes for %d tiers", len(stripes), len(p.Tiers)))
-	}
 	if size <= 0 {
 		return Breakdown{}
 	}
-	tl := layout.Tiered{Counts: p.Counts(), Stripes: stripes}
-	if err := tl.Validate(); err != nil {
+	geo, err := layout.NewGeometry(layout.Tiered{Counts: p.Counts(), Stripes: stripes})
+	if err != nil {
 		panic(err)
 	}
-	d := tl.Distribute(offset, size)
+	loads := make([]layout.Load, len(p.Tiers))
+	geo.Distribute(offset, size, loads)
 
 	var b Breakdown
 	for i, tier := range p.Tiers {
-		maxSub := float64(d.Max[i])
+		maxSub := float64(loads[i].Max)
 		if net := maxSub * p.NetUnit; net > b.Network {
 			b.Network = net
 		}
@@ -131,7 +129,7 @@ func (p MultiParams) RequestBreakdown(op device.Op, offset, size int64, stripes 
 		} else {
 			alphaLo, alphaHi, beta = tier.WriteAlphaMin, tier.WriteAlphaMax, tier.WriteBeta
 		}
-		if start := expectedMaxUniform(alphaLo, alphaHi, d.Touched[i]); start > b.Startup {
+		if start := expectedMaxUniform(alphaLo, alphaHi, loads[i].Touched); start > b.Startup {
 			b.Startup = start
 		}
 		if xfer := maxSub * beta; xfer > b.Transfer {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -198,11 +199,18 @@ func ReadFingerprint(r io.Reader) (*PlanFingerprint, error) {
 }
 
 // Validate checks the fingerprint's regions are contiguous and sane,
-// mirroring RST.Validate.
+// mirroring RST.Validate, and that every statistic is a finite number in
+// range.
 func (f *PlanFingerprint) Validate() error {
+	if !finiteNonNegative(f.Threshold) {
+		return fmt.Errorf("harl: fingerprint threshold %v is not a finite non-negative number", f.Threshold)
+	}
 	for i, r := range f.Regions {
 		if r.End <= r.Offset {
 			return fmt.Errorf("harl: fingerprint region %d has empty range [%d,%d)", i, r.Offset, r.End)
+		}
+		if r.H < 0 || r.S < 0 || r.H+r.S == 0 {
+			return fmt.Errorf("harl: fingerprint region %d has unusable stripes %v", i, r.Pair())
 		}
 		if i == 0 {
 			if r.Offset != 0 {
@@ -212,9 +220,21 @@ func (f *PlanFingerprint) Validate() error {
 			return fmt.Errorf("harl: fingerprint region %d not contiguous: starts %d, previous ends %d",
 				i, r.Offset, f.Regions[i-1].End)
 		}
-		if r.Requests < 0 || r.MeanSize < 0 || r.CV < 0 || r.WriteMix < 0 || r.WriteMix > 1 {
+		if r.Requests < 0 || !finiteNonNegative(r.MeanSize, r.CV, r.WriteMix) || r.WriteMix > 1 ||
+			!finiteNonNegative(r.SizeDeciles[:]...) {
 			return fmt.Errorf("harl: fingerprint region %d has invalid statistics", i)
 		}
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether every value is a finite number >= 0;
+// NaN fails it.
+func finiteNonNegative(vs ...float64) bool {
+	for _, v := range vs {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return false
+		}
+	}
+	return true
 }

@@ -39,6 +39,9 @@ func TestFingerprintAlignsWithMergedRST(t *testing.T) {
 	if fp == nil {
 		t.Fatal("plan has no fingerprint")
 	}
+	if err := fp.Validate(); err != nil {
+		t.Fatalf("planner-built fingerprint does not validate: %v", err)
+	}
 	if len(fp.Regions) != len(plan.RST.Entries) {
 		t.Fatalf("fingerprint has %d regions, RST has %d entries",
 			len(fp.Regions), len(plan.RST.Entries))
@@ -137,6 +140,12 @@ func TestFingerprintReadRejectsGarbage(t *testing.T) {
 		"gap": fpHeader + "\nthreshold 1\n" +
 			"0 10 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n" +
 			"20 30 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
+		"NaN threshold": fpHeader + "\nthreshold NaN\n0 10 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
+		"NaN mean":      fpHeader + "\nthreshold 1\n0 10 4096 0 1 NaN 0 1 1 1 1 1 1 1 1 1 1\n",
+		"NaN write mix": fpHeader + "\nthreshold 1\n0 10 4096 0 1 1 0 NaN 1 1 1 1 1 1 1 1 1\n",
+		"Inf decile":    fpHeader + "\nthreshold 1\n0 10 4096 0 1 1 0 1 1 1 1 1 +Inf 1 1 1 1\n",
+		"zero stripes":  fpHeader + "\nthreshold 1\n0 10 0 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
+		"negative S":    fpHeader + "\nthreshold 1\n0 10 4096 -1 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
 	} {
 		if _, err := ReadFingerprint(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadFingerprint accepted malformed input", name)

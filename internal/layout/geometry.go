@@ -2,40 +2,39 @@ package layout
 
 import "fmt"
 
-// Geometry is a validated, reusable evaluator of one striping
-// configuration: the round quantities DistributeAnalytic re-derives on
-// every call, computed once. HARL's stripe-size search scores thousands
-// of requests under each (h, s) candidate, so the per-request work must
-// be the cover arithmetic alone.
+// Geometry is a validated k-tier layout compiled for the cost model,
+// which needs, per request, how many servers of each tier the request
+// touches and the largest sub-request on each (paper Section III-D,
+// Figs. 4-5). NewGeometry validates once and precomputes the round size,
+// so the per-request work is the cover arithmetic alone: HARL's
+// stripe-size search scores thousands of requests under each candidate.
 //
-// Geometry also exposes the property that makes distributions cacheable:
 // Distribute is periodic in the round size (see Canonical), so requests
 // that differ only by whole striping rounds share one computation.
 type Geometry struct {
-	st     Striping
-	round  int64 // st.RoundSize()
-	hBytes int64 // st.HBytes()
+	t     Tiered
+	round int64 // t.RoundSize()
 }
 
-// NewGeometry validates st and precomputes its round geometry.
-func NewGeometry(st Striping) (Geometry, error) {
-	if err := st.Validate(); err != nil {
+// NewGeometry validates t and compiles it. The geometry keeps t's slices
+// without copying them; the caller must not change them afterwards.
+func NewGeometry(t Tiered) (Geometry, error) {
+	round, err := t.validRound()
+	if err != nil {
 		return Geometry{}, err
 	}
-	return Geometry{st: st, round: st.RoundSize(), hBytes: st.HBytes()}, nil
+	return Geometry{t: t, round: round}, nil
 }
-
-// Striping returns the configuration the geometry evaluates.
-func (g Geometry) Striping() Striping { return g.st }
 
 // Canonical reduces a file offset to its position within the striping
 // round. Every cover term of Distribute depends on the offset only
 // relative to the request's first round boundary, so
 //
-//	g.Distribute(off, size) == g.Distribute(g.Canonical(off), size)
+//	g.Distribute(off, size, loads) and g.Distribute(g.Canonical(off), size, loads)
 //
-// exactly (the quantities are integers; no rounding is involved). Callers
-// memoizing distributions key them by (Canonical(offset), size).
+// fill identical loads (the quantities are integers; no rounding is
+// involved). Callers memoizing distributions key them by
+// (Canonical(offset), size).
 func (g Geometry) Canonical(off int64) int64 {
 	if off < 0 {
 		panic(fmt.Sprintf("layout: negative offset %d", off))
@@ -43,58 +42,60 @@ func (g Geometry) Canonical(off int64) int64 {
 	return off % g.round
 }
 
-// Distribute computes the Distribution of the request [off, off+size),
-// identical to Striping.DistributeAnalytic but without re-deriving the
-// round geometry per call.
+// Load is one tier's share of a request: the number of its servers
+// serving part of the request and the largest sub-request among them —
+// (m, s_m) and (n, s_n) of the paper's cost model for the HServer and
+// SServer tiers.
+type Load struct {
+	Touched int
+	Max     int64
+}
+
+// Distribute fills loads[i] with tier i's Load for the request
+// [off, off+size); len(loads) must equal the tier count. It is exact for
+// every placement case, including the four begin/end cases of the
+// paper's Fig. 4 and tiers with a zero stripe, and costs O(servers)
+// independent of the request size.
 //
-// For each server the covered byte count comes from round geometry: the
-// server's stripe occupies a fixed window of every striping round, the
-// middle rounds of the request are covered entirely, and the first and
-// last rounds contribute their window overlaps.
-func (g Geometry) Distribute(off, size int64) Distribution {
-	if off < 0 || size < 0 {
-		panic(fmt.Sprintf("layout: invalid range %d+%d", off, size))
+// Each server's stripe occupies a fixed window of every striping round:
+// the request's middle rounds cover it entirely, and its first and last
+// rounds contribute their overlaps with the window.
+func (g Geometry) Distribute(off, size int64, loads []Load) {
+	checkRange(off, size)
+	if len(loads) != len(g.t.Counts) {
+		panic(fmt.Sprintf("layout: %d loads for %d tiers", len(loads), len(g.t.Counts)))
 	}
-	var d Distribution
 	if size == 0 {
-		return d
+		clear(loads)
+		return
 	}
 	end := off + size
-	rb := off / g.round
-	re := (end - 1) / g.round
-	mid := re - rb - 1
-	if mid < 0 {
-		mid = 0
+	rb := off / g.round       // first round
+	re := (end - 1) / g.round // last round
+	mid := max(re-rb-1, 0)    // whole rounds in between
+	// In-round coordinates: the first round covers [a, head) and the last
+	// round [0, tail); a request inside one round has no separate tail.
+	a := off - rb*g.round
+	head, tail := g.round, end-re*g.round
+	if re == rb {
+		head, tail = tail, 0
 	}
-
-	cover := func(zone, stripe int64) int64 {
-		cov := mid * stripe
-		cov += overlap(off, end, rb*g.round+zone, rb*g.round+zone+stripe)
-		if re > rb {
-			cov += overlap(off, end, re*g.round+zone, re*g.round+zone+stripe)
-		}
-		return cov
-	}
-
-	if g.st.H > 0 {
-		for i := 0; i < g.st.M; i++ {
-			if cov := cover(int64(i)*g.st.H, g.st.H); cov > 0 {
-				d.MTouched++
-				if cov > d.MaxH {
-					d.MaxH = cov
-				}
+	var zone int64 // in-round offset of the current tier's zone
+	for ti, c := range g.t.Counts {
+		stripe := g.t.Stripes[ti]
+		var l Load
+		for w, zoneEnd := zone, zone+int64(c)*stripe; w < zoneEnd; w += stripe {
+			if cov := mid*stripe + overlap(a, head, w, w+stripe) + overlap(0, tail, w, w+stripe); cov > 0 {
+				l.Touched++
+				l.Max = max(l.Max, cov)
 			}
 		}
+		loads[ti] = l
+		zone += int64(c) * stripe
 	}
-	if g.st.S > 0 {
-		for i := 0; i < g.st.N; i++ {
-			if cov := cover(g.hBytes+int64(i)*g.st.S, g.st.S); cov > 0 {
-				d.NTouched++
-				if cov > d.MaxS {
-					d.MaxS = cov
-				}
-			}
-		}
-	}
-	return d
+}
+
+// overlap returns the length of [a,b) ∩ [c,d).
+func overlap(a, b, c, d int64) int64 {
+	return max(min(b, d)-max(a, c), 0)
 }

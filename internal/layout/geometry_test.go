@@ -34,23 +34,15 @@ func randomStripings(rng *rand.Rand, n int) []Striping {
 func TestGeometryMatchesDistributeAnalytic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, st := range randomStripings(rng, 40) {
-		g, err := NewGeometry(st)
-		if err != nil {
+		if _, err := NewGeometry(TieredOf(st)); err != nil {
 			t.Fatalf("%v: %v", st, err)
-		}
-		if g.Striping() != st {
-			t.Fatalf("Striping() = %v, want %v", g.Striping(), st)
 		}
 		for trial := 0; trial < 200; trial++ {
 			off := rng.Int63n(1 << 28)
 			size := rng.Int63n(4<<20) + 1
-			want := st.DistributeAnalytic(off, size)
-			if got := g.Distribute(off, size); got != want {
-				t.Fatalf("%v Distribute(%d,%d) = %+v, want %+v", st, off, size, got, want)
-			}
-			// Cross-check against the exact fragment walk.
-			if got := st.Distribute(off, size); got != want {
-				t.Fatalf("%v analytic %+v disagrees with walk %+v at (%d,%d)", st, want, got, off, size)
+			// Cross-check the cover loop against the exact fragment walk.
+			if got, want := st.analytic(off, size), st.Distribute(off, size); got != want {
+				t.Fatalf("%v Distribute(%d,%d) = %+v, walk %+v", st, off, size, got, want)
 			}
 		}
 	}
@@ -62,7 +54,7 @@ func TestGeometryMatchesDistributeAnalytic(t *testing.T) {
 func TestGeometryCanonicalPeriodicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, st := range randomStripings(rng, 40) {
-		g, err := NewGeometry(st)
+		g, err := NewGeometry(TieredOf(st))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +65,7 @@ func TestGeometryCanonicalPeriodicity(t *testing.T) {
 			if canon < 0 || canon >= st.RoundSize() {
 				t.Fatalf("Canonical(%d) = %d outside round [0,%d)", off, canon, st.RoundSize())
 			}
-			if got, want := g.Distribute(canon, size), g.Distribute(off, size); got != want {
+			if got, want := st.analytic(canon, size), st.analytic(off, size); got != want {
 				t.Fatalf("%v: Distribute(%d,%d)=%+v != Distribute(%d,%d)=%+v",
 					st, canon, size, got, off, size, want)
 			}
@@ -82,21 +74,23 @@ func TestGeometryCanonicalPeriodicity(t *testing.T) {
 }
 
 func TestGeometryErrorsAndPanics(t *testing.T) {
-	if _, err := NewGeometry(Striping{}); err == nil {
+	if _, err := NewGeometry(TieredOf(Striping{})); err == nil {
 		t.Fatal("empty striping accepted")
 	}
-	if _, err := NewGeometry(Striping{M: 2, N: 2, H: 0, S: 0}); err == nil {
+	if _, err := NewGeometry(TieredOf(Striping{M: 2, N: 2, H: 0, S: 0})); err == nil {
 		t.Fatal("zero-stripe striping accepted")
 	}
-	g, err := NewGeometry(Striping{M: 2, N: 2, H: 4096, S: 8192})
+	g, err := NewGeometry(TieredOf(Striping{M: 2, N: 2, H: 4096, S: 8192}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Distribute(0, 0) != (Distribution{}) {
-		t.Fatal("zero-size request should distribute to nothing")
+	loads := []Load{{1, 1}, {1, 1}}
+	if g.Distribute(0, 0, loads); loads[0] != (Load{}) || loads[1] != (Load{}) {
+		t.Fatalf("zero-size request distributes to %v, want nothing", loads)
 	}
-	mustPanicGeom(t, func() { g.Distribute(-1, 10) })
-	mustPanicGeom(t, func() { g.Distribute(0, -1) })
+	mustPanicGeom(t, func() { g.Distribute(-1, 10, loads) })
+	mustPanicGeom(t, func() { g.Distribute(0, -1, loads) })
+	mustPanicGeom(t, func() { g.Distribute(0, 10, loads[:1]) })
 	mustPanicGeom(t, func() { g.Canonical(-1) })
 }
 

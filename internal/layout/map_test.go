@@ -13,7 +13,7 @@ import (
 // touches on each server, and a final scan emits the touched servers in
 // index order. It is O(servers) per call and kept as the reference the
 // production walk must equal.
-func oracleMap(g geometry, servers int, off, size int64) []SubRequest {
+func oracleMap(g Mapper, servers int, off, size int64) []SubRequest {
 	if size == 0 {
 		return nil
 	}
@@ -143,8 +143,20 @@ func FuzzStripingMap(f *testing.F) {
 			return
 		}
 		subs := checkMap(t, st, off, size)
-		if got := TieredOf(st).Map(off, size); !slices.Equal(got, subs) {
+		tt := TieredOf(st)
+		if got := tt.Map(off, size); !slices.Equal(got, subs) {
 			t.Fatalf("%v Map(%d, %d) = %v, but as Tiered %v", st, off, size, subs, got)
+		}
+		s1, l1 := st.Locate(off)
+		if s2, l2 := tt.Locate(off); s1 != s2 || l1 != l2 {
+			t.Fatalf("%v Locate(%d) = (%d, %d), but as Tiered (%d, %d)", st, off, s1, l1, s2, l2)
+		}
+		want := st.Distribute(off, size) // derived from Map
+		if got := st.analytic(off, size); got != want {
+			t.Fatalf("%v Distribute(%d, %d) = %+v, Map oracle %+v", st, off, size, got, want)
+		}
+		if got := tieredLoads(tt, off, size); got[0] != (Load{want.MTouched, want.MaxH}) || got[1] != (Load{want.NTouched, want.MaxS}) {
+			t.Fatalf("%v Distribute(%d, %d) as Tiered = %v, Map oracle %+v", st, off, size, got, want)
 		}
 	})
 }
@@ -165,8 +177,27 @@ func FuzzTieredMap(f *testing.F) {
 		if !ok {
 			return
 		}
-		checkMap(t, tt, off, size)
+		subs := checkMap(t, tt, off, size)
+		if got, want := tieredLoads(tt, off, size), mapLoads(tt, subs); !slices.Equal(got, want) {
+			t.Fatalf("%v Distribute(%d, %d) = %v, Map oracle %v", tt, off, size, got, want)
+		}
 	})
+}
+
+// mapLoads is the Map-derived oracle for Geometry.Distribute: each
+// tier's touched servers and largest sub-request, read off subs.
+func mapLoads(tt Tiered, subs []SubRequest) []Load {
+	loads := make([]Load, len(tt.Counts))
+	tier, base := 0, 0
+	for _, sub := range subs {
+		for sub.Server >= base+tt.Counts[tier] {
+			base += tt.Counts[tier]
+			tier++
+		}
+		loads[tier].Touched++
+		loads[tier].Max = max(loads[tier].Max, sub.Size)
+	}
+	return loads
 }
 
 // minStripeOf returns the smallest stripe size that stores data.
@@ -266,5 +297,22 @@ func BenchmarkStripingMap(b *testing.B) {
 				mapSink = c.st.Map(int64(i)*4096%round, c.size)
 			}
 		})
+	}
+}
+
+// TestStripingViewAllocatesNothing pins the two-tier view: Striping's
+// delegations build their Tiered on the stack.
+func TestStripingViewAllocatesNothing(t *testing.T) {
+	st := Striping{M: 6, N: 2, H: 16 << 10, S: 128 << 10}
+	var off int64
+	allocs := testing.AllocsPerRun(100, func() {
+		off += 4096
+		_, local := st.Locate(off)
+		if st.Validate() != nil || st.StripeOf(7)+st.RoundSize()+local < 0 {
+			t.Fatal("unreachable")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v Validate/Locate/StripeOf/RoundSize: %.1f allocs per call, want 0", st, allocs)
 	}
 }

@@ -11,15 +11,15 @@
 // only (the paper's extreme configurations, e.g. the {0 KB, 64 KB} optimum
 // of Fig. 9).
 //
-// This package is shared by the simulated PFS (which needs exact
-// sub-request lists) and by HARL's analytical cost model (which needs the
-// per-class sub-request maxima and server counts of Section III-D).
+// Tiered generalizes the configuration to any number of server classes
+// and is the one implementation of the geometry; Striping is its two-tier
+// view. The package is shared by the simulated PFS (which needs exact
+// sub-request lists, Map) and by HARL's analytical cost model (which
+// needs the per-class sub-request maxima and server counts of Section
+// III-D, Geometry.Distribute).
 package layout
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Mapper is the placement contract a file layout provides to the file
 // system: where every logical byte lives. Striping (two-tier) and Tiered
@@ -54,53 +54,37 @@ func Fixed(m, n int, stripe int64) Striping {
 	return Striping{M: m, N: n, H: stripe, S: stripe}
 }
 
+// TieredOf converts a two-tier Striping to the general form: the M
+// HServers are tier 0 and the N SServers tier 1.
+func TieredOf(st Striping) Tiered {
+	return Tiered{Counts: []int{st.M, st.N}, Stripes: []int64{st.H, st.S}}
+}
+
+// The geometry methods below view st as TieredOf(st). The k-tier methods
+// never retain their receiver, so the view's two slices stay on the stack
+// and none of these calls allocates beyond Map's result.
+
 // Validate reports whether the configuration can hold data: its round
 // size must be positive and fit in an int64.
-func (st Striping) Validate() error {
-	switch {
-	case st.M < 0 || st.N < 0 || st.M+st.N == 0:
-		return fmt.Errorf("layout: invalid server counts M=%d N=%d", st.M, st.N)
-	case st.H < 0 || st.S < 0:
-		return fmt.Errorf("layout: negative stripe size H=%d S=%d", st.H, st.S)
-	}
-	round, ok := addZone(0, st.M, st.H)
-	if ok {
-		round, ok = addZone(round, st.N, st.S)
-	}
-	switch {
-	case !ok:
-		return fmt.Errorf("layout: striping %v round size overflows int64", st)
-	case round == 0:
-		return fmt.Errorf("layout: striping %v stores no data", st)
-	}
-	return nil
-}
-
-// addZone adds a tier's zone of count stripes of the given size to a
-// round size, reporting false if the sum overflows int64. All three
-// inputs must be non-negative.
-func addZone(round int64, count int, stripe int64) (int64, bool) {
-	if count > 0 && stripe > (math.MaxInt64-round)/int64(count) {
-		return 0, false
-	}
-	return round + int64(count)*stripe, true
-}
-
-// HBytes returns the bytes per round stored on HServers (M*H).
-func (st Striping) HBytes() int64 { return int64(st.M) * st.H }
-
-// SBytes returns the bytes per round stored on SServers (N*S).
-func (st Striping) SBytes() int64 { return int64(st.N) * st.S }
+func (st Striping) Validate() error { return TieredOf(st).Validate() }
 
 // RoundSize returns the bytes in one full striping round,
 // S = M*H + N*S in the paper's notation.
-func (st Striping) RoundSize() int64 { return st.HBytes() + st.SBytes() }
+func (st Striping) RoundSize() int64 { return TieredOf(st).RoundSize() }
+
+// Locate maps a logical file offset to (server, local offset); see
+// Tiered.Locate.
+func (st Striping) Locate(off int64) (server int, local int64) { return TieredOf(st).Locate(off) }
+
+// StripeOf returns the stripe size used by the given server index.
+func (st Striping) StripeOf(server int) int64 { return TieredOf(st).StripeOf(server) }
+
+// Map splits the logical byte range [off, off+size) into per-server
+// sub-requests; see Tiered.Map.
+func (st Striping) Map(off, size int64) []SubRequest { return TieredOf(st).Map(off, size) }
 
 // Servers returns the total server count M+N.
 func (st Striping) Servers() int { return st.M + st.N }
-
-// IsHServer reports whether the given server index is an HServer.
-func (st Striping) IsHServer(server int) bool { return server < st.M }
 
 // String renders the configuration like the paper's figures, e.g.
 // "64K-64K x(6H+2S)".
@@ -115,103 +99,10 @@ func kb(b int64) string {
 	return fmt.Sprintf("%dB", b)
 }
 
-// Locate maps a logical file offset to (server, local offset). The local
-// offset is the position within the server's backing object, which stores
-// that server's stripes contiguously — exactly how OrangeFS datafiles
-// work. Panics if the striping stores no data or off is negative.
-func (st Striping) Locate(off int64) (server int, local int64) {
-	if off < 0 {
-		panic(fmt.Sprintf("layout: negative offset %d", off))
-	}
-	round := st.RoundSize()
-	if round <= 0 {
-		panic(fmt.Sprintf("layout: %v stores no data", st))
-	}
-	r := off / round // rb in the paper: index of the striping round
-	l := off % round // lb: position within the round
-	if l < st.HBytes() {
-		server = int(l / st.H)
-		in := l % st.H
-		return server, r*st.H + in
-	}
-	l -= st.HBytes()
-	server = st.M + int(l/st.S)
-	in := l % st.S
-	return server, r*st.S + in
-}
-
-// StripeOf returns the stripe size used by the given server index.
-func (st Striping) StripeOf(server int) int64 {
-	if server < 0 || server >= st.Servers() {
-		panic(fmt.Sprintf("layout: server %d out of range [0,%d)", server, st.Servers()))
-	}
-	if st.IsHServer(server) {
-		return st.H
-	}
-	return st.S
-}
-
 // SubRequest is the portion of a file request served by one server: a
 // contiguous range of the server's backing object.
 type SubRequest struct {
 	Server int   // global server index (0..M+N-1)
 	Local  int64 // offset within the server's backing object
 	Size   int64 // bytes
-}
-
-// Map splits the logical byte range [off, off+size) into per-server
-// sub-requests. Because a contiguous logical range touches a contiguous
-// run of each server's stripes, each touched server receives exactly one
-// contiguous sub-request; results are ordered by server index.
-//
-// The walk costs O(size/min stripe) and allocates only the result, never
-// scratch proportional to the server count (see mapRange).
-func (st Striping) Map(off, size int64) []SubRequest {
-	checkRange(off, size)
-	if size == 0 {
-		return nil
-	}
-	if st.RoundSize() <= 0 {
-		panic(fmt.Sprintf("layout: %v stores no data", st))
-	}
-	minStripe := int64(math.MaxInt64)
-	if st.M > 0 && st.H > 0 {
-		minStripe = st.H
-	}
-	if st.N > 0 && st.S > 0 {
-		minStripe = min(minStripe, st.S)
-	}
-	return mapRange(st, st.Servers(), minStripe, off, size)
-}
-
-// Distribution summarizes how a request spreads over the two server
-// classes — the four quantities (m, n, s_m, s_n) the paper's cost model
-// consumes (Section III-D, Fig. 5): the number of HServers and SServers
-// touched and the largest sub-request size on each class.
-type Distribution struct {
-	MTouched int   // m: HServers serving part of the request
-	NTouched int   // n: SServers serving part of the request
-	MaxH     int64 // s_m: largest sub-request on any HServer
-	MaxS     int64 // s_n: largest sub-request on any SServer
-}
-
-// Distribute computes the Distribution of the request [off, off+size).
-// It is exact for every placement case, including the four begin/end cases
-// of the paper's Fig. 4 and the degenerate H==0 / S==0 configurations.
-func (st Striping) Distribute(off, size int64) Distribution {
-	var d Distribution
-	for _, sub := range st.Map(off, size) {
-		if st.IsHServer(sub.Server) {
-			d.MTouched++
-			if sub.Size > d.MaxH {
-				d.MaxH = sub.Size
-			}
-		} else {
-			d.NTouched++
-			if sub.Size > d.MaxS {
-				d.MaxS = sub.Size
-			}
-		}
-	}
-	return d
 }

@@ -140,7 +140,7 @@ func TestMapSkipsHServersWhenHZero(t *testing.T) {
 	st := Striping{M: 6, N: 2, H: 0, S: 64 << 10}
 	subs := st.Map(0, 1<<20)
 	for _, s := range subs {
-		if st.IsHServer(s.Server) {
+		if s.Server < st.M {
 			t.Fatalf("data landed on HServer: %+v", s)
 		}
 	}

@@ -3,60 +3,64 @@ package layout
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
-// Tiered generalizes Striping to any number of server performance
+// Tiered is the striping geometry over any number of server performance
 // classes — the paper's first future-work item ("extend our cost model
-// to accommodate more than two server performance profiles"). Tier i
-// contributes Counts[i] servers, each striped with Stripes[i] bytes per
-// round; servers are numbered tier by tier in declaration order, and a
-// zero stripe size skips the tier exactly as H == 0 or S == 0 do in the
+// to accommodate more than two server performance profiles"), and the
+// one implementation Striping views as two tiers. Tier i contributes
+// Counts[i] servers, each striped with Stripes[i] bytes per round;
+// servers are numbered tier by tier in declaration order, and a zero
+// stripe size skips the tier exactly as H == 0 or S == 0 do in the
 // two-tier layout.
+//
+// No method retains its receiver (panic and error messages format it
+// through String), so a Tiered built on the caller's stack stays there.
 type Tiered struct {
 	Counts  []int
 	Stripes []int64
 }
 
-// TieredOf converts a two-tier Striping to the general form.
-func TieredOf(st Striping) Tiered {
-	return Tiered{Counts: []int{st.M, st.N}, Stripes: []int64{st.H, st.S}}
+// Validate reports whether the configuration can hold data: its round
+// size must be positive and fit in an int64.
+func (t Tiered) Validate() error {
+	_, err := t.validRound()
+	return err
 }
 
-// Validate reports whether the configuration can hold data.
-func (t Tiered) Validate() error {
+// validRound validates t and returns its round size.
+func (t Tiered) validRound() (int64, error) {
 	if len(t.Counts) == 0 || len(t.Counts) != len(t.Stripes) {
-		return fmt.Errorf("layout: tiered config needs matching counts/stripes, got %d/%d",
+		return 0, fmt.Errorf("layout: tiered config needs matching counts/stripes, got %d/%d",
 			len(t.Counts), len(t.Stripes))
 	}
 	total := 0
 	var bytes int64
 	for i, c := range t.Counts {
-		if c < 0 {
-			return fmt.Errorf("layout: tier %d has negative count %d", i, c)
+		stripe := t.Stripes[i]
+		if c < 0 || stripe < 0 {
+			return 0, fmt.Errorf("layout: tier %d has negative count %d or stripe %d", i, c, stripe)
 		}
-		if t.Stripes[i] < 0 {
-			return fmt.Errorf("layout: tier %d has negative stripe %d", i, t.Stripes[i])
-		}
-		if c > math.MaxInt-total {
-			return fmt.Errorf("layout: tiered config %v has too many servers", t)
+		hi, zone := bits.Mul64(uint64(c), uint64(stripe))
+		switch {
+		case c > math.MaxInt-total:
+			return 0, fmt.Errorf("layout: tiered config %s has too many servers", t.String())
+		case hi != 0 || zone > uint64(math.MaxInt64-bytes):
+			return 0, fmt.Errorf("layout: tiered config %s round size overflows int64", t.String())
 		}
 		total += c
-		var ok bool
-		if bytes, ok = addZone(bytes, c, t.Stripes[i]); !ok {
-			return fmt.Errorf("layout: tiered config %v round size overflows int64", t)
-		}
+		bytes += int64(zone)
 	}
 	if total == 0 {
-		return fmt.Errorf("layout: tiered config has no servers")
+		return 0, fmt.Errorf("layout: tiered config has no servers")
 	}
 	if bytes == 0 {
-		return fmt.Errorf("layout: tiered config %v stores no data", t)
+		return 0, fmt.Errorf("layout: tiered config %s stores no data", t.String())
 	}
-	return nil
+	return bytes, nil
 }
-
-// Tiers returns the number of tiers.
-func (t Tiered) Tiers() int { return len(t.Counts) }
 
 // Servers returns the total server count.
 func (t Tiered) Servers() int {
@@ -67,7 +71,8 @@ func (t Tiered) Servers() int {
 	return total
 }
 
-// RoundSize returns the bytes per striping round.
+// RoundSize returns the bytes per striping round, the sum over tiers of
+// count × stripe.
 func (t Tiered) RoundSize() int64 {
 	var bytes int64
 	for i, c := range t.Counts {
@@ -76,138 +81,109 @@ func (t Tiered) RoundSize() int64 {
 	return bytes
 }
 
-// TierOf returns the tier owning a global server index.
-func (t Tiered) TierOf(server int) int {
-	if server < 0 {
-		panic(fmt.Sprintf("layout: negative server %d", server))
-	}
-	for i, c := range t.Counts {
-		if server < c {
-			return i
-		}
-		server -= c
-	}
-	panic(fmt.Sprintf("layout: server out of range for %v", t))
-}
-
 // StripeOf returns the stripe size of a global server index.
 func (t Tiered) StripeOf(server int) int64 {
-	return t.Stripes[t.TierOf(server)]
-}
-
-// zoneStart returns the in-round byte offset where a tier's zone begins.
-func (t Tiered) zoneStart(tier int) int64 {
-	var z int64
-	for i := 0; i < tier; i++ {
-		z += int64(t.Counts[i]) * t.Stripes[i]
+	if server >= 0 {
+		for i, rest := 0, server; i < len(t.Counts); i++ {
+			if rest < t.Counts[i] {
+				return t.Stripes[i]
+			}
+			rest -= t.Counts[i]
+		}
 	}
-	return z
+	panic(fmt.Sprintf("layout: server %d out of range [0,%d)", server, t.Servers()))
 }
 
-// serverBase returns the global index of a tier's first server.
-func (t Tiered) serverBase(tier int) int {
-	base := 0
-	for i := 0; i < tier; i++ {
-		base += t.Counts[i]
-	}
-	return base
-}
-
-// Locate maps a logical offset to (global server index, server-local
-// offset), like Striping.Locate.
+// Locate maps a logical file offset to (server, local offset). The local
+// offset is the position within the server's backing object, which stores
+// that server's stripes contiguously — exactly how OrangeFS datafiles
+// work. Panics if the layout stores no data or off is negative.
 func (t Tiered) Locate(off int64) (server int, local int64) {
+	server, local, _ = t.locate(t.RoundSize(), off)
+	return server, local
+}
+
+// locate is Locate given the round size, also returning the server's
+// stripe size.
+func (t Tiered) locate(round, off int64) (server int, local, stripe int64) {
 	if off < 0 {
 		panic(fmt.Sprintf("layout: negative offset %d", off))
 	}
-	round := t.RoundSize()
 	if round <= 0 {
-		panic(fmt.Sprintf("layout: %v stores no data", t))
+		panic(fmt.Sprintf("layout: %s stores no data", t.String()))
 	}
-	r := off / round
-	l := off % round
+	r := off / round // rb in the paper: index of the striping round
+	l := off % round // lb: position within the round
 	for i, c := range t.Counts {
-		zone := int64(c) * t.Stripes[i]
-		if l < zone {
-			in := l % t.Stripes[i]
-			server = t.serverBase(i) + int(l/t.Stripes[i])
-			return server, r*t.Stripes[i] + in
+		stripe = t.Stripes[i]
+		if zone := int64(c) * stripe; l >= zone {
+			l -= zone
+			server += c
+			continue
 		}
-		l -= zone
+		return server + int(l/stripe), r*stripe + l%stripe, stripe
 	}
 	panic("layout: unreachable: offset beyond round")
 }
 
-// Map splits [off, off+size) into per-server sub-requests, one contiguous
-// range per touched server, ordered by server index. It is the same walk
-// as Striping.Map (see mapRange).
+// Map splits the logical byte range [off, off+size) into per-server
+// sub-requests. Because a contiguous logical range touches a contiguous
+// run of each server's stripes, each touched server receives exactly one
+// contiguous sub-request; results are ordered by server index.
+//
+// Map walks the range's stripe fragments, O(size/min stripe), and keeps
+// one entry per touched server rather than per-server scratch. The walk
+// visits the servers that store data cyclically in ascending index
+// order, so once subs[0]'s server comes round again every server the
+// range touches already has an entry, and each later fragment extends
+// the entry at a cursor that follows the cycle. The entries are finally
+// rotated into ascending server order. The result is sized once, so the
+// call makes exactly one allocation.
 func (t Tiered) Map(off, size int64) []SubRequest {
 	checkRange(off, size)
 	if size == 0 {
 		return nil
 	}
-	if t.RoundSize() <= 0 {
-		panic(fmt.Sprintf("layout: %v stores no data", t))
-	}
-	minStripe := int64(math.MaxInt64)
+	minStripe := int64(math.MaxInt64) // of the tiers that store data
 	for i, c := range t.Counts {
 		if c > 0 && t.Stripes[i] > 0 {
 			minStripe = min(minStripe, t.Stripes[i])
 		}
 	}
-	return mapRange(t, t.Servers(), minStripe, off, size)
-}
-
-// TierDistribution generalizes Distribution: per tier, the number of
-// touched servers and the largest sub-request — the quantities the
-// multi-profile cost model consumes.
-type TierDistribution struct {
-	Touched []int
-	Max     []int64
-}
-
-// Distribute computes the per-tier distribution in O(total servers),
-// independent of request size, mirroring Striping.DistributeAnalytic.
-func (t Tiered) Distribute(off, size int64) TierDistribution {
-	if off < 0 || size < 0 {
-		panic(fmt.Sprintf("layout: invalid range %d+%d", off, size))
+	capacity := t.Servers()
+	if q := size / minStripe; q < int64(capacity)-2 {
+		capacity = int(q) + 2 // a range has at most size/minStripe+2 fragments
 	}
-	d := TierDistribution{Touched: make([]int, t.Tiers()), Max: make([]int64, t.Tiers())}
-	if size == 0 {
-		return d
-	}
+	subs := make([]SubRequest, 0, capacity)
+	cursor := -1 // index of the entry the next fragment extends, once the walk has wrapped
 	round := t.RoundSize()
-	if round <= 0 {
-		panic(fmt.Sprintf("layout: %v stores no data", t))
-	}
-	end := off + size
-	rb := off / round
-	re := (end - 1) / round
-	mid := re - rb - 1
-	if mid < 0 {
-		mid = 0
-	}
-	for ti, c := range t.Counts {
-		stripe := t.Stripes[ti]
-		if stripe == 0 {
-			continue
+	for pos, end := off, off+size; pos < end; {
+		server, local, stripe := t.locate(round, pos)
+		n := fragment(stripe, local, end-pos)
+		pos += n
+		if cursor < 0 {
+			if len(subs) == 0 || server != subs[0].Server {
+				subs = append(subs, SubRequest{Server: server, Local: local, Size: n})
+				continue
+			}
+			cursor = 0
 		}
-		zs := t.zoneStart(ti)
-		for i := 0; i < c; i++ {
-			zone := zs + int64(i)*stripe
-			cov := mid * stripe
-			cov += overlap(off, end, rb*round+zone, rb*round+zone+stripe)
-			if re > rb {
-				cov += overlap(off, end, re*round+zone, re*round+zone+stripe)
-			}
-			if cov > 0 {
-				d.Touched[ti]++
-				if cov > d.Max[ti] {
-					d.Max[ti] = cov
-				}
-			}
+		subs[cursor].Size = local + n - subs[cursor].Local
+		if cursor++; cursor == len(subs) {
+			cursor = 0
 		}
 	}
-	return d
+	// The entries ascend from the first fragment's server, wrap once past
+	// the highest touched server, and ascend again.
+	for k := 1; k < len(subs); k++ {
+		if subs[k].Server < subs[k-1].Server {
+			slices.Reverse(subs[:k])
+			slices.Reverse(subs[k:])
+			slices.Reverse(subs)
+			break
+		}
+	}
+	return subs
 }
 
 // String renders the configuration, e.g. "[6x16K 1x64K 1x256K]".

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -42,7 +43,8 @@ func TestTieredOfMatchesStriping(t *testing.T) {
 }
 
 // Property: the two-tier special case of Tiered agrees with Striping on
-// Map and Distribute for arbitrary configurations.
+// Map, and its cover loop with the Striping fragment walk, for arbitrary
+// configurations.
 func TestTieredTwoTierEquivalenceProperty(t *testing.T) {
 	prop := func(m8, n8 uint8, h16, s16 uint16, off32, size32 uint32) bool {
 		st := Striping{
@@ -68,10 +70,9 @@ func TestTieredTwoTierEquivalenceProperty(t *testing.T) {
 				return false
 			}
 		}
-		d1 := st.DistributeAnalytic(off, size)
-		d2 := tt.Distribute(off, size)
-		return d2.Touched[0] == d1.MTouched && d2.Touched[1] == d1.NTouched &&
-			d2.Max[0] == d1.MaxH && d2.Max[1] == d1.MaxS
+		d1 := st.Distribute(off, size)
+		d2 := tieredLoads(tt, off, size)
+		return d2[0] == Load{d1.MTouched, d1.MaxH} && d2[1] == Load{d1.NTouched, d1.MaxS}
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -96,24 +97,19 @@ func TestTieredThreeTierByHand(t *testing.T) {
 		}
 	}
 	// A full round from 0 touches every server with its full stripe.
-	d := tt.Distribute(0, 80)
-	if d.Touched[0] != 2 || d.Touched[1] != 1 || d.Touched[2] != 1 {
-		t.Fatalf("touched = %v", d.Touched)
-	}
-	if d.Max[0] != 10 || d.Max[1] != 20 || d.Max[2] != 40 {
-		t.Fatalf("max = %v", d.Max)
+	if d := tieredLoads(tt, 0, 80); !slices.Equal(d, []Load{{2, 10}, {1, 20}, {1, 40}}) {
+		t.Fatalf("loads = %v", d)
 	}
 }
 
 func TestTieredSkipsZeroStripeTiers(t *testing.T) {
 	tt := Tiered{Counts: []int{2, 1, 1}, Stripes: []int64{0, 20, 40}}
 	for _, sub := range tt.Map(0, 200) {
-		if tt.TierOf(sub.Server) == 0 {
+		if sub.Server < 2 {
 			t.Fatalf("data landed on zero-stripe tier: %+v", sub)
 		}
 	}
-	d := tt.Distribute(0, 200)
-	if d.Touched[0] != 0 || d.Max[0] != 0 {
+	if d := tieredLoads(tt, 0, 200); d[0] != (Load{}) {
 		t.Fatalf("zero-stripe tier touched: %+v", d)
 	}
 }
@@ -151,9 +147,9 @@ func TestTieredPanics(t *testing.T) {
 	tt := Tiered{Counts: []int{2, 2}, Stripes: []int64{10, 20}}
 	mustPanic(t, func() { tt.Locate(-1) })
 	mustPanic(t, func() { tt.Map(-1, 5) })
-	mustPanic(t, func() { tt.Distribute(0, -1) })
-	mustPanic(t, func() { tt.TierOf(99) })
-	mustPanic(t, func() { tt.TierOf(-1) })
+	mustPanic(t, func() { tieredLoads(tt, 0, -1) })
+	mustPanic(t, func() { tt.StripeOf(4) })
+	mustPanic(t, func() { tt.StripeOf(-1) })
 	mustPanic(t, func() { (Tiered{Counts: []int{1}, Stripes: []int64{0}}).Map(0, 5) })
 }
 
@@ -162,4 +158,16 @@ func TestTieredString(t *testing.T) {
 	if got := tt.String(); got != "[6x16K 1x64K 1x256K]" {
 		t.Fatalf("String = %q", got)
 	}
+}
+
+// tieredLoads runs the cover loop on a k-tier layout, panicking if it
+// does not validate.
+func tieredLoads(tt Tiered, off, size int64) []Load {
+	g, err := NewGeometry(tt)
+	if err != nil {
+		panic(err)
+	}
+	loads := make([]Load, len(tt.Counts))
+	g.Distribute(off, size, loads)
+	return loads
 }

@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,6 +43,8 @@ func (r Record) Validate() error {
 		return fmt.Errorf("trace: negative offset %d", r.Offset)
 	case r.Size <= 0:
 		return fmt.Errorf("trace: non-positive size %d", r.Size)
+	case r.Offset > math.MaxInt64-r.Size:
+		return fmt.Errorf("trace: range %d+%d overflows int64", r.Offset, r.Size)
 	case r.End < r.Start:
 		return fmt.Errorf("trace: end %v before start %v", r.End, r.Start)
 	case r.Op != device.Read && r.Op != device.Write:

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -25,6 +26,7 @@ func TestRecordValidate(t *testing.T) {
 		{Offset: 0, Size: 0, End: 1},
 		{Offset: 0, Size: 1, Start: 5, End: 1},
 		{Offset: 0, Size: 1, End: 1, Op: device.Op(9)},
+		{Offset: math.MaxInt64 - 7, Size: 100, End: 1},
 	}
 	for i, r := range bad {
 		if r.Validate() == nil {
@@ -154,15 +156,16 @@ func TestReadSkipsCommentsAndBlank(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	cases := []string{
-		"1 0 3 r 0 100 0 5\n",                     // missing header
-		"#iosig-trace v1\n1 0 3 r 0 100\n",        // short line
-		"#iosig-trace v1\n1 0 3 x 0 100 0 5\n",    // bad op
-		"#iosig-trace v1\nz 0 3 r 0 100 0 5\n",    // bad pid
-		"#iosig-trace v1\n1 0 3 r -9 100 0 5\n",   // negative offset
-		"#iosig-trace v1\n1 0 3 r 0 0 0 5\n",      // zero size
-		"#iosig-trace v1\n1 0 3 r 0 100 9 5\n",    // end before start
-		"#iosig-trace v1\n1 0 3 r 0 1e3 0 5\n",    // non-integer size
-		"#iosig-trace v1\n1 0 3 r 0 100 0 5 66\n", // extra field
+		"1 0 3 r 0 100 0 5\n",                                    // missing header
+		"#iosig-trace v1\n1 0 3 r 0 100\n",                       // short line
+		"#iosig-trace v1\n1 0 3 x 0 100 0 5\n",                   // bad op
+		"#iosig-trace v1\nz 0 3 r 0 100 0 5\n",                   // bad pid
+		"#iosig-trace v1\n1 0 3 r -9 100 0 5\n",                  // negative offset
+		"#iosig-trace v1\n1 0 3 r 0 0 0 5\n",                     // zero size
+		"#iosig-trace v1\n1 0 3 r 0 100 9 5\n",                   // end before start
+		"#iosig-trace v1\n1 0 3 r 0 1e3 0 5\n",                   // non-integer size
+		"#iosig-trace v1\n1 0 3 r 0 100 0 5 66\n",                // extra field
+		"#iosig-trace v1\n1 0 3 w 9223372036854775800 100 0 1\n", // offset+size overflows int64
 	}
 	for i, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
