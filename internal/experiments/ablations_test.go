@@ -7,6 +7,7 @@ func TestAblationRegionDivision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ablation-division", tbl)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -33,6 +34,7 @@ func TestAblationCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ablation-model", tbl)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -50,6 +52,7 @@ func TestAblationThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ablation-threshold", tbl)
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

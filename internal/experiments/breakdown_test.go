@@ -99,6 +99,7 @@ func TestBreakdownMatchesCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "breakdown", tab)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("breakdown table has %d rows, want 3 (hdd, ssd, net)", len(tab.Rows))
 	}

@@ -159,6 +159,7 @@ func TestFigChaosQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "chaos", tbl)
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("expected 4 rows, got %d", len(tbl.Rows))
 	}
@@ -177,6 +178,7 @@ func TestFigHedgeQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "hedge", tbl)
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("expected 4 rows, got %d", len(tbl.Rows))
 	}

@@ -25,6 +25,8 @@ func TestFigCritPathSeeds(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Seed 1 is QuickOptions' own seed, so its table is the figure's.
+	checkGolden(t, "critpath", tables[0])
 	for i, tab := range tables {
 		if out := tab.String(); !strings.Contains(out, "restripe/r") {
 			t.Errorf("seed %d: table missing what-if ranking:\n%s", i+1, out)

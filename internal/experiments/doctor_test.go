@@ -196,6 +196,7 @@ func TestFigDoctor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "doctor", tbl)
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(tbl.Rows))
 	}

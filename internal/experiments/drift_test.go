@@ -155,6 +155,7 @@ func TestFigDriftQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "drift", tab)
 	lat, ok := tab.Get("shift", "detect ms")
 	if !ok || lat <= 0 {
 		t.Errorf("shift row detect ms = %v, %v", lat, ok)

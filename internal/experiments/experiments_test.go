@@ -36,6 +36,7 @@ func TestFig1aShowsImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "1a", tbl)
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8 servers", len(tbl.Rows))
 	}
@@ -59,6 +60,7 @@ func TestFig1bStripeSizeMatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "1b", tbl)
 	// Within at least one request-size row, the best and worst stripe
 	// must differ substantially (the paper's "huge variation").
 	varies := false
@@ -86,6 +88,7 @@ func TestFig7HARLWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "7", tbl)
 	last := tbl.Rows[len(tbl.Rows)-1]
 	if !strings.HasPrefix(last.Label, "HARL") {
 		t.Fatalf("last row = %q", last.Label)
@@ -113,6 +116,7 @@ func TestFig11HARLWinsOnNonUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "11", tbl)
 	last := tbl.Rows[len(tbl.Rows)-1]
 	if last.Label != "HARL" {
 		t.Fatalf("last row = %q", last.Label)

@@ -17,6 +17,7 @@ func TestFig8AllProcessCountsWin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "8", tbl)
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 process counts", len(tbl.Rows))
 	}
@@ -41,6 +42,7 @@ func TestFig9SmallRequestsGoSSDOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "9", tbl)
 	// The 128K HARL row must carry the SServer-only marker (H=0), the
 	// paper's Fig. 9 crossover.
 	found := false
@@ -78,6 +80,7 @@ func TestFig10GainGrowsWithSSDShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "10", tbl)
 	gain := func(ratio string) float64 {
 		def, ok1 := tbl.Get(ratio+" 64K", "read MB/s")
 		var harl float64
@@ -116,6 +119,7 @@ func TestFig12HARLWinsEveryProcessCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "12", tbl)
 	for _, procs := range []string{"4p", "16p", "64p"} {
 		def, ok := tbl.Get(procs+" 64K", "MB/s")
 		if !ok {

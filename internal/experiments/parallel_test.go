@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 )
@@ -83,7 +84,8 @@ func TestParallelOrderAndErrors(t *testing.T) {
 }
 
 // TestFiguresRegistryComplete guards the registry against drifting from
-// the figure set: every figure is named exactly once and resolvable.
+// the figure set: every figure is named exactly once, resolvable, and
+// pinned by a golden table.
 func TestFiguresRegistryComplete(t *testing.T) {
 	seen := map[string]bool{}
 	for _, f := range Figures() {
@@ -96,6 +98,9 @@ func TestFiguresRegistryComplete(t *testing.T) {
 		seen[f.Name] = true
 		if _, ok := FigureByName(f.Name); !ok {
 			t.Fatalf("figure %q not resolvable by name", f.Name)
+		}
+		if _, err := os.Stat(goldenPath(f.Name)); err != nil {
+			t.Errorf("figure %q has no golden table: %v", f.Name, err)
 		}
 	}
 	for _, want := range []string{"1a", "12", "chaos", "drift", "critpath", "scalehuge"} {

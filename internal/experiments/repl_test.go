@@ -146,6 +146,7 @@ func TestFigReplTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "repl", tab)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("FigRepl has %d rows, want 6", len(tab.Rows))
 	}

@@ -26,13 +26,17 @@ func TestScaleHugeScale(t *testing.T) {
 		t.Errorf("requests = %d, want %d", res.Requests, scaleHugeClients*scaleHugeWrites)
 	}
 	pinNanos(t, "scale_huge_end", secondsToNanos(res.EndSeconds), 2_320_871_934)
-	// Determinism: a replay reproduces the virtual facts exactly.
-	again, err := RunScaleHuge(1)
+	// Determinism: the figure's replay (QuickOptions' seed is 1)
+	// reproduces the virtual facts exactly.
+	again, err := FigScaleHuge(QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Events != res.Events || again.EndSeconds != res.EndSeconds {
-		t.Errorf("replay diverged: events %d vs %d, end %v vs %v",
-			again.Events, res.Events, again.EndSeconds, res.EndSeconds)
+	checkGolden(t, "scalehuge", again)
+	events, _ := again.Get("events processed", "value")
+	end, _ := again.Get("virtual end s", "value")
+	if uint64(events) != res.Events || end != res.EndSeconds {
+		t.Errorf("replay diverged: events %v vs %d, end %v vs %v",
+			events, res.Events, end, res.EndSeconds)
 	}
 }

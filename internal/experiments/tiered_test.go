@@ -7,6 +7,7 @@ func TestThreeTierAwareBeatsBlind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "threetier", tbl)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
