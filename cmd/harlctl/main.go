@@ -4,6 +4,7 @@
 //
 // Usage:
 //
+//	harlctl gen      -kind ior|multi -out FILE [-ranks 16] [-req 512K] [-file 2G] [-seed 1]
 //	harlctl summary  -trace ior.trace
 //	harlctl divide   -trace ior.trace [-threshold 100] [-chunk 64M]
 //	harlctl optimize -trace ior.trace -out file.rst [-hservers 6] [-sservers 2] [-probes 1000] [-profile]
@@ -24,6 +25,9 @@
 // profiles covering the whole invocation; see README "Profiling the
 // simulator".
 //
+// gen writes a synthetic IOSIG-format trace: the uniform IOR workload
+// (-req and -file size it) or the paper's four-region non-uniform
+// workload (multi), exactly the request plans the simulated runs replay.
 // optimize calibrates the cost model against the default simulated device
 // profiles (the stand-in for probing one real server of each class);
 // -profile prints where the Analysis Phase spent its search budget.
@@ -76,12 +80,15 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 
 	"harl/internal/cost"
 	"harl/internal/device"
 	"harl/internal/diagnose"
 	"harl/internal/experiments"
 	"harl/internal/harl"
+	"harl/internal/ior"
 	"harl/internal/netsim"
 	"harl/internal/region"
 	"harl/internal/sim"
@@ -154,6 +161,8 @@ func (e exitCode) Error() string { return fmt.Sprintf("exit status %d", int(e)) 
 // dispatch routes one subcommand; tests drive it directly.
 func dispatch(cmd string, args []string) error {
 	switch cmd {
+	case "gen":
+		return cmdGen(args)
 	case "summary":
 		return cmdSummary(args)
 	case "divide":
@@ -187,7 +196,7 @@ func dispatch(cmd string, args []string) error {
 }
 
 func usage() error {
-	fmt.Fprintln(os.Stderr, "usage: harlctl {summary|divide|optimize|show|chaos|trace|metrics|monitor|health|critpath|whatif|slo|record|doctor} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: harlctl {gen|summary|divide|optimize|show|chaos|trace|metrics|monitor|health|critpath|whatif|slo|record|doctor} [flags]")
 	return exitCode(2)
 }
 
@@ -198,6 +207,75 @@ func loadTrace(path string) (*trace.Trace, error) {
 	}
 	defer f.Close()
 	return trace.Read(f)
+}
+
+func cmdGen(args []string) error {
+	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	kind := fs.String("kind", "ior", "workload kind: ior or multi")
+	out := fs.String("out", "", "output trace file (required)")
+	ranks := fs.Int("ranks", 16, "processes")
+	req := fs.String("req", "512K", "request size, K/M/G suffixes (ior kind)")
+	file := fs.String("file", "2G", "file size, K/M/G suffixes (ior kind)")
+	seed := fs.Int64("seed", 1, "generation seed")
+	fs.Parse(args)
+	if *out == "" {
+		return fmt.Errorf("-out is required")
+	}
+	var tr *trace.Trace
+	switch *kind {
+	case "ior":
+		cfg := ior.Default()
+		cfg.Ranks, cfg.Seed = *ranks, *seed
+		var err error
+		if cfg.RequestSize, err = parseSize(*req); err != nil {
+			return err
+		}
+		if cfg.FileSize, err = parseSize(*file); err != nil {
+			return err
+		}
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		tr = cfg.Trace()
+	case "multi":
+		cfg := ior.DefaultMulti()
+		cfg.Ranks, cfg.Seed = *ranks, *seed
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		tr = cfg.Trace()
+	default:
+		return fmt.Errorf("unknown -kind %q (want ior or multi)", *kind)
+	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := tr.Write(f); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d records to %s\n", tr.Len(), *out)
+	return nil
+}
+
+// parseSize reads a byte count with an optional K, M or G suffix.
+func parseSize(arg string) (int64, error) {
+	s, mult := arg, int64(1)
+	for _, u := range []struct {
+		suffix string
+		mult   int64
+	}{{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30}} {
+		if strings.HasSuffix(s, u.suffix) {
+			s, mult = strings.TrimSuffix(s, u.suffix), u.mult
+			break
+		}
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad size %q", arg)
+	}
+	return n * mult, nil
 }
 
 func cmdSummary(args []string) error {

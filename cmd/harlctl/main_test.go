@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -254,6 +255,49 @@ func TestDoctorCommandGoldenAndExitCodes(t *testing.T) {
 	for _, want := range []string{"no anomalies", "clean: no straggler confirmed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("doctor control output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// gen's non-uniform trace, optimized at two worker counts, must yield
+// byte-identical RST files: the Analysis Phase is deterministic at any
+// parallelism.
+func TestGenOptimizeDeterministicAcrossParallelism(t *testing.T) {
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "multi.trace")
+	out, err := capture(t, "gen", "-kind", "multi", "-out", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "records to") {
+		t.Errorf("gen output malformed:\n%s", out)
+	}
+	var rsts [][]byte
+	for _, par := range []string{"1", "4"} {
+		rst := filepath.Join(dir, "p"+par+".rst")
+		if _, err := capture(t, "optimize", "-trace", tr, "-out", rst, "-probes", "200", "-parallel", par); err != nil {
+			t.Fatalf("optimize -parallel %s: %v", par, err)
+		}
+		b, err := os.ReadFile(rst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsts = append(rsts, b)
+	}
+	if len(rsts[0]) == 0 || !bytes.Equal(rsts[0], rsts[1]) {
+		t.Errorf("RST at -parallel 1 (%d bytes) differs from -parallel 4 (%d bytes)", len(rsts[0]), len(rsts[1]))
+	}
+}
+
+func TestGenRejectsBadInput(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.trace")
+	for _, args := range [][]string{
+		{"-kind", "ior"},
+		{"-kind", "mixed", "-out", out},
+		{"-kind", "ior", "-req", "12Q", "-out", out},
+	} {
+		if _, err := capture(t, "gen", args...); err == nil {
+			t.Errorf("gen %v succeeded, want an error", args)
 		}
 	}
 }

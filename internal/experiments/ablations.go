@@ -6,7 +6,6 @@ import (
 	"harl/internal/cost"
 	"harl/internal/harl"
 	"harl/internal/region"
-	"harl/internal/trace"
 )
 
 // Ablation experiments isolate HARL's design choices (DESIGN.md §5).
@@ -24,14 +23,14 @@ func AblationRegionDivision(o Options) (*Table, error) {
 	}
 	clusterCfg := o.clusterDefault()
 	mcfg := o.multiConfig()
-	params, err := calibrated(clusterCfg, o.Probes)
+	pl, err := o.planner(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
 	tr := mcfg.Trace()
 
 	run := func(label string, rst harl.RST) error {
-		res, err := runMultiHARL(clusterCfg, mcfg, rst)
+		res, err := runOn(o, scenario{cluster: clusterCfg, rst: &rst}, multiWorkload(mcfg))
 		if err != nil {
 			return err
 		}
@@ -40,10 +39,9 @@ func AblationRegionDivision(o Options) (*Table, error) {
 	}
 
 	// Whole-file: a single region covering the trace, optimized once.
-	sorted := &trace.Trace{Records: append([]trace.Record(nil), tr.Records...)}
-	sorted.SortByOffset()
+	sorted := sortedCopy(tr)
 	sum := sorted.Summarize()
-	opt := harl.Optimizer{Params: params}
+	opt := harl.Optimizer{Params: pl.Params}
 	pair, _ := opt.OptimizeRegion(sorted.Records, 0, sum.AvgSize)
 	whole := harl.RST{Entries: []harl.RSTEntry{{Offset: 0, End: sum.MaxOffset, H: pair.H, S: pair.S}}}
 	if err := run(fmt.Sprintf("whole-file %v", pair), whole); err != nil {
@@ -70,7 +68,7 @@ func AblationRegionDivision(o Options) (*Table, error) {
 	}
 
 	// HARL's CV-based adaptive division.
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(tr)
+	plan, err := pl.Analyze(tr)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +89,7 @@ func AblationCostModel(o Options) (*Table, error) {
 	}
 	clusterCfg := o.clusterDefault()
 	cfg := o.iorConfig(o.Ranks, 128<<10)
-	params, err := calibrated(clusterCfg, o.Probes)
+	pl, err := o.planner(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -112,11 +110,13 @@ func AblationCostModel(o Options) (*Table, error) {
 			return p
 		}},
 	} {
-		plan, err := harl.Planner{Params: variant.mutate(params), ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(cfg.Trace())
+		v := pl
+		v.Params = variant.mutate(pl.Params)
+		plan, err := v.Analyze(cfg.Trace())
 		if err != nil {
 			return nil, err
 		}
-		res, err := runIORHARL(clusterCfg, cfg, plan.RST)
+		res, err := runOn(o, scenario{cluster: clusterCfg, rst: &plan.RST}, iorWorkload(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -135,17 +135,19 @@ func AblationThreshold(o Options) (*Table, error) {
 	}
 	clusterCfg := o.clusterDefault()
 	mcfg := o.multiConfig()
-	params, err := calibrated(clusterCfg, o.Probes)
+	pl, err := o.planner(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
 	tr := mcfg.Trace()
 	for _, threshold := range []float64{25, 100, 400, 1600, 1e9} {
-		plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Threshold: threshold, Parallelism: o.Parallelism}.Analyze(tr)
+		v := pl
+		v.Threshold = threshold
+		plan, err := v.Analyze(tr)
 		if err != nil {
 			return nil, err
 		}
-		res, err := runMultiHARL(clusterCfg, mcfg, plan.RST)
+		res, err := runOn(o, scenario{cluster: clusterCfg, rst: &plan.RST}, multiWorkload(mcfg))
 		if err != nil {
 			return nil, err
 		}

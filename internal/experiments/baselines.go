@@ -19,7 +19,7 @@ func BaselineComparison(o Options) (*Table, error) {
 	}
 	clusterCfg := o.clusterDefault()
 	mcfg := o.multiConfig()
-	params, err := calibrated(clusterCfg, o.Probes)
+	pl, err := o.planner(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +27,7 @@ func BaselineComparison(o Options) (*Table, error) {
 	total := mcfg.FileSize()
 
 	run := func(label string, rst harl.RST) error {
-		res, err := runMultiHARL(clusterCfg, mcfg, rst)
+		res, err := runOn(o, scenario{cluster: clusterCfg, rst: &rst}, multiWorkload(mcfg))
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
@@ -38,7 +38,7 @@ func BaselineComparison(o Options) (*Table, error) {
 
 	for _, budgetFrac := range []float64{0.25, 0.5} {
 		carl, err := baselines.CARLPlanner{
-			Params:      params,
+			Params:      pl.Params,
 			ChunkSize:   o.ChunkSize,
 			MaxRequests: 64,
 			Parallelism: o.Parallelism,
@@ -52,7 +52,8 @@ func BaselineComparison(o Options) (*Table, error) {
 		}
 	}
 
-	harlPlan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, MaxRequests: 64, Parallelism: o.Parallelism}.Analyze(tr)
+	pl.MaxRequests = 64
+	harlPlan, err := pl.Analyze(tr)
 	if err != nil {
 		return nil, err
 	}

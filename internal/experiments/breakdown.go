@@ -11,7 +11,6 @@ import (
 	"harl/internal/harl"
 	"harl/internal/ior"
 	"harl/internal/layout"
-	"harl/internal/mpiio"
 	"harl/internal/obs"
 	"harl/internal/pfs"
 	"harl/internal/sim"
@@ -57,17 +56,16 @@ func TraceIOR(o Options) (*TraceRun, error) {
 // differential test can run the identical workload bare and compare
 // results event-for-event.
 func traceIOR(o Options, instrument bool) (*TraceRun, error) {
-	clusterCfg := o.clusterDefault()
-	params, err := calibrated(clusterCfg, o.Probes)
+	pl, err := o.planner(o.clusterDefault())
 	if err != nil {
 		return nil, err
 	}
 	cfg := o.iorConfig(o.Ranks, 512<<10)
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(cfg.Trace())
+	plan, err := pl.Analyze(cfg.Trace())
 	if err != nil {
 		return nil, err
 	}
-	return placedIOR(o, params, plan, cfg, instrument, nil)
+	return placedIOR(o, pl.Params, plan, cfg, instrument, nil)
 }
 
 // placedIOR executes the IOR workload on a fresh cluster under an
@@ -76,39 +74,21 @@ func traceIOR(o Options, instrument bool) (*TraceRun, error) {
 // for virtually scaling a resource. With a nil adjust and instrument
 // false this is the exact bare replay of the seeded scenario.
 func placedIOR(o Options, params cost.Params, plan *harl.Plan, cfg ior.Config, instrument bool, adjust func(*cluster.Testbed)) (*TraceRun, error) {
-	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return nil, err
-	}
-	if adjust != nil {
-		adjust(tb)
-	}
-	if o.Attach != nil {
-		o.Attach(tb)
-	}
-	run := &TraceRun{Plan: plan, FS: tb.FS, Params: params, Config: cfg, Opts: o}
+	run := &TraceRun{Plan: plan, Params: params, Config: cfg, Opts: o}
+	s := scenario{cluster: o.clusterDefault(), ranks: cfg.Ranks, adjust: adjust, name: "ior", rst: &plan.RST}
 	if instrument {
-		run.Tracer, run.Metrics = tb.Instrument()
+		s.instrument = func(tb *cluster.Testbed) { run.Tracer, run.Metrics = tb.Instrument() }
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("ior", &plan.RST, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return nil, createErr
-	}
-	res, err := ior.Run(w, f, cfg)
+	rg, err := o.build(s)
 	if err != nil {
 		return nil, err
 	}
-	run.Result = res
-	run.End = tb.Engine.Now()
-	tb.FS.SyncMetrics()
+	run.FS = rg.tb.FS
+	if run.Result, err = ior.Run(rg.w, rg.f, cfg); err != nil {
+		return nil, err
+	}
+	run.End = rg.tb.Engine.Now()
+	rg.tb.FS.SyncMetrics()
 	return run, nil
 }
 

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"fmt"
 
-	"harl/internal/cluster"
 	"harl/internal/faults"
 	"harl/internal/harl"
-	"harl/internal/layout"
-	"harl/internal/mpiio"
 	"harl/internal/pfs"
 	"harl/internal/sim"
 	"harl/internal/stats"
@@ -20,9 +17,9 @@ import (
 // fire-and-forget protocol. Everything is driven from the option set's
 // ChaosSeed, so a failing run is replayed exactly by its seed.
 
-// ChaosResult is one chaos run's measurement. It contains only
-// comparable fields so the differential determinism test can assert two
-// runs equal with ==.
+// ChaosResult is one faulted-write run's measurement, chaos or
+// replicated. It contains only comparable fields so the determinism and
+// r=1 differential tests can assert two runs equal with ==.
 type ChaosResult struct {
 	// Op accounting: Issued = Acked + Failed + Hung. Hung ops (callbacks
 	// swallowed by a crashed or dropping server with no retry policy to
@@ -54,6 +51,25 @@ type ChaosResult struct {
 	// injected fault was lifted. Must be zero: an ack is a durability
 	// promise, faults or not.
 	IntegrityViolations int
+
+	// Repl is the file system's replication counter snapshot.
+	Repl pfs.ReplStats
+
+	// Verified counts ranges the read-back pass checked byte-exact;
+	// Unverified counts ranges whose final overwrite failed or hung —
+	// no ack promises their content, so they are skipped but reported
+	// rather than silently dropped.
+	Verified   int
+	Unverified int
+
+	// WriteSeconds is the virtual traffic span of the write passes.
+	WriteSeconds float64
+
+	// Events and EndNs fingerprint the whole run (processed events,
+	// final virtual time): the r=1 differential requires them identical
+	// to an unstamped run's.
+	Events uint64
+	EndNs  int64
 }
 
 // chaosPayload derives a request's bytes from its absolute offset alone,
@@ -111,54 +127,60 @@ func chaosConfig(fileBytes int64, servers int) faults.Config {
 }
 
 // runChaosIOR writes every rank's slab of a HARL-planned shared file
-// under the client policy, optionally with the option's chaos schedule
-// injected, then — after every fault has been lifted — reads back each
-// acked range and checks it byte-identical to what was written.
+// once under the client policy, optionally with the chaos suite's mixed
+// fault schedule injected, then verifies every acked range.
 func runChaosIOR(o Options, policy pfs.Policy, withFaults bool) (ChaosResult, error) {
+	return runWrites(o, policy, "chaos", 1, 0, shapeMixed, withFaults)
+}
+
+// runReplIOR writes every rank's slab twice — a populate pass and a
+// full overwrite pass, so both the chain (fresh extent) and quorum
+// (covered overwrite) paths run — under replication factor r and the
+// given fault shape, then verifies every range whose last write was
+// acked.
+func runReplIOR(o Options, policy pfs.Policy, r int, shape ReplShape, withFaults bool) (ChaosResult, error) {
+	return runWrites(o, policy, "repl", 2, r, shape, withFaults)
+}
+
+// runWrites is the faulted-write runner behind both suites. It plans
+// the layout from the workload trace exactly as the fault-free figures
+// do, stamps replication factor r on it (replStamp), and writes passes
+// full passes over every rank's slab of the placed file under policy,
+// with shape's seeded fault schedule injected when withFaults is set.
+// Once every fault has lifted it reads back each range whose last
+// write was acked and checks it byte-exact: an ack is a durability
+// promise, faults or not.
+func runWrites(o Options, policy pfs.Policy, name string, passes, r int, shape ReplShape, withFaults bool) (ChaosResult, error) {
 	co := o
 	co.FileSize = chaosFileSize(o.FileSize)
 	reqSize := chaosRequestSize(co.FileSize)
 	cfg := co.iorConfig(co.Ranks, reqSize)
 
 	clusterCfg := o.clusterDefault()
-
-	// Plan the layout from the workload trace, exactly as the fault-free
-	// figures do.
-	params, err := calibrated(clusterCfg, o.Probes)
+	pl, err := o.planner(clusterCfg)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	plan, err := harl.Planner{Params: params, ChunkSize: co.ChunkSize, Parallelism: o.Parallelism}.Analyze(cfg.Trace())
+	plan, err := pl.Analyze(cfg.Trace())
 	if err != nil {
 		return ChaosResult{}, err
 	}
+	rst := replStamp(&plan.RST, r)
 
-	tb, err := cluster.New(clusterCfg)
+	rg, err := o.build(scenario{cluster: clusterCfg, ranks: cfg.Ranks, policy: policy, name: name, rst: rst})
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	tb.FS.ClientPolicy = policy // before NewWorld: clients copy it at creation
-	if o.Attach != nil {
-		o.Attach(tb)
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	e := tb.Engine
-
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("chaos", &plan.RST, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ChaosResult{}, createErr
-	}
+	tb, f, e := rg.tb, rg.f, rg.tb.Engine
 
 	var sched faults.Schedule
 	var flog *faults.Log
 	if withFaults {
-		sched = faults.Chaos(o.ChaosSeed, chaosConfig(co.FileSize, len(tb.FS.Servers())))
+		fcfg, err := replShapeConfig(shape, co.FileSize, len(tb.FS.Servers()), replGroupsFor(rst, clusterCfg))
+		if err != nil {
+			return ChaosResult{}, err
+		}
+		sched = faults.Chaos(o.ChaosSeed, fcfg)
 		flog = sched.Apply(e, tb.FS)
 	}
 	applyAt := e.Now()
@@ -167,27 +189,44 @@ func runChaosIOR(o Options, policy pfs.Policy, withFaults bool) (ChaosResult, er
 	ranks := cfg.Ranks
 	slab := co.FileSize / int64(ranks)
 	opsPerRank := int(slab / reqSize)
-	res := ChaosResult{Issued: ranks * opsPerRank, Regions: len(plan.RST.Entries)}
+	res := ChaosResult{Issued: passes * ranks * opsPerRank, Regions: len(rst.Entries)}
 
-	type opRec struct{ off, size int64 }
-	var (
-		ackedOps   []opRec
-		latencies  []float64
-		violations int
-	)
+	// Per-range outcome of the passes; the verification pass decides
+	// from it which version (if any) an ack promised.
+	type opState struct{ acked0, tried1, acked1 bool }
+	states := make([]opState, ranks*opsPerRank)
+	var latencies []float64
 
-	// Verification: replay every acked range through rank 0 once all
-	// faults are lifted; an ack promised durability, so any mismatch (or
-	// read failure) is an integrity violation.
 	var checkOp func(i int)
 	checkOp = func(i int) {
-		if i >= len(ackedOps) {
+		if i >= len(states) {
 			return
 		}
-		op := ackedOps[i]
-		f.ReadAt(0, op.off, op.size, func(data []byte, err error) {
-			if err != nil || !bytes.Equal(data, chaosPayload(op.off, op.size)) {
-				violations++
+		st := states[i]
+		rank := i / opsPerRank
+		off := int64(rank)*slab + int64(i%opsPerRank)*reqSize
+		var want []byte
+		switch {
+		case st.acked1:
+			want = replPayload(1, off, reqSize)
+		case st.tried1:
+			// The overwrite was attempted but never acked: the range may
+			// hold either version (or a per-stripe mix), so no promise
+			// exists. Skipped, but counted — never silently dropped.
+			res.Unverified++
+			checkOp(i + 1)
+			return
+		case st.acked0:
+			want = replPayload(0, off, reqSize)
+		default:
+			checkOp(i + 1)
+			return
+		}
+		f.ReadAt(0, off, reqSize, func(data []byte, err error) {
+			if err != nil || !bytes.Equal(data, want) {
+				res.IntegrityViolations++
+			} else {
+				res.Verified++
 			}
 			checkOp(i + 1)
 		})
@@ -218,55 +257,62 @@ func runChaosIOR(o Options, policy pfs.Policy, withFaults bool) (ChaosResult, er
 		trafficEnd = e.Now()
 		queueVerify()
 	})
-
-	runRank := func(rank int) {
-		base := int64(rank) * slab
-		var step func(k int)
-		step = func(k int) {
-			if k >= opsPerRank {
-				finishedRanks++
-				if finishedRanks == ranks {
-					trafficEnd = e.Now()
-					wd.Disarm()
-					queueVerify()
-				}
-				return
-			}
-			off := base + int64(k)*reqSize
-			start := e.Now()
-			f.WriteAt(rank, off, chaosPayload(off, reqSize), func(err error) {
-				if err != nil {
-					res.Failed++
-				} else {
-					res.Acked++
-					res.AckedBytes += reqSize
-					ackedOps = append(ackedOps, opRec{off, reqSize})
-					latencies = append(latencies, e.Now().Sub(start).Seconds()*1e3)
-				}
-				step(k + 1)
-			})
+	rankDone := func() {
+		finishedRanks++
+		if finishedRanks == ranks {
+			trafficEnd = e.Now()
+			wd.Disarm()
+			queueVerify()
 		}
-		step(0)
 	}
-	for r := 0; r < ranks; r++ {
-		r := r
-		e.Schedule(0, func() { runRank(r) })
+
+	for rank := 0; rank < ranks; rank++ {
+		rank := rank
+		e.Schedule(0, func() {
+			backToBack(passes*opsPerRank, func(k int, next func()) {
+				ver := k / opsPerRank
+				idx := rank*opsPerRank + k%opsPerRank
+				off := int64(rank)*slab + int64(k%opsPerRank)*reqSize
+				if ver == 1 {
+					states[idx].tried1 = true
+				}
+				start := e.Now()
+				f.WriteAt(rank, off, replPayload(ver, off, reqSize), func(err error) {
+					if err != nil {
+						res.Failed++
+					} else {
+						res.Acked++
+						res.AckedBytes += reqSize
+						if ver == 0 {
+							states[idx].acked0 = true
+						} else {
+							states[idx].acked1 = true
+						}
+						latencies = append(latencies, e.Now().Sub(start).Seconds()*1e3)
+					}
+					next()
+				})
+			}, rankDone)
+		})
 	}
 	e.Run()
 
 	if !res.WatchdogFired && finishedRanks != ranks {
-		return res, fmt.Errorf("chaos: %d/%d ranks finished yet the watchdog never fired", finishedRanks, ranks)
+		return res, fmt.Errorf("%s: %d/%d ranks finished yet the watchdog never fired", name, finishedRanks, ranks)
 	}
 	res.Hung = res.Issued - res.Acked - res.Failed
-	res.GoodputMBs = stats.Throughput(res.AckedBytes, trafficEnd.Sub(trafficStart).Seconds())
+	res.WriteSeconds = trafficEnd.Sub(trafficStart).Seconds()
+	res.GoodputMBs = stats.Throughput(res.AckedBytes, res.WriteSeconds)
 	res.P50Ms = stats.Percentile(latencies, 50)
 	res.P99Ms = stats.Percentile(latencies, 99)
 	res.MaxMs = stats.Max(latencies)
 	res.Faults = tb.FS.Faults
+	res.Repl = tb.FS.Repl
 	if flog != nil {
 		res.FaultLog = flog.String()
 	}
-	res.IntegrityViolations = violations
+	res.Events = e.Processed
+	res.EndNs = int64(e.Now().Sub(0))
 	return res, nil
 }
 
@@ -330,31 +376,18 @@ func runHedgeScan(o Options, hedged bool, dropP float64) (hedgeRun, error) {
 	fileSize := chaosFileSize(o.FileSize)
 	const reqSize = 64 << 10
 
-	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return hedgeRun{}, err
-	}
 	policy := o.clientPolicy()
 	if !hedged {
 		policy.HedgeAfter = 0
 	}
-	tb.FS.ClientPolicy = policy
 	ranks := o.Ranks
-	w := mpiio.NewWorld(tb.FS, ranks, o.ranksPerNode(ranks))
-	e := tb.Engine
-
-	st := layout.Striping{M: clusterCfg.HServers, N: clusterCfg.SServers, H: 64 << 10, S: 64 << 10}
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("hedge", st, func(file *mpiio.PlainFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return hedgeRun{}, createErr
+	s := fixed(o.clusterDefault(), harl.StripePair{H: 64 << 10, S: 64 << 10})
+	s.name, s.ranks, s.policy = "hedge", ranks, policy
+	rg, err := o.build(s)
+	if err != nil {
+		return hedgeRun{}, err
 	}
+	tb, w, f, e := rg.tb, rg.w, rg.f, rg.tb.Engine
 
 	slab := fileSize / int64(ranks)
 	opsPerRank := int(slab / reqSize)
@@ -373,23 +406,17 @@ func runHedgeScan(o Options, hedged bool, dropP float64) (hedgeRun, error) {
 	var writeErr error
 	w.Run(func() {
 		for r := 0; r < ranks; r++ {
-			base := int64(r) * slab
-			rank := r
-			var step func(k int)
-			step = func(k int) {
-				if k >= opsPerRank {
-					return
-				}
+			rank, base := r, int64(r)*slab
+			backToBack(opsPerRank, func(k int, next func()) {
 				off := opOffset(rank, base, k)
 				f.WriteAt(rank, off, chaosPayload(off, reqSize), func(err error) {
 					if err != nil {
 						writeErr = err
 						return
 					}
-					step(k + 1)
+					next()
 				})
-			}
-			step(0)
+			}, nil)
 		}
 	})
 	if writeErr != nil {
@@ -415,13 +442,8 @@ func runHedgeScan(o Options, hedged bool, dropP float64) (hedgeRun, error) {
 	var readErr error
 	w.Run(func() {
 		for r := 0; r < ranks; r++ {
-			base := int64(r) * slab
-			rank := r
-			var step func(k int)
-			step = func(k int) {
-				if k >= opsPerRank*passes {
-					return
-				}
+			rank, base := r, int64(r)*slab
+			backToBack(opsPerRank*passes, func(k int, next func()) {
 				off := opOffset(rank, base, k%opsPerRank)
 				start := e.Now()
 				f.ReadAt(rank, off, reqSize, func(data []byte, err error) {
@@ -433,10 +455,9 @@ func runHedgeScan(o Options, hedged bool, dropP float64) (hedgeRun, error) {
 					if !bytes.Equal(data, chaosPayload(off, reqSize)) {
 						run.Violations++
 					}
-					step(k + 1)
+					next()
 				})
-			}
-			step(0)
+			}, nil)
 		}
 	})
 	if readErr != nil {

@@ -8,7 +8,6 @@ import (
 	"harl/internal/diagnose"
 	"harl/internal/faults"
 	"harl/internal/harl"
-	"harl/internal/mpiio"
 	"harl/internal/obs"
 	"harl/internal/sim"
 )
@@ -96,8 +95,6 @@ func RunDoctor(o Options, straggle bool) (*DoctorRun, error) {
 	const reqSize = doctorReqSize
 	cfg := co.iorConfig(co.Ranks, reqSize)
 
-	clusterCfg := o.clusterDefault()
-
 	// The doctor run uses an explicit diagnostic layout rather than a
 	// planned one: every region stripes across BOTH tiers so every server
 	// serves every window (a planner would park a file this small on the
@@ -118,16 +115,6 @@ func RunDoctor(o Options, straggle bool) (*DoctorRun, error) {
 		return nil, err
 	}
 
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return nil, err
-	}
-	tb.FS.ClientPolicy = o.clientPolicy()
-	if o.Attach != nil {
-		o.Attach(tb)
-	}
-	e := tb.Engine
-
 	// The diagnose pipeline: sketches windowed to the probe cadence, the
 	// detector bound to them, and a retained tracer so the classifier can
 	// mine critical-path blame. All passive. MinOps drops a little below
@@ -136,24 +123,22 @@ func RunDoctor(o Options, straggle bool) (*DoctorRun, error) {
 	// tier's fallback cannot flag ordinary jitter, while a factor-3
 	// straggle still clears it easily.
 	window := doctorWindow()
-	ss := obs.NewSketchSet(e, obs.SketchConfig{Window: window})
-	det := diagnose.NewDetector(ss, diagnose.Config{MinOps: 6, RatioThreshold: 2})
-	tr := obs.NewTracer(e)
-	tb.FS.Instrument(tr, nil)
-	tb.FS.AttachSketches(ss)
-	ss.AttachTracer(tr)
-
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("doctor", &rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return nil, createErr
+	var det *diagnose.Detector
+	var tr *obs.Tracer
+	s := scenario{cluster: o.clusterDefault(), ranks: cfg.Ranks, policy: o.clientPolicy(), name: "doctor", rst: &rst}
+	s.instrument = func(tb *cluster.Testbed) {
+		ss := obs.NewSketchSet(tb.Engine, obs.SketchConfig{Window: window})
+		det = diagnose.NewDetector(ss, diagnose.Config{MinOps: 6, RatioThreshold: 2})
+		tr = obs.NewTracer(tb.Engine)
+		tb.FS.Instrument(tr, nil)
+		tb.FS.AttachSketches(ss)
+		ss.AttachTracer(tr)
 	}
+	rg, err := o.build(s)
+	if err != nil {
+		return nil, err
+	}
+	tb, f, e := rg.tb, rg.f, rg.tb.Engine
 
 	// The collective create already advanced the clock, so everything
 	// below schedules relative to now while the sketch windows stay

@@ -103,25 +103,19 @@ func driftMonitorConfig(window sim.Duration) monitor.Config {
 // chain issues count phantom writes of the given size into a region's
 // logical interior, back to back from one rank, and reports each
 // acknowledged request's region-local offset through record.
-func chain(f *mpiio.HARLFile, rank int, regionStart, regionLen int64, size int64, count int, record func(local, size int64), done func()) {
+func chain(f mpiio.PhantomFile, rank int, regionStart, regionLen int64, size int64, count int, record func(local, size int64)) {
 	// Sequential with wraparound, never crossing the region's end.
 	room := regionLen - size
 	if room <= 0 {
 		room = 1
 	}
-	var issue func(i int)
-	issue = func(i int) {
-		if i == count {
-			done()
-			return
-		}
+	backToBack(count, func(i int, next func()) {
 		local := (int64(i) * size) % room
 		f.WriteZeros(rank, regionStart+local, size, func(error) {
 			record(local, size)
-			issue(i + 1)
+			next()
 		})
-	}
-	issue(0)
+	}, nil)
 }
 
 // RunDrift executes the drift scenario with the monitor attached. shift
@@ -145,13 +139,12 @@ func runDrift(o Options, shift, monitored bool) (*DriftRun, error) {
 // ("what if this resource were faster"). Both nil reproduce runDrift
 // exactly, event for event.
 func runDriftWith(o Options, shift, monitored bool, override map[int]harl.StripePair, adjust func(*cluster.Testbed)) (*DriftRun, error) {
-	clusterCfg := o.clusterDefault()
-	params, err := calibrated(clusterCfg, o.Probes)
+	pl, err := o.planner(o.clusterDefault())
 	if err != nil {
 		return nil, err
 	}
 	span := driftSpan(o)
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(driftPlanTrace(span))
+	plan, err := pl.Analyze(driftPlanTrace(span))
 	if err != nil {
 		return nil, err
 	}
@@ -175,34 +168,19 @@ func runDriftWith(o Options, shift, monitored bool, override map[int]harl.Stripe
 		}
 	}
 
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return nil, err
-	}
-	if adjust != nil {
-		adjust(tb)
-	}
-	if o.Attach != nil {
-		o.Attach(tb)
-	}
 	run := &DriftRun{Plan: plan, Shifted: shift, ShiftedRegion: shiftRegion}
+	s := scenario{cluster: o.clusterDefault(), ranks: 2, adjust: adjust, name: "drift", rst: &placed}
 	if monitored {
 		// Attach the registry before the file is created so the per-region
 		// counters resolve; the monitor itself attaches after the warm-up
 		// sizes its window.
-		run.Tracer, run.Metrics = tb.Instrument()
+		s.instrument = func(tb *cluster.Testbed) { run.Tracer, run.Metrics = tb.Instrument() }
 	}
-	w := mpiio.NewWorld(tb.FS, 2, o.ranksPerNode(2))
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("drift", &placed, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return nil, createErr
+	rg, err := o.build(s)
+	if err != nil {
+		return nil, err
 	}
+	tb, w, f := rg.tb, rg.w, rg.f
 
 	// Region interiors the chains write into. Region A is the 64 KB-planned
 	// first region; region B the 2 MB-planned last one (open-ended, but the
@@ -216,9 +194,8 @@ func runDriftWith(o Options, shift, monitored bool, override map[int]harl.Stripe
 	// window length to the observed request rate.
 	warmStart := tb.Engine.Now()
 	w.Run(func() {
-		done := func() {}
-		chain(f, 0, regA.Offset, lenA, 64<<10, 96, noRecord, done)
-		chain(f, 1, regB.Offset, lenB, 2<<20, 48, noRecord, done)
+		chain(f, 0, regA.Offset, lenA, 64<<10, 96, noRecord)
+		chain(f, 1, regB.Offset, lenB, 2<<20, 48, noRecord)
 	})
 	warmup := tb.Engine.Now().Sub(warmStart)
 	run.Window = warmup / 8
@@ -228,11 +205,11 @@ func runDriftWith(o Options, shift, monitored bool, override map[int]harl.Stripe
 
 	var mon *monitor.Monitor
 	if monitored {
-		mon, err = monitor.New(tb.Engine, fp, params, driftMonitorConfig(run.Window))
+		mon, err = monitor.New(tb.Engine, fp, pl.Params, driftMonitorConfig(run.Window))
 		if err != nil {
 			return nil, err
 		}
-		if err := f.AttachMonitor(mon); err != nil {
+		if err := f.(*mpiio.HARLFile).AttachMonitor(mon); err != nil {
 			return nil, err
 		}
 		tb.FS.SetTierObserver(mon)
@@ -247,9 +224,8 @@ func runDriftWith(o Options, shift, monitored bool, override map[int]harl.Stripe
 
 	// Phase 1 — clean, monitored: still exactly the planned workload.
 	w.Run(func() {
-		done := func() {}
-		chain(f, 0, regA.Offset, lenA, 64<<10, 96, countBytes, done)
-		chain(f, 1, regB.Offset, lenB, 2<<20, 48, countBytes, done)
+		chain(f, 0, regA.Offset, lenA, 64<<10, 96, countBytes)
+		chain(f, 1, regB.Offset, lenB, 2<<20, 48, countBytes)
 	})
 	run.ShiftAt = tb.Engine.Now()
 
@@ -261,12 +237,11 @@ func runDriftWith(o Options, shift, monitored bool, override map[int]harl.Stripe
 		postShift = append(postShift, trace.Record{Op: device.Write, Offset: local, Size: size, End: 1})
 	}
 	w.Run(func() {
-		done := func() {}
-		chain(f, 0, regA.Offset, lenA, 64<<10, 96, countBytes, done)
+		chain(f, 0, regA.Offset, lenA, 64<<10, 96, countBytes)
 		if shift {
-			chain(f, 1, regB.Offset, lenB, 64<<10, 256, recordB, done)
+			chain(f, 1, regB.Offset, lenB, 64<<10, 256, recordB)
 		} else {
-			chain(f, 1, regB.Offset, lenB, 2<<20, 48, recordB, done)
+			chain(f, 1, regB.Offset, lenB, 2<<20, 48, recordB)
 		}
 	})
 
@@ -286,7 +261,7 @@ func runDriftWith(o Options, shift, monitored bool, override map[int]harl.Stripe
 	for _, rec := range postShift {
 		sum += float64(rec.Size)
 	}
-	opt := harl.Optimizer{Params: params}
+	opt := harl.Optimizer{Params: pl.Params}
 	run.OraclePair, _ = opt.OptimizeRegion(postShift, 0, sum/float64(len(postShift)))
 	return run, nil
 }

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"harl/internal/cluster"
 	"harl/internal/harl"
 	"harl/internal/ior"
-	"harl/internal/mpiio"
 	"harl/internal/sim"
 )
 
@@ -19,34 +17,27 @@ func Fig1a(o Options) (*Table, error) {
 	clusterCfg := o.clusterDefault()
 	cfg := o.iorConfig(o.Ranks, 512<<10)
 
-	tb, err := cluster.New(clusterCfg)
+	s := fixed(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10})
+	s.name, s.ranks = "ior", cfg.Ranks
+	rg, err := o.build(s)
 	if err != nil {
 		return nil, err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("ior", fixedStriping(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10}),
-			func(file *mpiio.PlainFile, err error) { f, createErr = file, err })
-	})
-	if createErr != nil {
-		return nil, createErr
-	}
-	if _, err := ior.Run(w, f, cfg); err != nil {
+	if _, err := ior.Run(rg.w, rg.f, cfg); err != nil {
 		return nil, err
 	}
 
-	busy := make([]sim.Duration, len(tb.FS.Servers()))
+	servers := rg.tb.FS.Servers()
+	busy := make([]sim.Duration, len(servers))
 	minBusy := sim.Duration(1<<62 - 1)
-	for i, s := range tb.FS.Servers() {
+	for i, s := range servers {
 		busy[i] = s.DiskBusy()
 		if busy[i] > 0 && busy[i] < minBusy {
 			minBusy = busy[i]
 		}
 	}
 	t := &Table{Title: "Fig 1(a): per-server I/O time, 64K fixed stripes (normalized)", Columns: []string{"norm time"}}
-	for i, s := range tb.FS.Servers() {
+	for i, s := range servers {
 		t.Add(fmt.Sprintf("server %d (%s)", i+1, s.Role()), float64(busy[i])/float64(minBusy))
 	}
 	return t, nil
@@ -68,7 +59,7 @@ func Fig1b(o Options) (*Table, error) {
 		values := make([]float64, len(stripes))
 		for i, stripe := range stripes {
 			cfg := o.iorConfig(o.Ranks, reqSize)
-			res, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+			res, err := runOn(o, fixed(clusterCfg, harl.StripePair{H: stripe, S: stripe}), iorWorkload(cfg))
 			if err != nil {
 				return nil, err
 			}

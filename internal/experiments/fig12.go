@@ -6,7 +6,6 @@ import (
 	"harl/internal/btio"
 	"harl/internal/cluster"
 	"harl/internal/harl"
-	"harl/internal/mpiio"
 	"harl/internal/trace"
 )
 
@@ -22,7 +21,7 @@ func Fig12(o Options) (*Table, error) {
 		cfg := o.BTIOClass(procs)
 		cfg.RanksPerNode = o.ranksPerNode(procs)
 		for _, stripe := range o.BTIOStripes {
-			res, err := runBTIOFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+			res, err := runOn(o, fixed(clusterCfg, harl.StripePair{H: stripe, S: stripe}), btioWorkload(cfg))
 			if err != nil {
 				return nil, fmt.Errorf("fig12 %dp fixed %d: %w", procs, stripe, err)
 			}
@@ -37,82 +36,33 @@ func Fig12(o Options) (*Table, error) {
 	return t, nil
 }
 
-func runBTIOFixed(clusterCfg cluster.Config, cfg btio.Config, pair harl.StripePair) (btio.Result, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return btio.Result{}, err
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("btio", fixedStriping(clusterCfg, pair), func(file *mpiio.PlainFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return btio.Result{}, createErr
-	}
-	return btio.Run(w, f, cfg)
-}
-
 // runBTIOHARL executes the full pipeline for BTIO: a traced first run on
 // the default layout collects the post-aggregation request stream, the
 // planner analyzes it, and a fresh testbed measures the optimized layout.
 func runBTIOHARL(o Options, clusterCfg cluster.Config, cfg btio.Config) (btio.Result, *harl.Plan, error) {
 	// Tracing phase: instrument a run on the default 64 KB layout.
-	tb, err := cluster.New(clusterCfg)
+	s := fixed(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10})
+	s.name, s.ranks = "btio", cfg.Ranks
+	rg, err := o.build(s)
 	if err != nil {
 		return btio.Result{}, nil, err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
 	collector := trace.NewCollector()
-	var traced *mpiio.TracingFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("btio", fixedStriping(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10}),
-			func(file *mpiio.PlainFile, err error) {
-				if err != nil {
-					createErr = err
-					return
-				}
-				traced = w.Trace(file, collector)
-			})
-	})
-	if createErr != nil {
-		return btio.Result{}, nil, createErr
-	}
 	traceCfg := cfg
 	traceCfg.Verify = false
-	if _, err := btio.Run(w, traced, traceCfg); err != nil {
+	if _, err := btio.Run(rg.w, rg.w.Trace(rg.f, collector), traceCfg); err != nil {
 		return btio.Result{}, nil, err
 	}
 
-	// Analysis phase.
-	params, err := calibrated(clusterCfg, o.Probes)
+	// Analysis phase, then the placing phase and the measured run.
+	pl, err := o.planner(clusterCfg)
 	if err != nil {
 		return btio.Result{}, nil, err
 	}
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(collector.Trace())
+	plan, err := pl.Analyze(collector.Trace())
 	if err != nil {
 		return btio.Result{}, nil, err
 	}
-
-	// Placing phase + measured run.
-	tb2, err := cluster.New(clusterCfg)
-	if err != nil {
-		return btio.Result{}, nil, err
-	}
-	w2 := mpiio.NewWorld(tb2.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	w2.Run(func() {
-		w2.CreateHARL("btio", &plan.RST, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return btio.Result{}, nil, createErr
-	}
-	res, err := btio.Run(w2, f, cfg)
+	res, err := runOn(o, scenario{cluster: clusterCfg, rst: &plan.RST}, btioWorkload(cfg))
 	return res, plan, err
 }

@@ -6,7 +6,6 @@ import (
 	"harl/internal/cluster"
 	"harl/internal/harl"
 	"harl/internal/ior"
-	"harl/internal/mpiio"
 )
 
 // harlIOR runs the full HARL pipeline for an IOR workload and measures
@@ -19,7 +18,7 @@ import (
 // read trace ({32K,160K}) and the write test from the write trace
 // ({36K,148K}). Pass opAny to optimize both phases jointly.
 func harlIOR(o Options, clusterCfg cluster.Config, cfg ior.Config, onlyOp int) (ior.Result, *harl.Plan, error) {
-	params, err := calibrated(clusterCfg, o.Probes)
+	pl, err := o.planner(clusterCfg)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
@@ -29,11 +28,11 @@ func harlIOR(o Options, clusterCfg cluster.Config, cfg ior.Config, onlyOp int) (
 	} else if onlyOp == opWrite {
 		tr = tr.Writes()
 	}
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(tr)
+	plan, err := pl.Analyze(tr)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
-	res, err := runIORHARL(clusterCfg, cfg, plan.RST)
+	res, err := runOn(o, scenario{cluster: clusterCfg, rst: &plan.RST}, iorWorkload(cfg))
 	return res, plan, err
 }
 
@@ -43,26 +42,6 @@ const (
 	opRead
 	opWrite
 )
-
-// runIORHARL measures an IOR config against an RST-placed file.
-func runIORHARL(clusterCfg cluster.Config, cfg ior.Config, rst harl.RST) (ior.Result, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ior.Result{}, err
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("ior", &rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ior.Result{}, createErr
-	}
-	return ior.Run(w, f, cfg)
-}
 
 // Fig7 reproduces "Throughputs of IOR with different layouts": 16
 // processes, 512 KB requests, fixed-size stripes vs randomly-chosen
@@ -74,14 +53,14 @@ func Fig7(o Options) (*Table, error) {
 	cfg := o.iorConfig(o.Ranks, 512<<10)
 
 	for _, stripe := range o.FixedStripes {
-		res, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+		res, err := runOn(o, fixed(clusterCfg, harl.StripePair{H: stripe, S: stripe}), iorWorkload(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("fig7 fixed %d: %w", stripe, err)
 		}
 		t.Add(fmt.Sprintf("%dK", stripe>>10), res.ReadMBs(), res.WriteMBs())
 	}
 	for i, pair := range o.randomPairs() {
-		res, err := runIORFixed(clusterCfg, cfg, pair)
+		res, err := runOn(o, fixed(clusterCfg, pair), iorWorkload(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("fig7 random %d: %w", i, err)
 		}
@@ -123,13 +102,13 @@ func Fig8(o Options) (*Table, error) {
 	randPair := o.randomPairs()[0]
 	for _, procs := range []int{8, 32, 128, 256} {
 		cfg := o.iorConfig(procs, 512<<10)
-		def, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: 64 << 10, S: 64 << 10})
+		def, err := runOn(o, fixed(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10}), iorWorkload(cfg))
 		if err != nil {
 			return nil, err
 		}
 		bestR, bestW := def.ReadMBs(), def.WriteMBs()
 		for _, stripe := range o.FixedStripes {
-			res, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+			res, err := runOn(o, fixed(clusterCfg, harl.StripePair{H: stripe, S: stripe}), iorWorkload(cfg))
 			if err != nil {
 				return nil, err
 			}
@@ -140,7 +119,7 @@ func Fig8(o Options) (*Table, error) {
 				bestW = res.WriteMBs()
 			}
 		}
-		rnd, err := runIORFixed(clusterCfg, cfg, randPair)
+		rnd, err := runOn(o, fixed(clusterCfg, randPair), iorWorkload(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -166,13 +145,13 @@ func Fig9(o Options) (*Table, error) {
 	for _, reqSize := range []int64{128 << 10, 1024 << 10} {
 		cfg := o.iorConfig(o.Ranks, reqSize)
 		for _, stripe := range o.FixedStripes {
-			res, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+			res, err := runOn(o, fixed(clusterCfg, harl.StripePair{H: stripe, S: stripe}), iorWorkload(cfg))
 			if err != nil {
 				return nil, err
 			}
 			t.Add(fmt.Sprintf("req %dK / %dK", reqSize>>10, stripe>>10), res.ReadMBs(), res.WriteMBs())
 		}
-		rnd, err := runIORFixed(clusterCfg, cfg, o.randomPairs()[0])
+		rnd, err := runOn(o, fixed(clusterCfg, o.randomPairs()[0]), iorWorkload(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -196,12 +175,12 @@ func Fig10(o Options) (*Table, error) {
 	for _, ratio := range [][2]int{{7, 1}, {6, 2}, {2, 6}} {
 		clusterCfg := o.clusterRatio(ratio[0], ratio[1])
 		cfg := o.iorConfig(o.Ranks, 512<<10)
-		def, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: 64 << 10, S: 64 << 10})
+		def, err := runOn(o, fixed(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10}), iorWorkload(cfg))
 		if err != nil {
 			return nil, err
 		}
 		t.Add(fmt.Sprintf("%d:%d 64K", ratio[0], ratio[1]), def.ReadMBs(), def.WriteMBs())
-		rnd, err := runIORFixed(clusterCfg, cfg, o.randomPairs()[0])
+		rnd, err := runOn(o, fixed(clusterCfg, o.randomPairs()[0]), iorWorkload(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -227,27 +206,27 @@ func Fig11(o Options) (*Table, error) {
 	mcfg := o.multiConfig()
 
 	for _, stripe := range o.FixedStripes {
-		res, err := runMultiFixed(clusterCfg, mcfg, harl.StripePair{H: stripe, S: stripe})
+		res, err := runOn(o, fixed(clusterCfg, harl.StripePair{H: stripe, S: stripe}), multiWorkload(mcfg))
 		if err != nil {
 			return nil, err
 		}
 		t.Add(fmt.Sprintf("%dK", stripe>>10), res.ReadMBs(), res.WriteMBs(), 1)
 	}
-	rnd, err := runMultiFixed(clusterCfg, mcfg, o.randomPairs()[0])
+	rnd, err := runOn(o, fixed(clusterCfg, o.randomPairs()[0]), multiWorkload(mcfg))
 	if err != nil {
 		return nil, err
 	}
 	t.Add("rand", rnd.ReadMBs(), rnd.WriteMBs(), 1)
 
-	params, err := calibrated(clusterCfg, o.Probes)
+	pl, err := o.planner(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(mcfg.Trace())
+	plan, err := pl.Analyze(mcfg.Trace())
 	if err != nil {
 		return nil, err
 	}
-	res, err := runMultiHARL(clusterCfg, mcfg, plan.RST)
+	res, err := runOn(o, scenario{cluster: clusterCfg, rst: &plan.RST}, multiWorkload(mcfg))
 	if err != nil {
 		return nil, err
 	}
@@ -272,42 +251,4 @@ func (o Options) multiConfig() ior.MultiConfig {
 		m.Regions[i].Size = size
 	}
 	return m
-}
-
-func runMultiFixed(clusterCfg cluster.Config, cfg ior.MultiConfig, pair harl.StripePair) (ior.Result, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ior.Result{}, err
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("multi", fixedStriping(clusterCfg, pair), func(file *mpiio.PlainFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ior.Result{}, createErr
-	}
-	return ior.RunMulti(w, f, cfg)
-}
-
-func runMultiHARL(clusterCfg cluster.Config, cfg ior.MultiConfig, rst harl.RST) (ior.Result, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ior.Result{}, err
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("multi", &rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ior.Result{}, createErr
-	}
-	return ior.RunMulti(w, f, cfg)
 }

@@ -5,11 +5,8 @@ import (
 
 	"harl/internal/btio"
 	"harl/internal/cluster"
-	"harl/internal/cost"
 	"harl/internal/harl"
 	"harl/internal/ior"
-	"harl/internal/layout"
-	"harl/internal/mpiio"
 	"harl/internal/pfs"
 	"harl/internal/sim"
 	"harl/internal/trace"
@@ -179,44 +176,9 @@ func (o Options) randomPairs() []harl.StripePair {
 	return pairs
 }
 
-// fixedStriping expands a stripe pair into the cluster's striping.
-func fixedStriping(clusterCfg cluster.Config, pair harl.StripePair) layout.Striping {
-	return layout.Striping{M: clusterCfg.HServers, N: clusterCfg.SServers, H: pair.H, S: pair.S}
-}
-
-// runIORFixed runs cfg on a fresh testbed with the given striping.
-func runIORFixed(clusterCfg cluster.Config, cfg ior.Config, pair harl.StripePair) (ior.Result, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ior.Result{}, err
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	st := fixedStriping(clusterCfg, pair)
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("ior", st, func(file *mpiio.PlainFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ior.Result{}, createErr
-	}
-	return ior.Run(w, f, cfg)
-}
-
 // sortedCopy returns an offset-sorted copy of a trace.
 func sortedCopy(tr *trace.Trace) *trace.Trace {
 	s := &trace.Trace{Records: append([]trace.Record(nil), tr.Records...)}
 	s.SortByOffset()
 	return s
-}
-
-// calibrated returns the fitted cost parameters for a cluster config.
-func calibrated(clusterCfg cluster.Config, probes int) (cost.Params, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return cost.Params{}, err
-	}
-	return tb.Calibrate(probes)
 }

@@ -8,7 +8,6 @@ import (
 	"harl/internal/btio"
 	"harl/internal/cluster"
 	"harl/internal/harl"
-	"harl/internal/mpiio"
 	"harl/internal/obs"
 	"harl/internal/telemetry"
 )
@@ -75,26 +74,17 @@ func TestVirtualOutcomesPinned(t *testing.T) {
 // btioFixedEnd runs 4-rank BTIO at the option set's class on 64 KB
 // fixed stripes and returns the virtual end time in nanoseconds.
 func btioFixedEnd(o Options) (int64, error) {
-	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
+	cfg := o.BTIOClass(4)
+	s := fixed(o.clusterDefault(), harl.StripePair{H: 64 << 10, S: 64 << 10})
+	s.name, s.ranks = "btio", cfg.Ranks
+	rg, err := o.build(s)
 	if err != nil {
 		return 0, err
 	}
-	cfg := o.BTIOClass(4)
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, o.ranksPerNode(cfg.Ranks))
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("btio", fixedStriping(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10}),
-			func(file *mpiio.PlainFile, err error) { f, createErr = file, err })
-	})
-	if createErr != nil {
-		return 0, createErr
-	}
-	if _, err := btio.Run(w, f, cfg); err != nil {
+	if _, err := btio.Run(rg.w, rg.f, cfg); err != nil {
 		return 0, err
 	}
-	return int64(tb.Engine.Now()), nil
+	return int64(rg.tb.Engine.Now()), nil
 }
 
 // TestRecorderAllocsPerSpan bounds the heap cost of always-on
@@ -105,19 +95,19 @@ func btioFixedEnd(o Options) (int64, error) {
 func TestRecorderAllocsPerSpan(t *testing.T) {
 	const limit = 6.1 // allocations per span
 	o := QuickOptions()
-	params, err := calibrated(o.clusterDefault(), o.Probes)
+	pl, err := o.planner(o.clusterDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := o.iorConfig(o.Ranks, 512<<10)
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(cfg.Trace())
+	plan, err := pl.Analyze(cfg.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay := func(o Options) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := placedIOR(o, params, plan, cfg, false, nil); err != nil {
+		if _, err := placedIOR(o, pl.Params, plan, cfg, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

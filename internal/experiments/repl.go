@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -10,10 +9,8 @@ import (
 	"harl/internal/harl"
 	"harl/internal/layout"
 	"harl/internal/mpiio"
-	"harl/internal/pfs"
 	"harl/internal/repl"
 	"harl/internal/sim"
-	"harl/internal/stats"
 )
 
 // Replication experiments: IOR-style traffic on a HARL plan whose
@@ -44,36 +41,14 @@ const (
 	ReplShapeRecoveryOverlap ReplShape = "recovery-overlap"
 )
 
+// shapeMixed is the chaos suite's full fault mix — crash, flaky and
+// straggle episodes with uniformly drawn victims — rather than a
+// replication shape.
+const shapeMixed ReplShape = "mixed"
+
 // ReplShapes lists the suite's shapes in canonical order.
 func ReplShapes() []ReplShape {
 	return []ReplShape{ReplShapeCrash, ReplShapeDoubleCrash, ReplShapeRecoveryOverlap}
-}
-
-// ReplResult is one replicated chaos run's measurement. Comparable, so
-// the determinism and r=1 differential tests assert runs equal with ==.
-type ReplResult struct {
-	ChaosResult
-
-	// Repl is the file system's replication counter snapshot.
-	Repl pfs.ReplStats
-
-	// Verified counts ranges the read-back pass checked byte-exact;
-	// Unverified counts ranges whose final overwrite failed or hung —
-	// no ack promises their content, so they are skipped but reported
-	// rather than silently dropped.
-	Verified   int
-	Unverified int
-
-	// WriteSeconds is the virtual traffic span of both write passes —
-	// the replicated-write overhead number the benchmark snapshot
-	// tracks.
-	WriteSeconds float64
-
-	// Events and EndNs fingerprint the whole run (processed events,
-	// final virtual time): the r=1 differential requires them identical
-	// to an unstamped run's.
-	Events uint64
-	EndNs  int64
 }
 
 // replPayload derives write pass ver's bytes for a range from the
@@ -128,9 +103,12 @@ func replGroupsFor(rst *harl.RST, clusterCfg cluster.Config) [][]int {
 // replShapeConfig maps a shape onto the chaos generator's knobs. Flaky
 // and straggle bouts are disabled: the replication suite isolates the
 // crash/view-change/catch-up protocol; the mixed-fault coverage stays
-// with the chaos suite.
+// with the chaos suite's shapeMixed.
 func replShapeConfig(shape ReplShape, fileBytes int64, servers int, groups [][]int) (faults.Config, error) {
 	cfg := chaosConfig(fileBytes, servers)
+	if shape == shapeMixed {
+		return cfg, nil
+	}
 	cfg.FlakyRuns = -1
 	cfg.Straggles = -1
 	switch shape {
@@ -151,195 +129,6 @@ func replShapeConfig(shape ReplShape, fileBytes int64, servers int, groups [][]i
 		return cfg, fmt.Errorf("repl: shape %q needs a replicated region (r >= 2)", shape)
 	}
 	return cfg, nil
-}
-
-// runReplIOR writes every rank's slab of a HARL-planned shared file
-// twice — a populate pass and a full overwrite pass, so both the chain
-// (fresh extent) and quorum (covered overwrite) paths run — under the
-// given replication factor and fault shape, then reads back every range
-// whose last write was acked and checks it byte-exact.
-func runReplIOR(o Options, policy pfs.Policy, r int, shape ReplShape, withFaults bool) (ReplResult, error) {
-	co := o
-	co.FileSize = chaosFileSize(o.FileSize)
-	reqSize := chaosRequestSize(co.FileSize)
-	cfg := co.iorConfig(co.Ranks, reqSize)
-
-	clusterCfg := o.clusterDefault()
-	params, err := calibrated(clusterCfg, o.Probes)
-	if err != nil {
-		return ReplResult{}, err
-	}
-	plan, err := harl.Planner{Params: params, ChunkSize: co.ChunkSize, Parallelism: o.Parallelism}.Analyze(cfg.Trace())
-	if err != nil {
-		return ReplResult{}, err
-	}
-	rst := replStamp(&plan.RST, r)
-
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ReplResult{}, err
-	}
-	tb.FS.ClientPolicy = policy // before NewWorld: clients copy it at creation
-	if o.Attach != nil {
-		o.Attach(tb)
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	e := tb.Engine
-
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("repl", rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ReplResult{}, createErr
-	}
-
-	var sched faults.Schedule
-	var flog *faults.Log
-	if withFaults {
-		fcfg, err := replShapeConfig(shape, co.FileSize, len(tb.FS.Servers()), replGroupsFor(rst, clusterCfg))
-		if err != nil {
-			return ReplResult{}, err
-		}
-		sched = faults.Chaos(o.ChaosSeed, fcfg)
-		flog = sched.Apply(e, tb.FS)
-	}
-	applyAt := e.Now()
-	faultsEnd := sched.End()
-
-	ranks := cfg.Ranks
-	slab := co.FileSize / int64(ranks)
-	opsPerRank := int(slab / reqSize)
-	res := ReplResult{ChaosResult: ChaosResult{Issued: 2 * ranks * opsPerRank, Regions: len(rst.Entries)}}
-
-	// Per-range outcome of the two passes; the verification pass decides
-	// from it which version (if any) an ack promised.
-	type opState struct{ acked0, tried1, acked1 bool }
-	states := make([]opState, ranks*opsPerRank)
-	var latencies []float64
-
-	var checkOp func(i int)
-	checkOp = func(i int) {
-		if i >= len(states) {
-			return
-		}
-		st := states[i]
-		rank := i / opsPerRank
-		off := int64(rank)*slab + int64(i%opsPerRank)*reqSize
-		var want []byte
-		switch {
-		case st.acked1:
-			want = replPayload(1, off, reqSize)
-		case st.tried1:
-			// The overwrite was attempted but never acked: the range may
-			// hold either version (or a per-stripe mix), so no promise
-			// exists. Skipped, but counted — never silently dropped.
-			res.Unverified++
-			checkOp(i + 1)
-			return
-		case st.acked0:
-			want = replPayload(0, off, reqSize)
-		default:
-			checkOp(i + 1)
-			return
-		}
-		f.ReadAt(0, off, reqSize, func(data []byte, err error) {
-			if err != nil || !bytes.Equal(data, want) {
-				res.IntegrityViolations++
-			} else {
-				res.Verified++
-			}
-			checkOp(i + 1)
-		})
-	}
-	verifyQueued := false
-	queueVerify := func() {
-		if verifyQueued {
-			return
-		}
-		verifyQueued = true
-		at := applyAt.Add(faultsEnd + 10*sim.Millisecond)
-		if now := e.Now(); at < now {
-			at = now
-		}
-		e.ScheduleAt(at, func() { checkOp(0) })
-	}
-
-	trafficStart := e.Now()
-	var trafficEnd sim.Time
-	finishedRanks := 0
-
-	var wd *faults.Watchdog
-	wd = faults.NewWatchdog(e, faultsEnd+30*sim.Second, func() {
-		res.WatchdogFired = true
-		trafficEnd = e.Now()
-		queueVerify()
-	})
-
-	runRank := func(rank int) {
-		base := int64(rank) * slab
-		var step func(k int)
-		step = func(k int) {
-			if k >= 2*opsPerRank {
-				finishedRanks++
-				if finishedRanks == ranks {
-					trafficEnd = e.Now()
-					wd.Disarm()
-					queueVerify()
-				}
-				return
-			}
-			ver := k / opsPerRank
-			idx := rank*opsPerRank + k%opsPerRank
-			off := base + int64(k%opsPerRank)*reqSize
-			if ver == 1 {
-				states[idx].tried1 = true
-			}
-			start := e.Now()
-			f.WriteAt(rank, off, replPayload(ver, off, reqSize), func(err error) {
-				if err != nil {
-					res.Failed++
-				} else {
-					res.Acked++
-					res.AckedBytes += reqSize
-					if ver == 0 {
-						states[idx].acked0 = true
-					} else {
-						states[idx].acked1 = true
-					}
-					latencies = append(latencies, e.Now().Sub(start).Seconds()*1e3)
-				}
-				step(k + 1)
-			})
-		}
-		step(0)
-	}
-	for rk := 0; rk < ranks; rk++ {
-		rk := rk
-		e.Schedule(0, func() { runRank(rk) })
-	}
-	e.Run()
-
-	if !res.WatchdogFired && finishedRanks != ranks {
-		return res, fmt.Errorf("repl: %d/%d ranks finished yet the watchdog never fired", finishedRanks, ranks)
-	}
-	res.Hung = res.Issued - res.Acked - res.Failed
-	res.WriteSeconds = trafficEnd.Sub(trafficStart).Seconds()
-	res.GoodputMBs = stats.Throughput(res.AckedBytes, res.WriteSeconds)
-	res.P50Ms = stats.Percentile(latencies, 50)
-	res.P99Ms = stats.Percentile(latencies, 99)
-	res.MaxMs = stats.Max(latencies)
-	res.Faults = tb.FS.Faults
-	res.Repl = tb.FS.Repl
-	if flog != nil {
-		res.FaultLog = flog.String()
-	}
-	res.Events = e.Processed
-	res.EndNs = int64(e.Now().Sub(0))
-	return res, nil
 }
 
 // FigRepl compares replication factors fault-free (the overhead rows)
@@ -384,6 +173,26 @@ func FigRepl(o Options) (*Table, error) {
 	return t, nil
 }
 
+// writeSpread writes version ver of [lo, hi) in reqSize requests, split
+// evenly over ranks, each rank's share back to back. A failed write
+// stops its rank and lands in *errp.
+func writeSpread(f mpiio.File, ranks, ver int, lo, hi, reqSize int64, errp *error) {
+	span := (hi - lo) / int64(ranks)
+	for rk := 0; rk < ranks; rk++ {
+		rank, base := rk, lo+int64(rk)*span
+		backToBack(int(span/reqSize), func(k int, next func()) {
+			off := base + int64(k)*reqSize
+			f.WriteAt(rank, off, replPayload(ver, off, reqSize), func(err error) {
+				if err != nil {
+					*errp = err
+					return
+				}
+				next()
+			})
+		}, nil)
+	}
+}
+
 // ReplRecovery measures a crashed replica's rejoin: the virtual time
 // from its recovery until every member of every group is chained with
 // zero lag, and how much log replay that took.
@@ -402,29 +211,16 @@ type ReplRecovery struct {
 // replica's lag), then recovers it and measures the catch-up.
 func RunReplRecovery(o Options) (ReplRecovery, error) {
 	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ReplRecovery{}, err
-	}
-	tb.FS.ClientPolicy = o.clientPolicy()
 	const ranks = 4
-	w := mpiio.NewWorld(tb.FS, ranks, o.ranksPerNode(ranks))
-	e := tb.Engine
-
 	fileSize := chaosFileSize(o.FileSize)
 	reqSize := chaosRequestSize(fileSize)
 	rst := &harl.RST{Entries: []harl.RSTEntry{{Offset: 0, End: fileSize, H: 64 << 10, S: 64 << 10, R: 2}}}
 
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("recovery", rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ReplRecovery{}, createErr
+	rg, err := o.build(scenario{cluster: clusterCfg, ranks: ranks, policy: o.clientPolicy(), name: "recovery", rst: rst})
+	if err != nil {
+		return ReplRecovery{}, err
 	}
+	tb, w, f, e := rg.tb, rg.w, rg.f, rg.tb.Engine
 
 	groups := replGroupsFor(rst, clusterCfg)
 	if len(groups) == 0 {
@@ -434,38 +230,14 @@ func RunReplRecovery(o Options) (ReplRecovery, error) {
 	// keep acking and the lag accrues entirely on the victim.
 	victim := groups[0][1]
 
-	slab := fileSize / ranks
-	opsPerRank := int(slab / reqSize)
 	var writeErr error
-	writePass := func(ver int) {
-		for rk := 0; rk < ranks; rk++ {
-			base := int64(rk) * slab
-			rank := rk
-			var step func(k int)
-			step = func(k int) {
-				if k >= opsPerRank {
-					return
-				}
-				off := base + int64(k)*reqSize
-				f.WriteAt(rank, off, replPayload(ver, off, reqSize), func(err error) {
-					if err != nil {
-						writeErr = err
-						return
-					}
-					step(k + 1)
-				})
-			}
-			step(0)
-		}
-	}
-
-	w.Run(func() { writePass(0) })
+	w.Run(func() { writeSpread(f, ranks, 0, 0, fileSize, reqSize, &writeErr) })
 	if writeErr != nil {
 		return ReplRecovery{}, writeErr
 	}
 	w.Run(func() {
 		tb.FS.Crash(victim)
-		writePass(1)
+		writeSpread(f, ranks, 1, 0, fileSize, reqSize, &writeErr)
 	})
 	if writeErr != nil {
 		return ReplRecovery{}, writeErr
@@ -599,30 +371,18 @@ func (rep *ReplStatusReport) WriteText(w io.Writer) error {
 // every region's replica state while the crash is still in effect.
 func RunReplStatus(o Options) (*ReplStatusReport, error) {
 	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return nil, err
-	}
-	tb.FS.ClientPolicy = o.clientPolicy()
 	const ranks = 4
-	w := mpiio.NewWorld(tb.FS, ranks, o.ranksPerNode(ranks))
-
 	fileSize := chaosFileSize(o.FileSize)
 	half := fileSize / 2
 	rst := &harl.RST{Entries: []harl.RSTEntry{
 		{Offset: 0, End: half, H: 64 << 10, S: 64 << 10},
 		{Offset: half, End: fileSize, H: 64 << 10, S: 64 << 10, R: 2},
 	}}
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("status", rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return nil, createErr
+	rg, err := o.build(scenario{cluster: clusterCfg, ranks: ranks, policy: o.clientPolicy(), name: "status", rst: rst})
+	if err != nil {
+		return nil, err
 	}
+	tb, w, f := rg.tb, rg.w, rg.f
 
 	groups := replGroupsFor(rst, clusterCfg)
 	if len(groups) == 0 {
@@ -634,31 +394,7 @@ func RunReplStatus(o Options) (*ReplStatusReport, error) {
 
 	const reqSize = 64 << 10
 	var writeErr error
-	writeRange := func(ver int, lo, hi int64) {
-		span := (hi - lo) / ranks
-		for rk := 0; rk < ranks; rk++ {
-			base := lo + int64(rk)*span
-			rank := rk
-			ops := int(span / reqSize)
-			var step func(k int)
-			step = func(k int) {
-				if k >= ops {
-					return
-				}
-				off := base + int64(k)*reqSize
-				f.WriteAt(rank, off, replPayload(ver, off, reqSize), func(err error) {
-					if err != nil {
-						writeErr = err
-						return
-					}
-					step(k + 1)
-				})
-			}
-			step(0)
-		}
-	}
-
-	w.Run(func() { writeRange(0, 0, fileSize) })
+	w.Run(func() { writeSpread(f, ranks, 0, 0, fileSize, reqSize, &writeErr) })
 	if writeErr != nil {
 		return nil, writeErr
 	}
@@ -667,7 +403,7 @@ func RunReplStatus(o Options) (*ReplStatusReport, error) {
 	// fail.
 	w.Run(func() {
 		tb.FS.Crash(victim)
-		writeRange(1, half, fileSize)
+		writeSpread(f, ranks, 1, half, fileSize, reqSize, &writeErr)
 	})
 	if writeErr != nil {
 		return nil, writeErr

@@ -54,7 +54,7 @@ func SLOObjectives(o Options) []telemetry.Objective {
 type SLORun struct {
 	// Result is the underlying replication run — identical to what the
 	// bare driver measures, by the passive-observer contract.
-	Result ReplResult
+	Result ChaosResult
 	// Alerts are the burn-rate violations in firing order.
 	Alerts []telemetry.Alert
 	// Bundles are the captured incident bundles (written under the
@@ -66,34 +66,28 @@ type SLORun struct {
 	Snapshot string
 }
 
-// RunSLO executes the replicated IOR chaos scenario with the telemetry
-// pipeline attached: a streaming tracer feeds the flight recorder and
-// SLO engine, and every alert freezes the recorder window into an
-// incident bundle under bundleRoot (kept in memory when bundleRoot is
-// empty). r=2 with faults under the given shape — the scenario whose
-// availability and catch-up objectives have something to say.
-func RunSLO(o Options, shape ReplShape, bundleRoot string) (*SLORun, error) {
-	var tel *telemetry.T
-	var reg *obs.Registry
-	var telErr error
-	var snapshot func() string
+// pipeline is the always-on telemetry attached to one testbed.
+type pipeline struct {
+	tel      *telemetry.T
+	err      error
+	snapshot func() string
+	tb       *cluster.Testbed
+}
 
-	run := o
-	run.Attach = func(tb *cluster.Testbed) {
-		t, err := telemetry.New(telemetry.Config{
-			Seed:       o.Seed,
-			RingSpans:  512,
-			Objectives: SLOObjectives(o),
-			BundleRoot: bundleRoot,
-		})
-		if err != nil {
-			telErr = err
+// withPipeline returns o with an Attach hook that wires cfg's pipeline
+// into the testbed: a streaming tracer feeding the flight recorder and
+// SLO engine, a metrics registry behind the Prometheus snapshot, and
+// the doctor.
+func withPipeline(o Options, cfg telemetry.Config) (Options, *pipeline) {
+	p := &pipeline{}
+	o.Attach = func(tb *cluster.Testbed) {
+		p.tb = tb
+		if p.tel, p.err = telemetry.New(cfg); p.err != nil {
 			return
 		}
-		tel = t
-		reg = obs.NewRegistry()
-		tb.FS.Instrument(obs.NewStreamTracer(tb.Engine, tel), reg)
-		snapshot = func() string {
+		reg := obs.NewRegistry()
+		tb.FS.Instrument(obs.NewStreamTracer(tb.Engine, p.tel), reg)
+		p.snapshot = func() string {
 			tb.FS.SyncMetrics()
 			var sb strings.Builder
 			if err := reg.WriteProm(&sb, tb.Engine.Now()); err != nil {
@@ -101,30 +95,58 @@ func RunSLO(o Options, shape ReplShape, bundleRoot string) (*SLORun, error) {
 			}
 			return sb.String()
 		}
-		tel.SetSnapshot(snapshot)
-		attachDoctor(tel, tb)
+		p.tel.SetSnapshot(p.snapshot)
+		attachDoctor(p.tel, tb)
 	}
+	return o, p
+}
 
-	res, err := runReplIOR(run, o.clientPolicy(), 2, shape, true)
-	if err != nil {
-		return nil, err
+// check reports a pipeline that failed to build or never attached.
+func (p *pipeline) check() error {
+	if p.err != nil {
+		return p.err
 	}
-	if telErr != nil {
-		return nil, telErr
+	if p.tel == nil {
+		return fmt.Errorf("telemetry: driver never attached the pipeline")
 	}
-	if tel == nil {
-		return nil, fmt.Errorf("telemetry: driver never attached the pipeline")
-	}
-	if err := tel.Err(); err != nil {
+	return nil
+}
+
+// finish reads the pipeline's outcome off a completed run.
+func (p *pipeline) finish(res ChaosResult) (*SLORun, error) {
+	if err := p.tel.Err(); err != nil {
 		return nil, fmt.Errorf("telemetry: bundle write: %w", err)
 	}
 	return &SLORun{
 		Result:   res,
-		Alerts:   tel.Alerts(),
-		Bundles:  tel.Bundles(),
-		Recorder: tel.Recorder().Stats(),
-		Snapshot: snapshot(),
+		Alerts:   p.tel.Alerts(),
+		Bundles:  p.tel.Bundles(),
+		Recorder: p.tel.Recorder().Stats(),
+		Snapshot: p.snapshot(),
 	}, nil
+}
+
+// RunSLO executes the replicated IOR chaos scenario with the telemetry
+// pipeline attached: a streaming tracer feeds the flight recorder and
+// SLO engine, and every alert freezes the recorder window into an
+// incident bundle under bundleRoot (kept in memory when bundleRoot is
+// empty). r=2 with faults under the given shape — the scenario whose
+// availability and catch-up objectives have something to say.
+func RunSLO(o Options, shape ReplShape, bundleRoot string) (*SLORun, error) {
+	run, p := withPipeline(o, telemetry.Config{
+		Seed:       o.Seed,
+		RingSpans:  512,
+		Objectives: SLOObjectives(o),
+		BundleRoot: bundleRoot,
+	})
+	res, err := runReplIOR(run, o.clientPolicy(), 2, shape, true)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.check(); err != nil {
+		return nil, err
+	}
+	return p.finish(res)
 }
 
 // attachDoctor binds the sketch layer and anomaly detector to the
@@ -148,58 +170,22 @@ func attachDoctor(tel *telemetry.T, tb *cluster.Testbed) {
 // `harlctl record` path: no alert needed, just "give me the recent
 // past".
 func RunRecord(o Options, bundleRoot string) (*SLORun, *telemetry.Bundle, error) {
-	var tel *telemetry.T
-	var reg *obs.Registry
-	var telErr error
-	var snapshot func() string
-	var end func() sim.Time
-
-	ro := o
-	ro.Attach = func(tb *cluster.Testbed) {
-		t, terr := telemetry.New(telemetry.Config{
-			Seed:      o.Seed,
-			RingSpans: 512,
-		})
-		if terr != nil {
-			telErr = terr
-			return
-		}
-		tel = t
-		reg = obs.NewRegistry()
-		tb.FS.Instrument(obs.NewStreamTracer(tb.Engine, tel), reg)
-		snapshot = func() string {
-			tb.FS.SyncMetrics()
-			var sb strings.Builder
-			if werr := reg.WriteProm(&sb, tb.Engine.Now()); werr != nil {
-				return "# export failed: " + werr.Error() + "\n"
-			}
-			return sb.String()
-		}
-		tel.SetSnapshot(snapshot)
-		attachDoctor(tel, tb)
-		end = tb.Engine.Now
-	}
+	ro, p := withPipeline(o, telemetry.Config{Seed: o.Seed, RingSpans: 512})
 	res, err := runReplIOR(ro, o.clientPolicy(), 2, ReplShapeCrash, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	if telErr != nil {
-		return nil, nil, telErr
+	if err := p.check(); err != nil {
+		return nil, nil, err
 	}
-	b := tel.CaptureNow("record", end())
+	b := p.tel.CaptureNow("record", p.tb.Engine.Now())
 	if bundleRoot != "" {
 		if _, err := b.WriteDir(bundleRoot); err != nil {
 			return nil, nil, err
 		}
 	}
-	sr := &SLORun{
-		Result:   res,
-		Alerts:   tel.Alerts(),
-		Bundles:  tel.Bundles(),
-		Recorder: tel.Recorder().Stats(),
-		Snapshot: snapshot(),
-	}
-	return sr, b, nil
+	sr, err := p.finish(res)
+	return sr, b, err
 }
 
 // FigSLO is the chaos-alert table: each replica-targeted shape run with

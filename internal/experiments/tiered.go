@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"harl/internal/cluster"
 	"harl/internal/cost"
 	"harl/internal/device"
 	"harl/internal/harl"
 	"harl/internal/ior"
 	"harl/internal/layout"
-	"harl/internal/mpiio"
 )
 
 // ThreeTier exercises the paper's first future-work item on a measured
@@ -35,25 +33,11 @@ func ThreeTier(o Options) (*Table, error) {
 	counts := []int{6, 1, 1}
 
 	cfg := o.iorConfig(o.Ranks, 512<<10)
-	netCfg := cluster.Default().Network
+	clusterCfg := o.clusterDefault()
+	netCfg := clusterCfg.Network
 
 	runTiered := func(lo layout.Mapper) (ior.Result, error) {
-		tb, err := cluster.NewCustom(profiles, netCfg, o.Seed)
-		if err != nil {
-			return ior.Result{}, err
-		}
-		w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-		var f *mpiio.PlainFile
-		var createErr error
-		w.Run(func() {
-			w.CreatePlain("ior", lo, func(file *mpiio.PlainFile, err error) {
-				f, createErr = file, err
-			})
-		})
-		if createErr != nil {
-			return ior.Result{}, createErr
-		}
-		return ior.Run(w, f, cfg)
+		return runOn(o, scenario{cluster: clusterCfg, profiles: profiles, lo: lo}, iorWorkload(cfg))
 	}
 
 	// Baseline: fixed 64 KB everywhere.
