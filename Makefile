@@ -37,19 +37,19 @@ trace:
 		echo "trace determinism check failed: same-seed exports differ"; rm -rf $$tmp; exit 1; \
 	fi
 
-# fuzz runs each native fuzz target in turn for FUZZTIME. The seed
-# corpora under each package's testdata/fuzz already run with every go
-# test; this explores beyond them, and a failing input it finds is
-# written to that directory for replay.
+# fuzz runs every native fuzz target under internal/ in turn for
+# FUZZTIME; go test -list finds them, so a new target needs no edit
+# here. The seed corpora under each package's testdata/fuzz already run
+# with every go test; this explores beyond them, and a failing input it
+# finds is written to that directory for replay.
 FUZZTIME ?= 10s
-fuzz_targets = layout:FuzzStripingMap layout:FuzzTieredMap mpiio:FuzzMergePieces \
-	harl:FuzzReadRST harl:FuzzReadTieredRST harl:FuzzReadFingerprint trace:FuzzReadTrace
 
 fuzz:
-	@set -e; for t in $(fuzz_targets); do \
-		pkg=./internal/$${t%%:*}; name=$${t#*:}; \
-		echo "fuzz $$name in $$pkg for $(FUZZTIME)"; \
-		$(GO) test -run='^$$' -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+	@set -e; for pkg in $$($(GO) list ./internal/...); do \
+		for name in $$($(GO) test -list '^Fuzz' $$pkg | awk '/^Fuzz/'); do \
+			echo "fuzz $$name in $$pkg for $(FUZZTIME)"; \
+			$(GO) test -run='^$$' -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
 	done
 
 build:

@@ -6,7 +6,7 @@
 //
 //	harlctl gen      -kind ior|multi -out FILE [-ranks 16] [-req 512K] [-file 2G] [-seed 1]
 //	harlctl summary  -trace ior.trace
-//	harlctl divide   -trace ior.trace [-threshold 100] [-chunk 64M]
+//	harlctl divide   -trace ior.trace [-threshold 0] [-chunk 64M]
 //	harlctl optimize -trace ior.trace -out file.rst [-hservers 6] [-sservers 2] [-probes 1000] [-profile]
 //	harlctl show     -rst file.rst
 //	harlctl chaos    [-chaos-seed N] [-max-retries N] [-timeout D] [-backoff D] [-hedge-after D]
@@ -301,9 +301,8 @@ func cmdSummary(args []string) error {
 func cmdDivide(args []string) error {
 	fs := flag.NewFlagSet("divide", flag.ExitOnError)
 	path := fs.String("trace", "", "trace file (required)")
-	threshold := fs.Float64("threshold", region.DefaultThreshold, "CV-change threshold percent")
+	threshold := fs.Float64("threshold", 0, "CV-change threshold percent (0 = adaptive: raised from 100% until the region count is within the -chunk bound)")
 	chunk := fs.Int64("chunk", region.DefaultChunkSize, "fixed-division chunk bounding the region count")
-	adaptive := fs.Bool("adaptive", true, "auto-raise the threshold to bound the region count")
 	fs.Parse(args)
 	if *path == "" {
 		return fmt.Errorf("-trace is required")
@@ -312,13 +311,9 @@ func cmdDivide(args []string) error {
 	if err != nil {
 		return err
 	}
-	tr.SortByOffset()
-	var regions []region.Region
-	used := *threshold
-	if *adaptive {
-		regions, used = region.DivideAdaptive(tr.Records, *chunk, 0)
-	} else {
-		regions = region.Divide(tr.Records, *threshold, 0)
+	regions, used, _, err := harl.DivideTrace(tr, *chunk, *threshold)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("%d regions (threshold %.0f%%):\n", len(regions), used)
 	for i, r := range regions {

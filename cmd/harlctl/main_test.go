@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"harl/internal/harl"
 )
 
 // capture runs one dispatch with os.Stdout redirected to a pipe and
@@ -52,6 +54,22 @@ func TestDivideOnTinyTrace(t *testing.T) {
 	}
 }
 
+// -threshold divides at exactly the given CV threshold, which must not
+// be negative; without it the threshold is raised adaptively, as the
+// planner does.
+func TestDivideFixedThreshold(t *testing.T) {
+	out, err := capture(t, "divide", "-trace", "testdata/tiny.trace", "-threshold", "50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, "6 regions (threshold 50%):") {
+		t.Errorf("divide -threshold 50 output:\n%s", out)
+	}
+	if _, err := capture(t, "divide", "-trace", "testdata/tiny.trace", "-threshold", "-5"); err == nil {
+		t.Error("divide accepted a negative threshold")
+	}
+}
+
 func TestOptimizeShowRoundTrip(t *testing.T) {
 	rst := filepath.Join(t.TempDir(), "tiny.rst")
 	out, err := capture(t, "optimize", "-trace", "testdata/tiny.trace", "-out", rst, "-probes", "50")
@@ -67,6 +85,34 @@ func TestOptimizeShowRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(out, "H stripe") {
 		t.Errorf("show output malformed:\n%s", out)
+	}
+}
+
+// The three-tier path: optimize -tiers writes a tiered RST that show
+// renders per tier and harl.ReadTieredRST accepts.
+func TestOptimizeTiersShowRoundTrip(t *testing.T) {
+	rst := filepath.Join(t.TempDir(), "tiny.trst")
+	if _, err := capture(t, "optimize", "-tiers", "-trace", "testdata/tiny.trace", "-out", rst, "-probes", "50"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(rst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trst, err := harl.ReadTieredRST(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("optimize -tiers wrote an unreadable tiered RST: %v", err)
+	}
+	out, err := capture(t, "show", "-rst", rst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) < 2 || lines[0] != "tier server counts: [6 1 1]" || !strings.Contains(lines[1], "per-tier stripes") {
+		t.Fatalf("show -rst output malformed:\n%s", out)
+	}
+	if rows := len(lines) - 2; rows != len(trst.Entries) || rows == 0 {
+		t.Errorf("show printed %d rows for %d entries:\n%s", rows, len(trst.Entries), out)
 	}
 }
 

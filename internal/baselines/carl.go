@@ -18,7 +18,6 @@ import (
 
 	"harl/internal/cost"
 	"harl/internal/harl"
-	"harl/internal/region"
 	"harl/internal/trace"
 )
 
@@ -49,23 +48,14 @@ func (pl CARLPlanner) Analyze(tr *trace.Trace) (*harl.Plan, error) {
 	if pl.Params.M == 0 || pl.Params.N == 0 {
 		return nil, fmt.Errorf("baselines: CARL needs both server classes")
 	}
-	if tr == nil || tr.Len() == 0 {
-		return nil, fmt.Errorf("baselines: empty trace")
+	regions, threshold, groups, err := harl.DivideTrace(tr, pl.ChunkSize, 0)
+	if err != nil {
+		return nil, err
 	}
-	sorted := &trace.Trace{Records: append([]trace.Record(nil), tr.Records...)}
-	sorted.SortByOffset()
-	chunk := pl.ChunkSize
-	if chunk == 0 {
-		chunk = region.DefaultChunkSize
-	}
-	regions, threshold := region.DivideAdaptive(sorted.Records, chunk, 0)
-	groups := region.AssignRequests(regions, sorted.Records)
 
 	budget := pl.SSDBudget
 	if budget == 0 {
-		if len(regions) > 0 {
-			budget = regions[len(regions)-1].End / 4
-		}
+		budget = regions[len(regions)-1].End / 4
 	}
 
 	// Score each region's cost density (model cost per byte) under an
@@ -81,9 +71,6 @@ func (pl CARLPlanner) Analyze(tr *trace.Trace) (*harl.Plan, error) {
 	}
 	items := make([]scored, len(regions))
 	for i, reg := range regions {
-		if len(groups[i]) == 0 {
-			return nil, fmt.Errorf("baselines: region %d (%v) has no requests", i, reg)
-		}
 		hp, hc := hOnly.OptimizeRegion(groups[i], reg.Offset, reg.AvgSize)
 		sp, sc := sOnly.OptimizeRegion(groups[i], reg.Offset, reg.AvgSize)
 		items[i] = scored{idx: i, hPair: hp, sPair: sp, hCost: hc, sCost: sc}

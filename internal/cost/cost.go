@@ -30,7 +30,6 @@ package cost
 
 import (
 	"fmt"
-	"math"
 
 	"harl/internal/device"
 	"harl/internal/layout"
@@ -137,36 +136,58 @@ func (p Params) RequestBreakdown(op device.Op, offset, size, h, s int64) Breakdo
 // request. It is the single arithmetic path shared by RequestBreakdown
 // and Evaluator, so cached and uncached evaluations are bit-identical.
 func (p Params) breakdown(op device.Op, loads [2]layout.Load) Breakdown {
-	sm, sn := float64(loads[0].Max), float64(loads[1].Max)
-	var b Breakdown
-	// Eq. (1): network transfer of the largest sub-request on each class.
-	b.Network = math.Max(sm, sn) * p.NetUnit
-
-	// Replicated writes forward each primary's sub-request serially down
-	// its chain over the primary's uplink (R-1 extra hops of the largest
-	// sub-request), and the ack waits on startup draws across all R
-	// stores of each touched slot.
-	startupScale := 1
-	if op == device.Write && p.R > 1 {
-		b.Network += float64(p.R-1) * math.Max(sm, sn) * p.NetUnit
-		startupScale = p.R
-	}
-
-	// Eqs. (2)-(5): expected maximum startup across the touched servers.
-	var hStart, sStart float64
-	hStart = expectedMaxUniform(p.AlphaHMin, p.AlphaHMax, loads[0].Touched*startupScale)
+	t := newRequestTerms(op, p.R).add(loads[0], p.AlphaHMin, p.AlphaHMax, p.BetaH)
 	if op == device.Read {
-		sStart = expectedMaxUniform(p.AlphaSRMin, p.AlphaSRMax, loads[1].Touched)
+		t = t.add(loads[1], p.AlphaSRMin, p.AlphaSRMax, p.BetaSR)
 	} else {
-		sStart = expectedMaxUniform(p.AlphaSWMin, p.AlphaSWMax, loads[1].Touched*startupScale)
+		t = t.add(loads[1], p.AlphaSWMin, p.AlphaSWMax, p.BetaSW)
 	}
-	b.Startup = math.Max(hStart, sStart)
+	return t.breakdown(p.NetUnit)
+}
 
-	// Eq. (6): storage transfer of the largest sub-request on each class.
-	if op == device.Read {
-		b.Transfer = math.Max(sm*p.BetaH, sn*p.BetaSR)
-	} else {
-		b.Transfer = math.Max(sm*p.BetaH, sn*p.BetaSW)
+// requestTerms is Eqs. (1)-(6) over any number of tiers, folded one tier
+// at a time: add takes a tier's load and its parameters for the
+// operation, and breakdown closes the network term. Each term is the
+// maximum across tiers. Every term is non-negative, so running maxima
+// that start at 0 equal the paper's max over the tiers; and float
+// rounding is monotone, so max(sub-request) × t equals the max of the
+// per-tier products. It is a value of at most four words, so the fold
+// stays in registers.
+//
+// A write replicated r > 1 ways forwards each primary's sub-request
+// serially down its chain over the primary's uplink (r-1 extra hops of
+// the largest sub-request), and its ack waits on startup draws across
+// all r stores of each touched slot. Reads are served by one replica.
+type requestTerms struct {
+	startup, transfer float64
+	maxSub            int64
+	chain             int // stores per touched slot: r for a replicated write, else 1
+}
+
+func newRequestTerms(op device.Op, r int) requestTerms {
+	if op == device.Write && r > 1 {
+		return requestTerms{chain: r}
+	}
+	return requestTerms{chain: 1}
+}
+
+// add folds in one tier: its load, its startup range [alphaMin,
+// alphaMax] and its unit transfer time beta.
+func (t requestTerms) add(l layout.Load, alphaMin, alphaMax, beta float64) requestTerms {
+	t.maxSub = max(t.maxSub, l.Max)
+	// Eqs. (2)-(5): expected maximum startup across touched servers.
+	t.startup = max(t.startup, expectedMaxUniform(alphaMin, alphaMax, l.Touched*t.chain))
+	// Eq. (6): storage transfer of the tier's largest sub-request.
+	t.transfer = max(t.transfer, float64(l.Max)*beta)
+	return t
+}
+
+// breakdown closes Eq. (1): network transfer of the largest sub-request,
+// plus its forwarding hops down a write's replica chain.
+func (t requestTerms) breakdown(netUnit float64) Breakdown {
+	b := Breakdown{Network: float64(t.maxSub) * netUnit, Startup: t.startup, Transfer: t.transfer}
+	if t.chain > 1 {
+		b.Network += float64(t.chain-1) * float64(t.maxSub) * netUnit
 	}
 	return b
 }

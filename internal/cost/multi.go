@@ -116,27 +116,15 @@ func (p MultiParams) RequestBreakdown(op device.Op, offset, size int64, stripes 
 	}
 	loads := make([]layout.Load, len(p.Tiers))
 	geo.Distribute(offset, size, loads)
-
-	var b Breakdown
+	t := newRequestTerms(op, 1)
 	for i, tier := range p.Tiers {
-		maxSub := float64(loads[i].Max)
-		if net := maxSub * p.NetUnit; net > b.Network {
-			b.Network = net
-		}
-		var alphaLo, alphaHi, beta float64
 		if op == device.Read {
-			alphaLo, alphaHi, beta = tier.ReadAlphaMin, tier.ReadAlphaMax, tier.ReadBeta
+			t = t.add(loads[i], tier.ReadAlphaMin, tier.ReadAlphaMax, tier.ReadBeta)
 		} else {
-			alphaLo, alphaHi, beta = tier.WriteAlphaMin, tier.WriteAlphaMax, tier.WriteBeta
-		}
-		if start := expectedMaxUniform(alphaLo, alphaHi, loads[i].Touched); start > b.Startup {
-			b.Startup = start
-		}
-		if xfer := maxSub * beta; xfer > b.Transfer {
-			b.Transfer = xfer
+			t = t.add(loads[i], tier.WriteAlphaMin, tier.WriteAlphaMax, tier.WriteBeta)
 		}
 	}
-	return b
+	return t.breakdown(p.NetUnit)
 }
 
 // CalibrateTiers fits a MultiParams against one device profile per tier

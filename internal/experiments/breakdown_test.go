@@ -43,33 +43,6 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// Tracing is a passive observer: the instrumented run must execute the
-// exact event sequence of the bare one and land on identical results.
-func TestTracingDisabledDifferential(t *testing.T) {
-	o := QuickOptions()
-	bare, err := traceIOR(o, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := traceIOR(o, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Tracer != nil || bare.Metrics != nil {
-		t.Fatal("bare run carries instruments")
-	}
-	if bare.Result != traced.Result {
-		t.Errorf("results diverge under tracing:\nbare:   %+v\ntraced: %+v", bare.Result, traced.Result)
-	}
-	if bare.End != traced.End {
-		t.Errorf("end time diverges under tracing: bare %v, traced %v", bare.End, traced.End)
-	}
-	pinNanos(t, "ior_end", int64(bare.End), 852_789_329)
-	if bp, tp := bare.FS.Engine().Processed, traced.FS.Engine().Processed; bp != tp {
-		t.Errorf("event counts diverge under tracing: bare %d, traced %d", bp, tp)
-	}
-}
-
 // The disk spans must account for every nanosecond the disks were busy:
 // per server, the summed disk.read/disk.write span durations equal the
 // resource's own busy total exactly.

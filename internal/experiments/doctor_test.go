@@ -4,9 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"harl/internal/cluster"
 	"harl/internal/diagnose"
-	"harl/internal/obs"
 	"harl/internal/sim"
 )
 
@@ -85,108 +83,6 @@ func TestDoctorControlCleanSeeds(t *testing.T) {
 			t.Errorf("seed %d: control run claims a detection at %.3fs", seed, run.DetectSeconds)
 		}
 	}
-}
-
-// attachSketchesOpt returns an Options copy whose Attach hook wires a
-// sketch set into every testbed the driver builds — the instrumentation
-// the differentials below must prove invisible to the simulation.
-func attachSketchesOpt(o Options) (Options, **obs.SketchSet) {
-	ss := new(*obs.SketchSet)
-	o.Attach = func(tb *cluster.Testbed) {
-		s := obs.NewSketchSet(tb.Engine, obs.SketchConfig{})
-		*ss = s
-		tb.FS.AttachSketches(s)
-	}
-	return o, ss
-}
-
-// sketchSawTraffic guards the differentials against vacuity: the
-// attached sketch set must actually have observed disk ops.
-func sketchSawTraffic(t *testing.T, ss *obs.SketchSet) {
-	t.Helper()
-	if ss == nil {
-		t.Fatal("attach hook never ran")
-	}
-	var ops int64
-	for i := 0; i < ss.NumServers(); i++ {
-		r, w, _ := ss.ServerOps(i)
-		ops += r + w
-	}
-	if ops == 0 {
-		t.Fatal("attached sketch set observed no ops — differential is vacuous")
-	}
-}
-
-// The sketch pipeline is a pure observer: an attached IOR run must
-// execute the exact event sequence of a bare one.
-func TestSketchAttachedIORDifferential(t *testing.T) {
-	o := QuickOptions()
-	bare, err := traceIOR(o, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ao, ss := attachSketchesOpt(o)
-	attached, err := traceIOR(ao, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Result != attached.Result {
-		t.Errorf("results diverge under sketches:\nbare:     %+v\nattached: %+v", bare.Result, attached.Result)
-	}
-	if bare.End != attached.End {
-		t.Errorf("end time diverges under sketches: bare %v, attached %v", bare.End, attached.End)
-	}
-	if bp, ap := bare.FS.Engine().Processed, attached.FS.Engine().Processed; bp != ap {
-		t.Errorf("event counts diverge under sketches: bare %d, attached %d", bp, ap)
-	}
-	sketchSawTraffic(t, *ss)
-}
-
-// Same proof over the chaos scenario: crashes, retries, hedges and the
-// read-back verification must be identical with sketches attached.
-func TestSketchAttachedChaosDifferential(t *testing.T) {
-	o := QuickOptions()
-	bare, err := runChaosIOR(o, o.clientPolicy(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ao, ss := attachSketchesOpt(o)
-	attached, err := runChaosIOR(ao, o.clientPolicy(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare != attached {
-		t.Errorf("chaos run diverged under sketches:\nbare:     %+v\nattached: %+v", bare, attached)
-	}
-	if bare.Acked == 0 || bare.Faults.Crashes == 0 {
-		t.Error("chaos differential saw no traffic or no faults — vacuous")
-	}
-	sketchSawTraffic(t, *ss)
-}
-
-// And over the drift scenario, which runs its own monitor observer
-// alongside: the sketches must coexist without disturbing either.
-func TestSketchAttachedDriftDifferential(t *testing.T) {
-	o := QuickOptions()
-	bare, err := runDrift(o, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ao, ss := attachSketchesOpt(o)
-	attached, err := runDrift(ao, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.End != attached.End {
-		t.Errorf("end time diverged: bare %v, attached %v", bare.End, attached.End)
-	}
-	if bare.Events != attached.Events {
-		t.Errorf("event count diverged: bare %d, attached %d", bare.Events, attached.Events)
-	}
-	if bare.Bytes != attached.Bytes {
-		t.Errorf("acked bytes diverged: bare %d, attached %d", bare.Bytes, attached.Bytes)
-	}
-	sketchSawTraffic(t, *ss)
 }
 
 // FigDoctor renders both rows without error and the control row stays

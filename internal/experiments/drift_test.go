@@ -74,34 +74,6 @@ func TestDriftDetectionAndAdvice(t *testing.T) {
 	}
 }
 
-// TestDriftMonitorDifferential proves the monitor is a pure observer: the
-// monitored run and the bare run execute the identical simulation — same
-// end time, same processed-event count, same acknowledged bytes.
-func TestDriftMonitorDifferential(t *testing.T) {
-	o := QuickOptions()
-	bare, err := runDrift(o, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := runDrift(o, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.End != mon.End {
-		t.Errorf("end time diverged: bare %v, monitored %v", bare.End, mon.End)
-	}
-	pinNanos(t, "drift_end", int64(bare.End), 2_640_637_661)
-	if bare.Events != mon.Events {
-		t.Errorf("event count diverged: bare %d, monitored %d", bare.Events, mon.Events)
-	}
-	if bare.Bytes != mon.Bytes {
-		t.Errorf("acknowledged bytes diverged: bare %d, monitored %d", bare.Bytes, mon.Bytes)
-	}
-	if bare.Window != mon.Window {
-		t.Errorf("window calibration diverged: bare %v, monitored %v", bare.Window, mon.Window)
-	}
-}
-
 // TestDriftMonitorMatchesRegistry cross-checks the monitor's books
 // against the obs registry on the same run: per-region byte totals equal
 // the mpi_region_*_bytes_total counters exactly, and the tier counters

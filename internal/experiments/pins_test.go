@@ -17,8 +17,8 @@ import (
 // means the simulation changed. Most pins sit in the test that already
 // runs their scenario:
 //
-//	ior_end         TestTracingDisabledDifferential
-//	drift_end       TestDriftMonitorDifferential
+//	ior_end         TestObserverPurity/ior (the bare run)
+//	drift_end       TestObserverPurity/drift (the bare run)
 //	scale_huge_end  TestScaleHugeScale
 //	repl_recovery   TestReplRecoveryMeasured
 //	slo_alert       TestSLOAlertsOnDoubleCrashSeeds (seed 1)

@@ -6,110 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"harl/internal/cluster"
-	"harl/internal/obs"
 	"harl/internal/telemetry"
 )
-
-// attachTelemetry returns an Options copy whose Attach hook wires the
-// full always-on pipeline (streaming tracer → recorder + SLO engine)
-// into every testbed the driver builds — the maximal instrumentation the
-// differentials must prove invisible to the simulation.
-func attachTelemetry(o Options) (Options, **telemetry.T) {
-	tel := new(*telemetry.T)
-	o.Attach = func(tb *cluster.Testbed) {
-		t, err := telemetry.New(telemetry.Config{
-			Seed:       o.Seed,
-			RingSpans:  256,
-			Objectives: SLOObjectives(o),
-		})
-		if err != nil {
-			panic(err)
-		}
-		*tel = t
-		tb.FS.Instrument(obs.NewStreamTracer(tb.Engine, t), obs.NewRegistry())
-	}
-	return o, tel
-}
-
-// The telemetry pipeline is a passive observer: an attached IOR run must
-// execute the exact event sequence of a bare one and land on identical
-// results.
-func TestTelemetryAttachedIORDifferential(t *testing.T) {
-	o := QuickOptions()
-	bare, err := traceIOR(o, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ao, tel := attachTelemetry(o)
-	attached, err := traceIOR(ao, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Result != attached.Result {
-		t.Errorf("results diverge under telemetry:\nbare:     %+v\nattached: %+v", bare.Result, attached.Result)
-	}
-	if bare.End != attached.End {
-		t.Errorf("end time diverges under telemetry: bare %v, attached %v", bare.End, attached.End)
-	}
-	if bp, ap := bare.FS.Engine().Processed, attached.FS.Engine().Processed; bp != ap {
-		t.Errorf("event counts diverge under telemetry: bare %d, attached %d", bp, ap)
-	}
-	if *tel == nil || (*tel).Recorder().Stats().Captured == 0 {
-		t.Fatal("attached run captured no spans — differential is vacuous")
-	}
-}
-
-// Same proof over the chaos scenario: crashes, retries, hedges and the
-// read-back verification must be identical with the recorder attached.
-func TestTelemetryAttachedChaosDifferential(t *testing.T) {
-	o := QuickOptions()
-	bare, err := runChaosIOR(o, o.clientPolicy(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ao, tel := attachTelemetry(o)
-	attached, err := runChaosIOR(ao, o.clientPolicy(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare != attached {
-		t.Errorf("chaos run diverged under telemetry:\nbare:     %+v\nattached: %+v", bare, attached)
-	}
-	if bare.Acked == 0 || bare.Faults.Crashes == 0 {
-		t.Error("chaos differential saw no traffic or no faults — vacuous")
-	}
-	if (*tel).Recorder().Stats().Captured == 0 {
-		t.Fatal("attached chaos run captured no spans")
-	}
-}
-
-// And over the drift scenario, which runs its own monitor observer
-// alongside: the pipeline must coexist without disturbing either.
-func TestTelemetryAttachedDriftDifferential(t *testing.T) {
-	o := QuickOptions()
-	bare, err := runDrift(o, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ao, tel := attachTelemetry(o)
-	attached, err := runDrift(ao, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.End != attached.End {
-		t.Errorf("end time diverged: bare %v, attached %v", bare.End, attached.End)
-	}
-	if bare.Events != attached.Events {
-		t.Errorf("event count diverged: bare %d, attached %d", bare.Events, attached.Events)
-	}
-	if bare.Bytes != attached.Bytes {
-		t.Errorf("acked bytes diverged: bare %d, attached %d", bare.Bytes, attached.Bytes)
-	}
-	if (*tel).Recorder().Stats().Captured == 0 {
-		t.Fatal("attached drift run captured no spans")
-	}
-}
 
 // The ISSUE's headline acceptance: under the seeded double-crash
 // schedule the availability/catch-up SLO fires within its burn-rate

@@ -31,13 +31,10 @@ type searchWorker struct {
 	best     StripePair
 	bestCost float64
 
-	// Search profile counters (profile.go); maintaining them costs a few
-	// integer increments per candidate, negligible next to the model math.
-	candidates int64
-	scored     int64
-	pruned     int64
-	cacheHits  int64
-	evals      int64
+	// work holds the search profile counters (profile.go); maintaining
+	// them costs a few integer increments per candidate, negligible next
+	// to the model math.
+	work RegionSearch
 }
 
 // sampleShape is the dedup key: requests matching in all three fields
@@ -101,7 +98,7 @@ func (w *searchWorker) scan(col gridColumn) {
 // shape[i] <= i, and every first occurrence re-writes its entry before
 // any duplicate reads it within the same candidate.
 func (w *searchWorker) consider(p StripePair) {
-	w.candidates++
+	w.work.Candidates++
 	if !w.opt.noCache {
 		if w.eval == nil {
 			e, err := w.opt.Params.NewEvaluator(p.H, p.S)
@@ -122,23 +119,23 @@ func (w *searchWorker) consider(p StripePair) {
 		var c float64
 		switch {
 		case w.opt.noCache:
-			w.evals++
+			w.work.Evals++
 			c = w.opt.Params.RequestCost(r.Op, w.local[i], r.Size, p.H, p.S)
 		case w.shape[i] < i:
-			w.cacheHits++
+			w.work.CacheHits++
 			c = w.costs[w.shape[i]]
 		default:
-			w.evals++
+			w.work.Evals++
 			c = w.eval.RequestCostDirect(r.Op, w.local[i], r.Size)
 			w.costs[i] = c
 		}
 		total += c
 		if total > bound {
-			w.pruned++
+			w.work.Pruned++
 			return
 		}
 	}
-	w.scored++
+	w.work.Scored++
 	if better(total, p, w.bestCost, w.best) {
 		w.best, w.bestCost = p, total
 	}

@@ -34,30 +34,13 @@ type TieredOptimizer struct {
 // OptimizeRegion returns the per-tier stripe sizes minimizing the summed
 // model cost of the region's requests, and that cost.
 func (o TieredOptimizer) OptimizeRegion(records []trace.Record, base int64, avg float64) ([]int64, float64) {
-	if len(records) == 0 {
-		panic("harl: optimizing a region with no requests")
-	}
 	if err := o.Params.Validate(); err != nil {
 		panic(err)
 	}
-	step := o.Step
-	if step == 0 {
-		step = DefaultStep
-	}
-	if step < 0 {
-		panic(fmt.Sprintf("harl: negative step %d", step))
-	}
+	step, sample, rBar := Optimizer{Step: o.Step, MaxRequests: o.MaxRequests}.grid(records, avg)
 	sweeps := o.MaxSweeps
 	if sweeps == 0 {
 		sweeps = 8
-	}
-	inner := Optimizer{Step: step, MaxRequests: o.MaxRequests}
-	sample := inner.sampleRecords(records)
-
-	rBar := int64(avg)
-	rBar -= rBar % step
-	if rBar < step {
-		rBar = step
 	}
 
 	score := func(s []int64) float64 {
@@ -231,10 +214,7 @@ func (pl TieredPlanner) Analyze(tr *trace.Trace) (*TieredPlan, error) {
 	if err := pl.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if tr == nil || tr.Len() == 0 {
-		return nil, fmt.Errorf("harl: empty trace")
-	}
-	regions, threshold, groups, err := divideForPlanning(tr, pl.ChunkSize)
+	regions, threshold, groups, err := DivideTrace(tr, pl.ChunkSize, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -243,9 +223,6 @@ func (pl TieredPlanner) Analyze(tr *trace.Trace) (*TieredPlan, error) {
 	plan.RST.Counts = pl.Params.Counts()
 	total := 0.0
 	for i, reg := range regions {
-		if len(groups[i]) == 0 {
-			return nil, fmt.Errorf("harl: region %d (%v) has no requests", i, reg)
-		}
 		stripes, c := opt.OptimizeRegion(groups[i], reg.Offset, reg.AvgSize)
 		total += c
 		plan.RST.Entries = append(plan.RST.Entries, TieredRSTEntry{

@@ -128,37 +128,15 @@ func (o Optimizer) step() int64 {
 // size, the R̄ bound of Algorithm 2's loops. It returns the best pair and
 // its total model cost.
 func (o Optimizer) OptimizeRegion(records []trace.Record, base int64, avg float64) (StripePair, float64) {
-	best, bestCost, _ := o.optimize(records, base, avg)
-	return best, bestCost
+	rs := o.optimize(records, base, avg)
+	return rs.Best, rs.Cost
 }
 
-// OptimizeRegionProfiled is OptimizeRegion returning the search profile
-// alongside the result. The chosen pair is bit-identical to the
-// unprofiled call; the counters are reproducible only at Parallelism 1
-// (see profile.go).
-func (o Optimizer) OptimizeRegionProfiled(records []trace.Record, base int64, avg float64) (StripePair, float64, RegionSearch) {
-	return o.optimize(records, base, avg)
-}
-
-// optimize is the shared grid-search core.
-func (o Optimizer) optimize(records []trace.Record, base int64, avg float64) (StripePair, float64, RegionSearch) {
-	if len(records) == 0 {
-		panic("harl: optimizing a region with no requests")
-	}
-	if o.Step < 0 {
-		panic(fmt.Sprintf("harl: negative step %d", o.Step))
-	}
-	step := o.step()
-	sample := o.sampleRecords(records)
-
-	// R̄ rounded down to the grid, but at least one step so degenerate
-	// regions (avg below the grid) still search {0, step}.
-	rBar := int64(avg)
-	rBar -= rBar % step
-	if rBar < step {
-		rBar = step
-	}
-
+// optimize is the grid search itself. It returns the search's profile,
+// whose Best and Cost are OptimizeRegion's result; the counters are
+// reproducible only at Parallelism 1 (see profile.go).
+func (o Optimizer) optimize(records []trace.Record, base int64, avg float64) RegionSearch {
+	step, sample, rBar := o.grid(records, avg)
 	cols := o.columns(rBar, step)
 	p := workers(o.Parallelism)
 	ws := make([]*searchWorker, min(p, max(len(cols), 1)))
@@ -175,13 +153,29 @@ func (o Optimizer) optimize(records []trace.Record, base int64, avg float64) (St
 	}
 	rs := RegionSearch{Requests: len(records), Sampled: len(sample), Best: best, Cost: bestCost}
 	for _, w := range ws {
-		rs.Candidates += w.candidates
-		rs.Scored += w.scored
-		rs.Pruned += w.pruned
-		rs.CacheHits += w.cacheHits
-		rs.Evals += w.evals
+		rs.addWork(w.work)
 	}
-	return best, bestCost, rs
+	return rs
+}
+
+// grid checks a region's search inputs and returns the search's grid
+// step, the sample of requests it scores, and its bound R̄: the region's
+// average request size rounded down to the grid, but at least one step
+// so degenerate regions (avg below the grid) still search {0, step}.
+func (o Optimizer) grid(records []trace.Record, avg float64) (step int64, sample []trace.Record, rBar int64) {
+	if len(records) == 0 {
+		panic("harl: optimizing a region with no requests")
+	}
+	if o.Step < 0 {
+		panic(fmt.Sprintf("harl: negative step %d", o.Step))
+	}
+	step = o.step()
+	rBar = int64(avg)
+	rBar -= rBar % step
+	if rBar < step {
+		rBar = step
+	}
+	return step, o.sampleRecords(records), rBar
 }
 
 // gridColumn is one shard of the candidate grid: the arithmetic sequence

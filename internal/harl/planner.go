@@ -21,8 +21,8 @@ type Planner struct {
 	ChunkSize int64
 	// MaxRequests caps the requests scored per region (see Optimizer).
 	MaxRequests int
-	// Threshold overrides the initial CV threshold; 0 means
-	// region.DefaultThreshold (100%).
+	// Threshold fixes the CV threshold; 0 divides adaptively, starting
+	// from region.DefaultThreshold (100%) (see DivideTrace).
 	Threshold float64
 	// Parallelism bounds the Analysis Phase worker pool; 0 means
 	// GOMAXPROCS, 1 forces the serial pipeline. The budget is split
@@ -84,19 +84,9 @@ func (pl Planner) Analyze(tr *trace.Trace) (*Plan, error) {
 			return nil, err
 		}
 	}
-	if tr == nil || tr.Len() == 0 {
-		return nil, fmt.Errorf("harl: empty trace")
-	}
-	regions, threshold, groups, err := divideWithThreshold(tr, pl.ChunkSize, pl.Threshold)
+	regions, threshold, groups, err := DivideTrace(tr, pl.ChunkSize, pl.Threshold)
 	if err != nil {
 		return nil, err
-	}
-	for i, reg := range regions {
-		if len(groups[i]) == 0 {
-			// A region with no requests can only arise from a malformed
-			// division; fail loudly rather than striping blind.
-			return nil, fmt.Errorf("harl: region %d (%v) has no requests", i, reg)
-		}
 	}
 
 	// Split the worker budget: one pool slot per region, and whatever is
@@ -128,40 +118,31 @@ func (pl Planner) Analyze(tr *trace.Trace) (*Plan, error) {
 	planned := make([]PlannedRegion, len(regions))
 	scatter(pool, len(regions), func(w, i int) {
 		reg := regions[i]
-		var pair StripePair
-		var c float64
+		var t0 time.Time
+		if prof != nil {
+			t0 = time.Now()
+		}
+		var rs RegionSearch
 		var r int64
-		switch {
-		case replicating && prof != nil:
-			t0 := time.Now()
-			var rs RegionSearch
-			pair, c, r = pl.optimizeRegionRepl(opt, groups[i], reg, &rs)
-			rs.Region = i
-			rs.WallNS = time.Since(t0).Nanoseconds()
-			prof.Regions[i] = rs
-			prof.Workers[w].Regions++
-			prof.Workers[w].WallNS += rs.WallNS
-		case replicating:
-			pair, c, r = pl.optimizeRegionRepl(opt, groups[i], reg, nil)
-		case prof != nil:
+		if replicating {
+			rs, r = pl.optimizeRegionRepl(opt, groups[i], reg)
+		} else {
+			rs = opt.optimize(groups[i], reg.Offset, reg.AvgSize)
+		}
+		if prof != nil {
 			// Each scatter worker index runs on exactly one goroutine, so
 			// Workers[w] is written race-free.
-			t0 := time.Now()
-			var rs RegionSearch
-			pair, c, rs = opt.OptimizeRegionProfiled(groups[i], reg.Offset, reg.AvgSize)
 			rs.Region = i
 			rs.WallNS = time.Since(t0).Nanoseconds()
 			prof.Regions[i] = rs
 			prof.Workers[w].Regions++
 			prof.Workers[w].WallNS += rs.WallNS
-		default:
-			pair, c = opt.OptimizeRegion(groups[i], reg.Offset, reg.AvgSize)
 		}
 		planned[i] = PlannedRegion{
 			Region:    reg,
-			Stripes:   pair,
+			Stripes:   rs.Best,
 			R:         r,
-			ModelCost: c,
+			ModelCost: rs.Cost,
 			WriteMix:  ReadWriteMix(groups[i]),
 		}
 	})
@@ -189,15 +170,22 @@ func (pl Planner) Analyze(tr *trace.Trace) (*Plan, error) {
 	return plan, nil
 }
 
-// divideForPlanning is the shared Analysis Phase front half: copy, sort
-// by offset, divide adaptively, and group requests per region.
-func divideForPlanning(tr *trace.Trace, chunkSize int64) ([]region.Region, float64, [][]trace.Record, error) {
-	return divideWithThreshold(tr, chunkSize, 0)
-}
-
-// divideWithThreshold is divideForPlanning with an optional fixed CV
-// threshold (0 selects the adaptive loop).
-func divideWithThreshold(tr *trace.Trace, chunkSize int64, threshold float64) ([]region.Region, float64, [][]trace.Record, error) {
+// DivideTrace is the Analysis Phase's front half, shared by every
+// planner: it copies the trace, sorts it by offset, divides it into
+// regions (Algorithm 1) and assigns each region its requests. A zero
+// threshold divides adaptively, raising the CV threshold from
+// region.DefaultThreshold until the region count is within the
+// fixed-size division by chunkSize (0 means region.DefaultChunkSize); a
+// non-zero one divides at exactly that threshold. It returns the regions,
+// the threshold used and the per-region request groups, and rejects an
+// empty trace, a negative threshold and a region with no requests.
+func DivideTrace(tr *trace.Trace, chunkSize int64, threshold float64) ([]region.Region, float64, [][]trace.Record, error) {
+	if tr == nil || tr.Len() == 0 {
+		return nil, 0, nil, fmt.Errorf("harl: empty trace")
+	}
+	if threshold < 0 {
+		return nil, 0, nil, fmt.Errorf("harl: negative CV threshold %v", threshold)
+	}
 	sorted := &trace.Trace{Records: append([]trace.Record(nil), tr.Records...)}
 	sorted.SortByOffset()
 	chunk := chunkSize
@@ -212,5 +200,12 @@ func divideWithThreshold(tr *trace.Trace, chunkSize int64, threshold float64) ([
 		regions = region.Divide(sorted.Records, threshold, 0)
 	}
 	groups := region.AssignRequests(regions, sorted.Records)
+	for i, reg := range regions {
+		if len(groups[i]) == 0 {
+			// A region with no requests can only arise from a malformed
+			// division; fail loudly rather than striping blind.
+			return nil, 0, nil, fmt.Errorf("harl: region %d (%v) has no requests", i, reg)
+		}
+	}
 	return regions, used, groups, nil
 }

@@ -58,13 +58,18 @@ func (p *SearchProfile) Totals() RegionSearch {
 	for _, r := range p.Regions {
 		t.Requests += r.Requests
 		t.Sampled += r.Sampled
-		t.Candidates += r.Candidates
-		t.Scored += r.Scored
-		t.Pruned += r.Pruned
-		t.CacheHits += r.CacheHits
-		t.Evals += r.Evals
+		t.addWork(r)
 	}
 	return t
+}
+
+// addWork adds o's search-work counters to rs.
+func (rs *RegionSearch) addWork(o RegionSearch) {
+	rs.Candidates += o.Candidates
+	rs.Scored += o.Scored
+	rs.Pruned += o.Pruned
+	rs.CacheHits += o.CacheHits
+	rs.Evals += o.Evals
 }
 
 // ShardBalance reports the worker-load imbalance as max/mean wall time

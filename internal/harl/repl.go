@@ -62,45 +62,30 @@ func (a *ReplAxis) durabilityCharge(p cost.Params, requests int, span int64, r i
 }
 
 // optimizeRegionRepl runs the (h, s) grid once per candidate r and picks
-// the r minimizing modeled cost plus durability charge. When prof is
-// non-nil the per-r search counters are summed into it (the region's
-// search really did all that work) and Best/Cost reflect the winner.
-func (pl Planner) optimizeRegionRepl(opt Optimizer, group []trace.Record, reg region.Region, prof *RegionSearch) (StripePair, float64, int64) {
+// the r minimizing modeled cost plus durability charge. The returned
+// search sums the per-r counters (the region's search really did all
+// that work), and its Best and Cost are the winner's.
+func (pl Planner) optimizeRegionRepl(opt Optimizer, group []trace.Record, reg region.Region) (RegionSearch, int64) {
 	a := pl.Repl
 	maxR := a.MaxR
 	if limit := opt.Params.M + opt.Params.N; maxR > limit {
 		maxR = limit
 	}
 	span := reg.End - reg.Offset
-	var bestPair StripePair
-	var bestCost, bestObj float64
+	var sum RegionSearch
+	var bestObj float64
 	bestR := int64(1)
 	for r := 1; r <= maxR; r++ {
 		ropt := opt
 		ropt.Params.R = r
-		var pair StripePair
-		var c float64
-		if prof != nil {
-			var rs RegionSearch
-			pair, c, rs = ropt.OptimizeRegionProfiled(group, reg.Offset, reg.AvgSize)
-			prof.Requests = rs.Requests
-			prof.Sampled = rs.Sampled
-			prof.Candidates += rs.Candidates
-			prof.Scored += rs.Scored
-			prof.Pruned += rs.Pruned
-			prof.CacheHits += rs.CacheHits
-			prof.Evals += rs.Evals
-		} else {
-			pair, c = ropt.OptimizeRegion(group, reg.Offset, reg.AvgSize)
-		}
-		obj := c + a.durabilityCharge(opt.Params, len(group), span, r)
+		rs := ropt.optimize(group, reg.Offset, reg.AvgSize)
+		sum.Requests = rs.Requests
+		sum.Sampled = rs.Sampled
+		sum.addWork(rs)
+		obj := rs.Cost + a.durabilityCharge(opt.Params, len(group), span, r)
 		if r == 1 || obj < bestObj {
-			bestPair, bestCost, bestObj, bestR = pair, c, obj, int64(r)
+			sum.Best, sum.Cost, bestObj, bestR = rs.Best, rs.Cost, obj, int64(r)
 		}
 	}
-	if prof != nil {
-		prof.Best = bestPair
-		prof.Cost = bestCost
-	}
-	return bestPair, bestCost, bestR
+	return sum, bestR
 }

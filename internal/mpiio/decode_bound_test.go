@@ -50,7 +50,7 @@ func TestDecodedRSTBoundsAtPlacement(t *testing.T) {
 			if createErr != nil {
 				t.Fatalf("CreateHARL: %v", createErr)
 			}
-			slots := tb.FS.ReplStatus(f.r2f.File(0))
+			slots := tb.FS.ReplStatus(harl.BuildR2F("bound", rst).File(0))
 			if len(slots) == 0 {
 				t.Fatal("region is not replicated")
 			}

@@ -24,7 +24,6 @@ import (
 type HARLFile struct {
 	name string
 	rst  *harl.RST // nil for files placed from a TieredRST
-	r2f  *harl.R2F
 	// bounds[i] is region i's logical byte range; contiguous from 0.
 	bounds []regionBound
 	// handles[region][rank] is rank's open handle on the region's file.
@@ -73,61 +72,90 @@ func (f *HARLFile) RST() *harl.RST { return f.rst }
 // Regions returns the number of regions backing the file.
 func (f *HARLFile) Regions() int { return len(f.bounds) }
 
-// CreateHARL materializes the RST: one physical file per region, named by
-// the canonical R2F mapping, striped with the region's pair, opened on
-// every rank.
+// CreateHARL materializes the RST: one physical file per region, striped
+// with the region's pair and replicated R ways, opened on every rank.
 func (w *World) CreateHARL(name string, rst *harl.RST, done func(*HARLFile, error)) {
 	if err := rst.Validate(); err != nil {
 		done(nil, err)
 		return
 	}
-	if len(rst.Entries) == 0 {
-		done(nil, fmt.Errorf("mpiio: empty RST for %q", name))
-		return
-	}
 	hCount, sCount := w.fs.CountRoles()
-	f := &HARLFile{
-		name:    name,
-		rst:     rst,
-		r2f:     harl.BuildR2F(name, rst),
-		handles: make([][]*pfs.File, len(rst.Entries)),
-	}
-	for _, e := range rst.Entries {
-		f.bounds = append(f.bounds, regionBound{Offset: e.Offset, End: e.End})
-	}
-	f.instrumentRegions(w.fs.Metrics())
-	var createRegion func(i int)
-	createRegion = func(i int) {
-		if i == len(rst.Entries) {
-			f.tagRegionHandles()
-			done(f, nil)
-			return
-		}
-		e := rst.Entries[i]
+	regions := make([]regionFile, len(rst.Entries))
+	for i, e := range rst.Entries {
 		st := layout.Striping{M: hCount, N: sCount, H: e.H, S: e.S}
-		f.handles[i] = make([]*pfs.File, w.Ranks())
-		created := func(h *pfs.File, err error) {
-			if err != nil {
-				done(nil, fmt.Errorf("mpiio: create region %d of %q: %w", i, name, err))
-				return
-			}
-			f.handles[i][0] = h
-			w.openRemaining(f.r2f.File(i), f.handles[i], 1, func(err error) {
-				if err != nil {
-					done(nil, err)
-					return
-				}
-				createRegion(i + 1)
-			})
-		}
+		regions[i] = regionFile{regionBound: regionBound{Offset: e.Offset, End: e.End}, lo: st}
 		if e.R > 1 {
 			// A replicated region places tier-affine replica groups per
 			// slot, rotated by region index so consecutive regions spread
 			// their backup load over different servers.
-			w.Client(0).CreateReplicated(f.r2f.File(i), st, repl.Place(st, int(e.R), i), created)
-		} else {
-			w.Client(0).Create(f.r2f.File(i), st, created)
+			regions[i].replicas = repl.Place(st, int(e.R), i)
 		}
+	}
+	w.createRegions(name, rst, regions, done)
+}
+
+// CreateHARLTiered materializes a multi-tier Region Stripe Table: one
+// physical file per region, striped with that region's per-tier stripe
+// sizes — the Placing Phase of the future-work extension. The file's
+// API is identical to a two-tier HARL file.
+func (w *World) CreateHARLTiered(name string, trst *harl.TieredRST, done func(*HARLFile, error)) {
+	if err := trst.Validate(); err != nil {
+		done(nil, err)
+		return
+	}
+	regions := make([]regionFile, len(trst.Entries))
+	for i, e := range trst.Entries {
+		regions[i] = regionFile{
+			regionBound: regionBound{Offset: e.Offset, End: e.End},
+			lo:          layout.Tiered{Counts: trst.Counts, Stripes: e.Stripes},
+		}
+	}
+	w.createRegions(name, nil, regions, done)
+}
+
+// regionFile is one region's physical file: the logical range it backs,
+// its layout and its replica placement (no groups: one copy).
+type regionFile struct {
+	regionBound
+	lo       layout.Mapper
+	replicas repl.Spec
+}
+
+// createRegions is the Placing Phase's one region-creation loop: it
+// creates the regions' physical files in order from rank 0, named as the
+// region-to-file table names them (harl.BuildR2F), opens each on every
+// rank, and hands done the logical file over them. rst is the two-tier
+// table the file reports, nil for a tiered one.
+func (w *World) createRegions(name string, rst *harl.RST, regions []regionFile, done func(*HARLFile, error)) {
+	if len(regions) == 0 {
+		done(nil, fmt.Errorf("mpiio: empty RST for %q", name))
+		return
+	}
+	f := &HARLFile{
+		name:    name,
+		rst:     rst,
+		handles: make([][]*pfs.File, len(regions)),
+	}
+	for _, rf := range regions {
+		f.bounds = append(f.bounds, rf.regionBound)
+	}
+	f.instrumentRegions(w.fs.Metrics())
+	var createRegion func(i int)
+	createRegion = func(i int) {
+		if i == len(regions) {
+			f.tagRegionHandles()
+			done(f, nil)
+			return
+		}
+		file := fmt.Sprintf("%s.r%d", name, i)
+		f.handles[i] = make([]*pfs.File, w.Ranks())
+		w.createOpen(file, regions[i].lo, regions[i].replicas, f.handles[i], func(err error) {
+			if err != nil {
+				done(nil, fmt.Errorf("mpiio: create region %d of %q: %w", i, name, err))
+				return
+			}
+			createRegion(i + 1)
+		})
 	}
 	createRegion(0)
 }
@@ -151,7 +179,7 @@ func (f *HARLFile) split(off, size int64) []span {
 	pos := off
 	end := off + size
 	for pos < end {
-		ri := f.lookupRegion(pos)
+		ri := min(sort.Search(len(f.bounds), func(i int) bool { return f.bounds[i].End > pos }), len(f.bounds)-1)
 		b := f.bounds[ri]
 		// The last region is open-ended: requests past the table's extent
 		// keep growing its physical file.
@@ -167,74 +195,83 @@ func (f *HARLFile) split(off, size int64) []span {
 
 // WriteAt implements File: split at region boundaries and fan out.
 func (f *HARLFile) WriteAt(rank int, off int64, data []byte, done func(error)) {
-	spans := f.split(off, int64(len(data)))
-	if len(spans) == 0 {
-		f.engine().Schedule(0, func() { done(nil) })
-		return
-	}
-	tr, mpiSpan := f.beginMPI("mpi.write", rank, off, int64(len(data)), len(spans))
-	remaining := sim.NewErrCountdown(len(spans), func(err error) {
-		if tr != nil {
-			tr.End(mpiSpan, obs.T("status", opStatus(err)))
-		}
-		done(err)
+	fanOut(f, device.Write, rank, off, int64(len(data)), done, callDone, func(h *pfs.File, parent obs.SpanID, sp span, at int64, done func(error)) {
+		h.WriteAtSpan(parent, data[at:at+sp.length], sp.local, done)
 	})
-	var consumed int64
-	for _, sp := range spans {
-		piece := data[consumed : consumed+sp.length]
-		consumed += sp.length
-		if f.mRegionWrite != nil {
-			f.mRegionWrite[sp.region].Add(sp.length)
-		}
-		f.mon.Observe(device.Write, sp.region, sp.local, sp.length)
-		f.handles[sp.region][rank].WriteAtSpan(mpiSpan, piece, sp.local, func(err error) {
-			remaining.Done(err)
-		})
-	}
 }
 
 // ReadAt implements File: every region span reads straight into its
 // place in the one logical buffer.
 func (f *HARLFile) ReadAt(rank int, off, size int64, done func([]byte, error)) {
-	spans := f.split(off, size)
-	if len(spans) == 0 {
-		f.engine().Schedule(0, func() { done(nil, nil) })
+	out := make([]byte, size)
+	fanOut(f, device.Read, rank, off, size, readResult{out, done}, readResult.deliver, func(h *pfs.File, parent obs.SpanID, sp span, at int64, done func(error)) {
+		h.ReadIntoSpan(parent, out[at:at+sp.length], sp.local, done)
+	})
+}
+
+// readResult is ReadAt's completion state: the logical buffer and the
+// callback it is delivered to.
+type readResult struct {
+	out  []byte
+	done func([]byte, error)
+}
+
+// deliver is ReadAt's finish: the buffer on success, else the error.
+func (r readResult) deliver(err error) {
+	if err != nil {
+		r.done(nil, err)
 		return
 	}
-	tr, mpiSpan := f.beginMPI("mpi.read", rank, off, size, len(spans))
-	out := make([]byte, size)
+	r.done(r.out, nil)
+}
+
+// callDone is fanOut's finish for a caller whose completion state is
+// its callback.
+func callDone(done func(error), err error) { done(err) }
+
+// fanOut issues one logical request of size bytes at off. It splits the
+// range at region boundaries and, span by span, counts the span in its
+// region's traffic counter and the monitor, then makes the span's one
+// pfs call through issue on the rank's handle of the span's region; at
+// is the span's offset within the request. Once every span has
+// completed, finish(result, err) runs with the first error. result is
+// the caller's completion state: the one completion closure carries it,
+// so no request pays a second closure to adapt its callback.
+func fanOut[R any](f *HARLFile, op device.Op, rank int, off, size int64, result R, finish func(R, error), issue func(h *pfs.File, parent obs.SpanID, sp span, at int64, done func(error))) {
+	spans := f.split(off, size)
+	if len(spans) == 0 {
+		f.handles[0][0].Engine().Schedule(0, func() { finish(result, nil) })
+		return
+	}
+	name, counters := "mpi.write", f.mRegionWrite
+	if op == device.Read {
+		name, counters = "mpi.read", f.mRegionRead
+	}
+	// With tracing on, the logical request is a span on the issuing
+	// rank's client track, and the per-region pfs operations nest under it.
+	tr := f.handles[0][0].Tracer()
+	var mpiSpan obs.SpanID
+	if tr != nil {
+		mpiSpan = tr.Begin(f.handles[0][rank].ClientName(), name, 0,
+			obs.T("file", f.name), obs.TInt("rank", int64(rank)),
+			obs.TInt("off", off), obs.TInt("bytes", size),
+			obs.TInt("regions", int64(len(spans))))
+	}
 	remaining := sim.NewErrCountdown(len(spans), func(err error) {
 		if tr != nil {
 			tr.End(mpiSpan, obs.T("status", opStatus(err)))
 		}
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(out, nil)
+		finish(result, err)
 	})
 	var at int64
 	for _, sp := range spans {
-		if f.mRegionRead != nil {
-			f.mRegionRead[sp.region].Add(sp.length)
+		if counters != nil {
+			counters[sp.region].Add(sp.length)
 		}
-		f.mon.Observe(device.Read, sp.region, sp.local, sp.length)
-		f.handles[sp.region][rank].ReadIntoSpan(mpiSpan, out[at:at+sp.length], sp.local, remaining.Done)
+		f.mon.Observe(op, sp.region, sp.local, sp.length)
+		issue(f.handles[sp.region][rank], mpiSpan, sp, at, remaining.Done)
 		at += sp.length
 	}
-}
-
-// beginMPI opens a logical-request span on the issuing rank's client
-// track when tracing is on; the per-region PFS operations nest under it.
-func (f *HARLFile) beginMPI(name string, rank int, off, size int64, regions int) (*obs.Tracer, obs.SpanID) {
-	tr := f.handles[0][0].Tracer()
-	if tr == nil {
-		return nil, 0
-	}
-	return tr, tr.Begin(f.handles[0][rank].ClientName(), name, 0,
-		obs.T("file", f.name), obs.TInt("rank", int64(rank)),
-		obs.TInt("off", off), obs.TInt("bytes", size),
-		obs.TInt("regions", int64(regions)))
 }
 
 // opStatus renders an operation's error as a span status tag.
@@ -286,68 +323,4 @@ func (f *HARLFile) Size() int64 {
 		}
 	}
 	return size
-}
-
-// lookupRegion returns the region containing the offset; offsets beyond
-// the extent map to the last region.
-func (f *HARLFile) lookupRegion(off int64) int {
-	i := sort.Search(len(f.bounds), func(i int) bool { return f.bounds[i].End > off })
-	if i == len(f.bounds) {
-		i = len(f.bounds) - 1
-	}
-	return i
-}
-
-// CreateHARLTiered materializes a multi-tier Region Stripe Table: one
-// physical file per region, striped with that region's per-tier stripe
-// sizes — the Placing Phase of the future-work extension. The file's
-// API is identical to a two-tier HARL file.
-func (w *World) CreateHARLTiered(name string, trst *harl.TieredRST, done func(*HARLFile, error)) {
-	if err := trst.Validate(); err != nil {
-		done(nil, err)
-		return
-	}
-	if len(trst.Entries) == 0 {
-		done(nil, fmt.Errorf("mpiio: empty tiered RST for %q", name))
-		return
-	}
-	f := &HARLFile{
-		name:    name,
-		handles: make([][]*pfs.File, len(trst.Entries)),
-	}
-	for _, e := range trst.Entries {
-		f.bounds = append(f.bounds, regionBound{Offset: e.Offset, End: e.End})
-	}
-	f.instrumentRegions(w.fs.Metrics())
-	var createRegion func(i int)
-	createRegion = func(i int) {
-		if i == len(trst.Entries) {
-			f.tagRegionHandles()
-			done(f, nil)
-			return
-		}
-		e := trst.Entries[i]
-		lo := layout.Tiered{Counts: trst.Counts, Stripes: e.Stripes}
-		f.handles[i] = make([]*pfs.File, w.Ranks())
-		regionFile := fmt.Sprintf("%s.r%d", name, i)
-		w.Client(0).Create(regionFile, lo, func(h *pfs.File, err error) {
-			if err != nil {
-				done(nil, fmt.Errorf("mpiio: create region %d of %q: %w", i, name, err))
-				return
-			}
-			f.handles[i][0] = h
-			w.openRemaining(regionFile, f.handles[i], 1, func(err error) {
-				if err != nil {
-					done(nil, err)
-					return
-				}
-				createRegion(i + 1)
-			})
-		})
-	}
-	createRegion(0)
-}
-
-func (f *HARLFile) engine() *sim.Engine {
-	return f.handles[0][0].Engine()
 }

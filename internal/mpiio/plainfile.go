@@ -5,6 +5,7 @@ import (
 
 	"harl/internal/layout"
 	"harl/internal/pfs"
+	"harl/internal/repl"
 	"harl/internal/sim"
 )
 
@@ -33,19 +34,26 @@ func (f *PlainFile) Striping() layout.Striping {
 // event); done receives the file when all ranks hold handles.
 func (w *World) CreatePlain(name string, st layout.Mapper, done func(*PlainFile, error)) {
 	f := &PlainFile{name: name, handles: make([]*pfs.File, w.Ranks())}
-	w.Client(0).Create(name, st, func(h *pfs.File, err error) {
+	w.createOpen(name, st, repl.Spec{}, f.handles, func(err error) {
 		if err != nil {
 			done(nil, err)
 			return
 		}
-		f.handles[0] = h
-		w.openRemaining(name, f.handles, 1, func(err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			done(f, nil)
-		})
+		done(f, nil)
+	})
+}
+
+// createOpen creates name from rank 0 with layout lo and replica
+// placement replicas (no groups: one copy), then opens it on every other
+// rank, filling handles.
+func (w *World) createOpen(name string, lo layout.Mapper, replicas repl.Spec, handles []*pfs.File, done func(error)) {
+	w.Client(0).CreateReplicated(name, lo, replicas, func(h *pfs.File, err error) {
+		if err != nil {
+			done(err)
+			return
+		}
+		handles[0] = h
+		w.openRemaining(name, handles, 1, done)
 	})
 }
 

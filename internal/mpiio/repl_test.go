@@ -48,10 +48,11 @@ func TestReplHARLFileRoundTrip(t *testing.T) {
 	if tb.FS.Repl.ChainWrites == 0 || tb.FS.Repl.Forwards == 0 {
 		t.Fatalf("replicated region never forwarded: %+v", tb.FS.Repl)
 	}
-	if tb.FS.ReplStatus(f.r2f.File(1)) == nil {
+	r2f := harl.BuildR2F("bigfile", replRST())
+	if tb.FS.ReplStatus(r2f.File(1)) == nil {
 		t.Fatal("region 1's physical file is not replicated")
 	}
-	if tb.FS.ReplStatus(f.r2f.File(0)) != nil || tb.FS.ReplStatus(f.r2f.File(2)) != nil {
+	if tb.FS.ReplStatus(r2f.File(0)) != nil || tb.FS.ReplStatus(r2f.File(2)) != nil {
 		t.Fatal("unreplicated regions gained protocol state")
 	}
 }
