@@ -1,15 +1,18 @@
 // Command harlctl drives HARL's off-line analysis pipeline on trace
 // files: summarize a trace, divide it into regions, compute the optimal
-// Region Stripe Table, and inspect RST files.
+// Region Stripe Table, and inspect RST files. It also regenerates the
+// paper's evaluation figures and runs the observability scenarios on the
+// simulated testbed.
 //
 // Usage:
 //
 //	harlctl gen      -kind ior|multi -out FILE [-ranks 16] [-req 512K] [-file 2G] [-seed 1]
 //	harlctl summary  -trace ior.trace
 //	harlctl divide   -trace ior.trace [-threshold 0] [-chunk 64M]
-//	harlctl optimize -trace ior.trace -out file.rst [-hservers 6] [-sservers 2] [-probes 1000] [-profile]
+//	harlctl optimize -trace ior.trace -out file.rst [-hservers 6] [-sservers 2] [-probes 1000] [-parallel 0] [-profile]
 //	harlctl show     -rst file.rst
-//	harlctl chaos    [-chaos-seed N] [-max-retries N] [-timeout D] [-backoff D] [-hedge-after D]
+//	harlctl fig      [-quick] [-seed N] [-chaos-seed N] [-parallel 1] [-max-retries N]
+//	                 [-timeout D] [-backoff D] [-hedge-after D] [name ...]
 //	harlctl trace    [-out trace.json] [-metrics-out metrics.txt] [-seed N] [-quick]
 //	harlctl metrics  [-seed N] [-quick]
 //	harlctl monitor  [-seed N] [-quick] [-shift=false]
@@ -31,10 +34,16 @@
 // optimize calibrates the cost model against the default simulated device
 // profiles (the stand-in for probing one real server of each class);
 // -profile prints where the Analysis Phase spent its search budget.
-// chaos runs the fault-injection scenario on the simulated testbed:
-// IOR-style traffic through the seeded fault schedule, with the given
-// client recovery policy, plus the hedged-read straggler scan. The same
-// -chaos-seed always replays the same fault sequence.
+// fig regenerates the named figures of the registry in argument order
+// (all of them, in registry order, when no name is given: 1a, 1b, 7-12,
+// the ablations, threetier, baselines, chaos, hedge, repl, breakdown,
+// drift, critpath, scalehuge, slo, doctor) and prints each as a text
+// table. -parallel fans the figures out over N workers (0 = GOMAXPROCS,
+// 1 = serial); each figure is an independent simulated world, so the
+// tables are byte-identical at any worker count. -chaos-seed replays an
+// exact fault schedule, and the retry knobs override the client recovery
+// policy the chaos figures use: fig chaos hedge runs IOR-style traffic
+// through the seeded fault schedule plus the hedged-read straggler scan.
 // trace runs the instrumented IOR baseline through the full HARL pipeline
 // and exports the span trace as Chrome trace_event JSON — open the file
 // at https://ui.perfetto.dev to see every request's journey client →
@@ -52,8 +61,9 @@
 // replica group has lost every member.
 // slo runs the replicated chaos scenario with the always-on telemetry
 // pipeline attached (flight recorder, SLO burn-rate engine, incident
-// bundles) and exits 1 if any burn-rate alert fired; record runs the
-// fault-free scenario and freezes one manual bundle of the recent past.
+// bundles) and exits 1 if any burn-rate alert fired (at -quick the
+// faults may miss the shorter traffic); record runs the fault-free
+// scenario and freezes one manual bundle of the recent past.
 // doctor runs the straggler-diagnosis scenario — steady probe traffic
 // with the per-server tail-latency sketches and the anomaly detector
 // attached, plus (unless -control) a seeded mid-run service-time
@@ -77,11 +87,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"time"
 
 	"harl/internal/cost"
 	"harl/internal/device"
@@ -171,8 +183,8 @@ func dispatch(cmd string, args []string) error {
 		return cmdOptimize(args)
 	case "show":
 		return cmdShow(args)
-	case "chaos":
-		return cmdChaos(args)
+	case "fig":
+		return cmdFig(args)
 	case "trace":
 		return cmdTrace(args)
 	case "metrics":
@@ -196,7 +208,7 @@ func dispatch(cmd string, args []string) error {
 }
 
 func usage() error {
-	fmt.Fprintln(os.Stderr, "usage: harlctl {gen|summary|divide|optimize|show|chaos|trace|metrics|monitor|health|critpath|whatif|slo|record|doctor} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: harlctl {gen|summary|divide|optimize|show|fig|trace|metrics|monitor|health|critpath|whatif|slo|record|doctor} [flags]")
 	return exitCode(2)
 }
 
@@ -259,7 +271,8 @@ func cmdGen(args []string) error {
 	return nil
 }
 
-// parseSize reads a byte count with an optional K, M or G suffix.
+// parseSize reads a non-negative byte count with an optional K, M or G
+// suffix, rejecting counts that overflow int64.
 func parseSize(arg string) (int64, error) {
 	s, mult := arg, int64(1)
 	for _, u := range []struct {
@@ -272,7 +285,7 @@ func parseSize(arg string) (int64, error) {
 		}
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad size %q", arg)
 	}
 	return n * mult, nil
@@ -410,28 +423,65 @@ func optimizeTiered(tr *trace.Trace, out string, hservers, probes int, chunk, st
 	return nil
 }
 
-// cmdChaos runs the fault-injection figures on the simulated testbed,
-// mirroring how -parallel threads through optimize: the knobs map onto
-// experiments.Options and the seed identifies the fault schedule.
-func cmdChaos(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	chaosSeed := fs.Int64("chaos-seed", 1, "fault-schedule seed (same seed replays the same faults)")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	maxRetries := fs.Int("max-retries", 0, "client retry budget (0 = default)")
-	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = default)")
-	backoff := fs.Duration("backoff", 0, "retry backoff base (0 = default)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "hedged-read threshold (0 = default)")
+// scenarioFlags declares the -seed and -quick flags every simulated
+// scenario shares, plus -chaos-seed when chaos is set, and returns the
+// function that builds the experiment options from them once fs is
+// parsed.
+func scenarioFlags(fs *flag.FlagSet, chaos bool) func() experiments.Options {
+	seed := fs.Int64("seed", 1, "simulation seed (same seed, byte-identical output)")
 	quick := fs.Bool("quick", false, "run at reduced scale")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
+	var chaosSeed *int64
+	if chaos {
+		chaosSeed = fs.Int64("chaos-seed", 1, "fault-schedule seed (same seed replays the same faults)")
+	}
+	return func() experiments.Options {
+		opts := experiments.DefaultOptions()
+		if *quick {
+			opts = experiments.QuickOptions()
+		}
+		opts.Seed = *seed
+		if chaosSeed != nil {
+			opts.ChaosSeed = *chaosSeed
+		}
+		return opts
+	}
+}
+
+// cmdFig regenerates the named evaluation figures, or the whole
+// registry in order, and prints each table followed by its name.
+func cmdFig(args []string) error {
+	opts, figures, workers, err := parseFig(args)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	tables, err := experiments.RunParallel(opts, figures, workers)
+	elapsed := time.Since(start)
+	if err != nil {
+		return err
+	}
+	for i, table := range tables {
+		fmt.Println(table)
+		fmt.Printf("(figure %s)\n\n", figures[i].Name)
+	}
+	fmt.Printf("(%d figure(s) regenerated in %v)\n", len(tables), elapsed.Round(time.Millisecond))
+	return nil
+}
+
+// parseFig maps fig's flags onto the experiment options, the figures to
+// run in argument order, and the fan-out worker count. An unknown name
+// fails here, before any figure runs.
+func parseFig(args []string) (experiments.Options, []experiments.Figure, int, error) {
+	fs := flag.NewFlagSet("fig", flag.ExitOnError)
+	options := scenarioFlags(fs, true)
+	parallel := fs.Int("parallel", 1, "figure fan-out workers (0 = GOMAXPROCS, 1 = serial; the tables are identical at every setting)")
+	maxRetries := fs.Int("max-retries", 0, "override the client retry budget (0 = default)")
+	timeout := fs.Duration("timeout", 0, "override the per-request deadline (0 = default)")
+	backoff := fs.Duration("backoff", 0, "override the retry backoff base (0 = default)")
+	hedgeAfter := fs.Duration("hedge-after", 0, "override the hedged-read threshold (0 = default)")
 	fs.Parse(args)
 
-	opts := experiments.DefaultOptions()
-	if *quick {
-		opts = experiments.QuickOptions()
-	}
-	opts.Seed = *seed
-	opts.ChaosSeed = *chaosSeed
-	opts.Parallelism = *parallel
+	opts := options()
 	if *maxRetries > 0 {
 		opts.MaxRetries = *maxRetries
 	}
@@ -445,28 +495,23 @@ func cmdChaos(args []string) error {
 		opts.HedgeAfter = sim.Duration(*hedgeAfter)
 	}
 
-	for _, run := range []func(experiments.Options) (*experiments.Table, error){
-		experiments.FigChaos, experiments.FigHedge,
-	} {
-		table, err := run(opts)
-		if err != nil {
-			return fmt.Errorf("chaos seed %d: %w", *chaosSeed, err)
+	registry := experiments.Figures()
+	if fs.NArg() == 0 {
+		return opts, registry, *parallel, nil
+	}
+	figures := make([]experiments.Figure, 0, fs.NArg())
+	for _, name := range fs.Args() {
+		f, ok := experiments.FigureByName(name)
+		if !ok {
+			names := make([]string, len(registry))
+			for i, r := range registry {
+				names[i] = r.Name
+			}
+			return opts, nil, 0, fmt.Errorf("unknown figure %q (want one of %s)", name, strings.Join(names, ", "))
 		}
-		fmt.Println(table)
+		figures = append(figures, f)
 	}
-	return nil
-}
-
-// traceOptions maps the shared trace/metrics flags onto experiment
-// options.
-func traceOptions(seed int64, quick bool, parallel int) experiments.Options {
-	opts := experiments.DefaultOptions()
-	if quick {
-		opts = experiments.QuickOptions()
-	}
-	opts.Seed = seed
-	opts.Parallelism = parallel
-	return opts
+	return opts, figures, *parallel, nil
 }
 
 // cmdTrace runs the instrumented IOR baseline and exports the span trace
@@ -475,12 +520,10 @@ func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	out := fs.String("out", "trace.json", "output Chrome trace_event JSON (open at ui.perfetto.dev)")
 	metricsOut := fs.String("metrics-out", "", "also dump the metrics registry to this file")
-	seed := fs.Int64("seed", 1, "simulation seed (same seed, byte-identical trace)")
-	quick := fs.Bool("quick", false, "run at reduced scale")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
+	options := scenarioFlags(fs, false)
 	fs.Parse(args)
 
-	run, err := experiments.TraceIOR(traceOptions(*seed, *quick, *parallel))
+	run, err := experiments.TraceIOR(options())
 	if err != nil {
 		return err
 	}
@@ -513,13 +556,11 @@ func cmdTrace(args []string) error {
 // format with -prom. Either way the bytes are deterministic per seed.
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
-	quick := fs.Bool("quick", false, "run at reduced scale")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
+	options := scenarioFlags(fs, false)
 	prom := fs.Bool("prom", false, "export in Prometheus text exposition format")
 	fs.Parse(args)
 
-	run, err := experiments.TraceIOR(traceOptions(*seed, *quick, *parallel))
+	run, err := experiments.TraceIOR(options())
 	if err != nil {
 		return err
 	}
@@ -536,12 +577,9 @@ func cmdMetrics(args []string) error {
 // (with -bundle-dir, each alert's incident bundle is on disk).
 func cmdSLO(args []string) error {
 	fs := flag.NewFlagSet("slo", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
-	chaosSeed := fs.Int64("chaos-seed", 1, "fault-schedule seed")
+	options := scenarioFlags(fs, true)
 	shape := fs.String("shape", "double-crash", "fault shape: crash, double-crash or recovery-overlap")
 	bundleDir := fs.String("bundle-dir", "", "write incident bundles under this directory")
-	quick := fs.Bool("quick", false, "run at reduced scale (faults may miss the shorter traffic)")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
 	fs.Parse(args)
 
 	var picked experiments.ReplShape
@@ -554,9 +592,7 @@ func cmdSLO(args []string) error {
 		return fmt.Errorf("unknown -shape %q (want crash, double-crash or recovery-overlap)", *shape)
 	}
 
-	opts := traceOptions(*seed, *quick, *parallel)
-	opts.ChaosSeed = *chaosSeed
-	run, err := experiments.RunSLO(opts, picked, *bundleDir)
+	run, err := experiments.RunSLO(options(), picked, *bundleDir)
 	if err != nil {
 		return err
 	}
@@ -588,14 +624,11 @@ func cmdSLO(args []string) error {
 // "dump the recent past" with no alert required.
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
+	options := scenarioFlags(fs, false)
 	bundleDir := fs.String("bundle-dir", "bundles", "write the bundle under this directory")
-	quick := fs.Bool("quick", false, "run at reduced scale")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
 	fs.Parse(args)
 
-	opts := traceOptions(*seed, *quick, *parallel)
-	run, bundle, err := experiments.RunRecord(opts, *bundleDir)
+	run, bundle, err := experiments.RunRecord(options(), *bundleDir)
 	if err != nil {
 		return err
 	}
@@ -609,12 +642,10 @@ func cmdRecord(args []string) error {
 // monitorRun executes the drift scenario with the online monitor
 // attached; shift selects drifting vs plan-faithful traffic.
 func monitorRun(fs *flag.FlagSet, args []string) (*experiments.DriftRun, error) {
-	seed := fs.Int64("seed", 1, "simulation seed")
-	quick := fs.Bool("quick", false, "run at reduced scale")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
+	options := scenarioFlags(fs, false)
 	shift := fs.Bool("shift", true, "shift the workload mid-run (false = plan-faithful control)")
 	fs.Parse(args)
-	return experiments.RunDrift(traceOptions(*seed, *quick, *parallel), *shift)
+	return experiments.RunDrift(options(), *shift)
 }
 
 // cmdMonitor runs the monitored drift scenario and prints the online
@@ -642,14 +673,12 @@ func cmdMonitor(args []string) error {
 func cmdHealth(args []string) error {
 	fs := flag.NewFlagSet("health", flag.ExitOnError)
 	replMode := fs.Bool("repl", false, "report per-region replica/view status instead of layout drift")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	quick := fs.Bool("quick", false, "run at reduced scale")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
+	options := scenarioFlags(fs, false)
 	shift := fs.Bool("shift", true, "shift the workload mid-run (false = plan-faithful control)")
 	fs.Parse(args)
 
 	if *replMode {
-		rep, err := experiments.RunReplStatus(traceOptions(*seed, *quick, *parallel))
+		rep, err := experiments.RunReplStatus(options())
 		if err != nil {
 			return err
 		}
@@ -664,7 +693,7 @@ func cmdHealth(args []string) error {
 		return nil
 	}
 
-	run, err := experiments.RunDrift(traceOptions(*seed, *quick, *parallel), *shift)
+	run, err := experiments.RunDrift(options(), *shift)
 	if err != nil {
 		return err
 	}
@@ -688,13 +717,11 @@ func cmdHealth(args []string) error {
 // root-cause report; exit code 1 when a straggler is confirmed.
 func cmdDoctor(args []string) error {
 	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
-	quick := fs.Bool("quick", false, "run at reduced scale")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
+	options := scenarioFlags(fs, false)
 	control := fs.Bool("control", false, "fault-free control run (no seeded straggle)")
 	fs.Parse(args)
 
-	run, err := experiments.RunDoctor(traceOptions(*seed, *quick, *parallel), !*control)
+	run, err := experiments.RunDoctor(options(), !*control)
 	if err != nil {
 		return err
 	}
@@ -718,12 +745,10 @@ func cmdDoctor(args []string) error {
 func cmdCritPath(args []string) error {
 	fs := flag.NewFlagSet("critpath", flag.ExitOnError)
 	out := fs.String("out", "", "also export the trace with the critical-path highlight track to this file")
-	seed := fs.Int64("seed", 1, "simulation seed (same seed, identical path)")
-	quick := fs.Bool("quick", false, "run at reduced scale")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
+	options := scenarioFlags(fs, false)
 	fs.Parse(args)
 
-	run, err := experiments.TraceIOR(traceOptions(*seed, *quick, *parallel))
+	run, err := experiments.TraceIOR(options())
 	if err != nil {
 		return err
 	}
@@ -755,12 +780,10 @@ func cmdWhatIf(args []string) error {
 	fs := flag.NewFlagSet("whatif", flag.ExitOnError)
 	factor := fs.Float64("factor", 2, "counterfactual speedup factor (> 1)")
 	drift := fs.Bool("drift", false, "profile the drift scenario's post-shift window instead of IOR")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	quick := fs.Bool("quick", false, "run at reduced scale")
-	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
+	options := scenarioFlags(fs, false)
 	fs.Parse(args)
 
-	opts := traceOptions(*seed, *quick, *parallel)
+	opts := options()
 	if *drift {
 		dw, err := experiments.RunDriftWhatIf(opts, *factor)
 		if err != nil {

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"harl/internal/experiments"
 	"harl/internal/harl"
+	"harl/internal/sim"
 )
 
 // capture runs one dispatch with os.Stdout redirected to a pipe and
@@ -341,9 +343,81 @@ func TestGenRejectsBadInput(t *testing.T) {
 		{"-kind", "ior"},
 		{"-kind", "mixed", "-out", out},
 		{"-kind", "ior", "-req", "12Q", "-out", out},
+		// Both sizes used to wrap silently to a 1 GiB file.
+		{"-kind", "ior", "-file", "17179869185G", "-out", out},
+		{"-kind", "ior", "-file", "-17179869183G", "-out", out},
 	} {
 		if _, err := capture(t, "gen", args...); err == nil {
 			t.Errorf("gen %v succeeded, want an error", args)
 		}
 	}
+}
+
+// fig prints the named figures in argument order, each table exactly as
+// its figure function renders it followed by its name, then the count
+// line. An unknown name fails before any figure runs, and every flag
+// reaches experiments.Options.
+func TestFigCommand(t *testing.T) {
+	t.Run("tables", func(t *testing.T) {
+		out, err := capture(t, "fig", "-quick", "1a", "hedge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		for _, f := range []struct {
+			name string
+			run  func(experiments.Options) (*experiments.Table, error)
+		}{{"1a", experiments.Fig1a}, {"hedge", experiments.FigHedge}} {
+			table, err := f.run(experiments.QuickOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.WriteString(table.String() + "\n(figure " + f.name + ")\n\n")
+		}
+		if !strings.HasPrefix(out, want.String()) {
+			t.Fatalf("fig -quick 1a hedge output:\n%s\nwant prefix:\n%s", out, want.String())
+		}
+		if rest := out[want.Len():]; !strings.HasPrefix(rest, "(2 figure(s) regenerated in ") {
+			t.Errorf("fig count line = %q", rest)
+		}
+	})
+
+	t.Run("unknown", func(t *testing.T) {
+		out, err := capture(t, "fig", "-quick", "1a", "nope")
+		if err == nil || out != "" {
+			t.Fatalf("fig with an unknown name: err %v, printed:\n%s", err, out)
+		}
+		for _, f := range experiments.Figures() {
+			if !strings.Contains(err.Error(), f.Name) {
+				t.Errorf("error %q does not list figure %s", err, f.Name)
+			}
+		}
+	})
+
+	t.Run("flags", func(t *testing.T) {
+		opts, figures, workers, err := parseFig([]string{"-quick", "-seed", "3", "-chaos-seed", "9", "-parallel", "0",
+			"-max-retries", "7", "-timeout", "40ms", "-backoff", "3ms", "-hedge-after", "25ms", "chaos"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.FileSize != experiments.QuickOptions().FileSize || opts.Seed != 3 || opts.ChaosSeed != 9 || workers != 0 {
+			t.Errorf("fig scale/seeds/workers: file %d seed %d chaos seed %d workers %d",
+				opts.FileSize, opts.Seed, opts.ChaosSeed, workers)
+		}
+		if opts.MaxRetries != 7 || opts.RequestTimeout != 40*sim.Millisecond ||
+			opts.Backoff != 3*sim.Millisecond || opts.HedgeAfter != 25*sim.Millisecond {
+			t.Errorf("fig retry knobs: retries %d timeout %v backoff %v hedge-after %v",
+				opts.MaxRetries, opts.RequestTimeout, opts.Backoff, opts.HedgeAfter)
+		}
+		if len(figures) != 1 || figures[0].Name != "chaos" {
+			t.Errorf("fig chaos selected %v", figures)
+		}
+		def, all, workers, err := parseFig(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != len(experiments.Figures()) || workers != 1 || def.MaxRetries != experiments.DefaultOptions().MaxRetries {
+			t.Errorf("fig defaults: %d figures, %d workers, %d retries", len(all), workers, def.MaxRetries)
+		}
+	})
 }

@@ -66,7 +66,7 @@ type Figure struct {
 }
 
 // Figures returns the full figure registry in canonical order — the
-// single source of truth cmd/experiments and the fan-out tests consume.
+// single source of truth harlctl fig and the fan-out tests consume.
 func Figures() []Figure {
 	return []Figure{
 		{"1a", Fig1a},

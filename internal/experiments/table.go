@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section IV): one driver per figure, each returning a Table
-// whose rows/series mirror what the paper plots. The benchmark harness in
-// the repository root and cmd/experiments both call into this package.
+// whose rows/series mirror what the paper plots. harlctl fig runs them
+// through the Figures registry.
 package experiments
 
 import (

@@ -153,6 +153,28 @@ func TestTraceMatchesPlan(t *testing.T) {
 	}
 }
 
+// A random uniform Config is the one-region case of the modified IOR:
+// its trace equals that of a MultiConfig whose single region spans the
+// file, request cap included.
+func TestUniformIsOneRegionMulti(t *testing.T) {
+	cfg := smallCfg()
+	cfg.RequestsPerRank = 5
+	multi := MultiConfig{
+		Ranks: cfg.Ranks, RanksPerNode: cfg.RanksPerNode, Seed: cfg.Seed,
+		Regions:                  []RegionSpec{{Size: cfg.FileSize, RequestSize: cfg.RequestSize}},
+		RequestsPerRankPerRegion: cfg.RequestsPerRank,
+	}
+	a, b := cfg.Trace(), multi.Trace()
+	if a.Len() != b.Len() || a.Len() != 2*cfg.Ranks*5 {
+		t.Fatalf("uniform trace %d records, one-region multi %d", a.Len(), b.Len())
+	}
+	for i := range a.Records {
+		if a.Records[i] != b.Records[i] {
+			t.Fatalf("record %d: uniform %+v, one-region multi %+v", i, a.Records[i], b.Records[i])
+		}
+	}
+}
+
 func TestRunProducesThroughput(t *testing.T) {
 	res := runOn(t, smallCfg(), layout.Fixed(6, 2, 64<<10))
 	if res.WriteBytes != 64<<20 || res.ReadBytes != 64<<20 {

@@ -2,11 +2,8 @@ package ior
 
 import (
 	"fmt"
-	"math/rand"
 
-	"harl/internal/device"
 	"harl/internal/mpiio"
-	"harl/internal/sim"
 	"harl/internal/trace"
 )
 
@@ -76,59 +73,13 @@ func (c MultiConfig) FileSize() int64 {
 	return total
 }
 
-// multiReq is one planned request.
-type multiReq struct {
-	off  int64
-	size int64
-}
-
-// plan returns per-rank request sequences across all regions, in region
-// order (the application walks the file front to back, switching request
-// size at each region boundary).
-func (c MultiConfig) plan() [][]multiReq {
-	plans := make([][]multiReq, c.Ranks)
-	base := int64(0)
-	for ri, reg := range c.Regions {
-		slab := reg.Size / int64(c.Ranks)
-		perRank := int(slab / reg.RequestSize)
-		if c.RequestsPerRankPerRegion > 0 && c.RequestsPerRankPerRegion < perRank {
-			perRank = c.RequestsPerRankPerRegion
-		}
-		if perRank == 0 {
-			perRank = 1
-		}
-		for r := 0; r < c.Ranks; r++ {
-			rng := rand.New(rand.NewSource(c.Seed + int64(ri)*104729 + int64(r)*7919))
-			slabBase := base + int64(r)*slab
-			slots := int(slab / reg.RequestSize)
-			for i := 0; i < perRank; i++ {
-				slot := int64(rng.Intn(slots))
-				plans[r] = append(plans[r], multiReq{off: slabBase + slot*reg.RequestSize, size: reg.RequestSize})
-			}
-		}
-		base += reg.Size
-	}
-	return plans
-}
-
 // Trace synthesizes the tracing-phase trace for this workload (both
 // phases, write then read).
-func (c MultiConfig) Trace() *trace.Trace {
-	tr := &trace.Trace{}
-	ts := sim.Time(0)
-	for _, op := range []device.Op{device.Write, device.Read} {
-		for r, reqs := range c.plan() {
-			for _, rq := range reqs {
-				tr.Records = append(tr.Records, trace.Record{
-					PID: 1000 + r, Rank: r, FD: 3, Op: op,
-					Offset: rq.off, Size: rq.size,
-					Start: ts, End: ts + 1,
-				})
-				ts++
-			}
-		}
-	}
-	return tr
+func (c MultiConfig) Trace() *trace.Trace { return traceOf(c.requests()) }
+
+// requests plans every rank's random requests region by region.
+func (c MultiConfig) requests() [][]request {
+	return planRegions(c.Ranks, c.Regions, c.Seed, c.RequestsPerRankPerRegion, true)
 }
 
 // RunMulti executes the non-uniform workload: write phase then read
@@ -137,49 +88,7 @@ func RunMulti(w *mpiio.World, f mpiio.PhantomFile, cfg MultiConfig) (Result, err
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if w.Ranks() != cfg.Ranks {
-		return Result{}, fmt.Errorf("ior: world has %d ranks, config wants %d", w.Ranks(), cfg.Ranks)
-	}
-	plans := cfg.plan()
-	var totalBytes int64
-	for _, reqs := range plans {
-		for _, rq := range reqs {
-			totalBytes += rq.size
-		}
-	}
-	res := Result{Config: Config{Ranks: cfg.Ranks, RanksPerNode: cfg.RanksPerNode, FileSize: cfg.FileSize()}}
-
-	runPhase := func(op device.Op, done func(start, end sim.Time)) {
-		start := w.Engine().Now()
-		finish := sim.NewCountdown(cfg.Ranks, func() { done(start, w.Engine().Now()) })
-		for r := 0; r < cfg.Ranks; r++ {
-			r := r
-			var issue func(i int)
-			issue = func(i int) {
-				if i == len(plans[r]) {
-					finish.Done()
-					return
-				}
-				rq := plans[r][i]
-				if op == device.Write {
-					f.WriteZeros(r, rq.off, rq.size, func(error) { issue(i + 1) })
-				} else {
-					f.ReadDiscard(r, rq.off, rq.size, func(error) { issue(i + 1) })
-				}
-			}
-			issue(0)
-		}
-	}
-
-	w.Run(func() {
-		runPhase(device.Write, func(start, end sim.Time) {
-			res.WriteBytes = totalBytes
-			res.WriteTime = end.Sub(start)
-			runPhase(device.Read, func(start, end sim.Time) {
-				res.ReadBytes = totalBytes
-				res.ReadTime = end.Sub(start)
-			})
-		})
-	})
-	return res, nil
+	res, err := run(w, f, cfg.requests())
+	res.Config = Config{Ranks: cfg.Ranks, RanksPerNode: cfg.RanksPerNode, FileSize: cfg.FileSize()}
+	return res, err
 }

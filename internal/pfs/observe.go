@@ -69,9 +69,6 @@ func (fs *FS) AttachSketches(ss *obs.SketchSet) {
 	}
 }
 
-// Sketches returns the attached sketch set (nil when unattached).
-func (fs *FS) Sketches() *obs.SketchSet { return fs.sketches }
-
 // Tracer returns the attached tracer (nil when uninstrumented).
 func (fs *FS) Tracer() *obs.Tracer { return fs.tracer }
 

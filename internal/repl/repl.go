@@ -453,18 +453,6 @@ func (g *Group) lag(m *member) int {
 // Lag returns how many logged records a member is missing.
 func (g *Group) Lag(server int) int { return g.lag(g.members[g.mustIndex(server)]) }
 
-// Lagging lists live members missing logged records — the catch-up
-// work list, in chain order.
-func (g *Group) Lagging() []int {
-	var ids []int
-	for _, m := range g.members {
-		if m.alive && g.lag(m) > 0 {
-			ids = append(ids, m.id)
-		}
-	}
-	return ids
-}
-
 // truncate abandons unacknowledged records on view change: entries
 // beyond the commit point are dropped (their clients time out and
 // retry through the new view), and member state referring to them is

@@ -100,20 +100,6 @@ func (r *Resource) reserve(earliest Time, service Duration) (start, end Time) {
 	return start, end
 }
 
-// NextFree returns the earliest time any slot is idle, never before now.
-func (r *Resource) NextFree() Time {
-	best := r.free[0]
-	for _, t := range r.free[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	if now := r.engine.Now(); best < now {
-		return now
-	}
-	return best
-}
-
 // Utilization reports the fraction of elapsed virtual time the resource's
 // slots spent busy, aggregated across slots. It is meaningful after a run.
 func (r *Resource) Utilization() float64 {
@@ -221,39 +207,3 @@ func (c *ErrCountdown) Err() error { return c.firstErr }
 
 // Remaining reports how many completions are still outstanding.
 func (c *ErrCountdown) Remaining() int { return c.remaining }
-
-// Barrier synchronizes a fixed party of processes: the callback passed to
-// each Arrive call is deferred until all parties have arrived, then all
-// callbacks run at the arrival time of the last party (in arrival order).
-// The barrier then resets for the next round, matching MPI_Barrier
-// semantics for a communicator of Parties ranks.
-type Barrier struct {
-	engine  *Engine
-	parties int
-	waiting []func()
-}
-
-// NewBarrier creates a barrier for the given number of parties.
-func NewBarrier(e *Engine, parties int) *Barrier {
-	if parties <= 0 {
-		panic(fmt.Sprintf("sim: barrier needs >=1 party, got %d", parties))
-	}
-	return &Barrier{engine: e, parties: parties}
-}
-
-// Arrive registers one party; resume runs when the round completes.
-func (b *Barrier) Arrive(resume func()) {
-	b.waiting = append(b.waiting, resume)
-	if len(b.waiting) == b.parties {
-		round := b.waiting
-		b.waiting = nil
-		for _, fn := range round {
-			if fn != nil {
-				b.engine.Schedule(0, fn)
-			}
-		}
-	}
-}
-
-// Waiting reports how many parties have arrived in the current round.
-func (b *Barrier) Waiting() int { return len(b.waiting) }

@@ -206,50 +206,3 @@ func TestErrCountdownZero(t *testing.T) {
 		t.Fatal("zero err countdown should fire immediately")
 	}
 }
-
-func TestBarrierReleasesAllAtLastArrival(t *testing.T) {
-	e := NewEngine(1)
-	b := NewBarrier(e, 3)
-	var released []Time
-	arrive := func(at Duration) {
-		e.Schedule(at, func() {
-			b.Arrive(func() { released = append(released, e.Now()) })
-		})
-	}
-	arrive(Millisecond)
-	arrive(5 * Millisecond)
-	arrive(9 * Millisecond)
-	e.Run()
-	if len(released) != 3 {
-		t.Fatalf("released %d, want 3", len(released))
-	}
-	for i, at := range released {
-		if at != Time(9*Millisecond) {
-			t.Fatalf("party %d released at %v, want 9ms", i, at)
-		}
-	}
-}
-
-func TestBarrierResetsBetweenRounds(t *testing.T) {
-	e := NewEngine(1)
-	b := NewBarrier(e, 2)
-	rounds := 0
-	var roundTrip func()
-	roundTrip = func() {
-		b.Arrive(nil)
-		b.Arrive(func() {
-			rounds++
-			if rounds < 3 {
-				e.Schedule(Millisecond, roundTrip)
-			}
-		})
-	}
-	e.Schedule(0, roundTrip)
-	e.Run()
-	if rounds != 3 {
-		t.Fatalf("rounds = %d, want 3", rounds)
-	}
-	if b.Waiting() != 0 {
-		t.Fatalf("waiting = %d after full rounds, want 0", b.Waiting())
-	}
-}

@@ -74,9 +74,6 @@ func (t *T) SetDoctor(fn func(at sim.Time) string) { t.doctor = fn }
 // Recorder exposes the flight recorder.
 func (t *T) Recorder() *Recorder { return t.rec }
 
-// SLO exposes the objective engine.
-func (t *T) SLO() *Engine { return t.slo }
-
 // Alerts returns every alert fired so far.
 func (t *T) Alerts() []Alert { return t.slo.Alerts() }
 
