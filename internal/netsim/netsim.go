@@ -86,8 +86,14 @@ func (n *Network) Instrument(tr *obs.Tracer) { n.tracer = tr }
 
 // AttachSketches routes transfer completions into the streaming sketch
 // layer, keyed by destination node. Passive like the tracer; nil
-// detaches.
-func (n *Network) AttachSketches(ss *obs.SketchSet) { n.sketches = ss }
+// detaches. Each node resolves its digest index in the new set at its
+// first transfer completion.
+func (n *Network) AttachSketches(ss *obs.SketchSet) {
+	n.sketches = ss
+	for _, nd := range n.nodes {
+		nd.sketchID = -1
+	}
+}
 
 // ScaleBandwidth multiplies every link's per-direction bandwidth — the
 // causal profiler's "what if the interconnect were k× faster" knob.
@@ -121,6 +127,9 @@ type Node struct {
 	track string // tracer track for transfers landing at this node
 	tx    *sim.Resource
 	rx    *sim.Resource
+	// sketchID is the node's index in the network's sketch set; -1 until
+	// a transfer lands at it with sketches attached.
+	sketchID int
 }
 
 // Name returns the node's name.
@@ -138,10 +147,11 @@ func (n *Network) AddNode(name string) *Node {
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
 	nd := &Node{
-		name:  name,
-		track: "net/" + name,
-		tx:    sim.NewResource(n.engine, name+"/tx", 1),
-		rx:    sim.NewResource(n.engine, name+"/rx", 1),
+		name:     name,
+		track:    "net/" + name,
+		tx:       sim.NewResource(n.engine, name+"/tx", 1),
+		rx:       sim.NewResource(n.engine, name+"/rx", 1),
+		sketchID: -1,
 	}
 	n.nodes[name] = nd
 	return nd

@@ -68,7 +68,12 @@ func xferDone(arg any, _, end sim.Time) {
 		}
 	}
 	// Feed the sketch layer before recycling clears the record.
-	n.sketches.ObserveNet(x.to.name, end.Sub(x.submit), x.size)
+	if ss := n.sketches; ss != nil {
+		if x.to.sketchID < 0 {
+			x.to.sketchID = ss.NetIndex(x.to.name)
+		}
+		ss.ObserveNet(x.to.sketchID, end.Sub(x.submit), x.size)
+	}
 	n.recycleXfer(x)
 	if fn != nil {
 		fn(farg, n.engine.Now())

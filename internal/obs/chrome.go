@@ -140,7 +140,12 @@ func writeArgs(bw *errWriter, s Span, unfinished bool) {
 		bw.print(`,"unfinished":"1"`)
 	}
 	for _, tag := range s.Tags {
-		bw.printf(",%s:%s", jsonString(tag.Key), jsonString(tag.Value))
+		if n, ok := tag.Int(); ok {
+			// Decimal digits need no JSON escaping.
+			bw.printf(",%s:\"%d\"", jsonString(tag.Key), n)
+			continue
+		}
+		bw.printf(",%s:%s", jsonString(tag.Key), jsonString(tag.Value()))
 	}
 }
 

@@ -190,7 +190,7 @@ func metricKey(name string, labels []Tag) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(l.Value)
+		b.WriteString(l.Value())
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')

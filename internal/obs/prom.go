@@ -99,7 +99,7 @@ func promLabels(labels []Tag, le string, mode int) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(promEscape(l.Value))
+		b.WriteString(promEscape(l.Value()))
 		b.WriteByte('"')
 	}
 	if mode == 1 {

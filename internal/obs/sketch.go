@@ -74,6 +74,11 @@ type serverSketch struct {
 	name string
 	tier string
 
+	// Counter names for the tracer, built once at registration.
+	p99Name   string // "p99ms.<name>"
+	utilName  string // "util.<name>"
+	heatTrack string // "heatmap/<name>"
+
 	// Cumulative digests indexed by op (0 read, 1 write).
 	lat     [2]*stats.QuantileSketch
 	wait    [2]*stats.QuantileSketch
@@ -130,6 +135,9 @@ type SketchSet struct {
 	servers []*serverSketch
 	heat    [][]heatCell // [server][region]
 	regions int
+	// regionNames[r] is region r's heatmap counter name, built when the
+	// region first appears.
+	regionNames []string
 
 	nets   []*netSketch
 	netIdx map[string]int
@@ -197,11 +205,14 @@ func (ss *SketchSet) AddServer(name, tier string) int {
 	}
 	alpha := ss.cfg.Alpha
 	s := &serverSketch{
-		name:     name,
-		tier:     tier,
-		wLat:     stats.NewQuantileSketch(alpha),
-		wWait:    stats.NewQuantileSketch(alpha),
-		wService: stats.NewQuantileSketch(alpha),
+		name:      name,
+		tier:      tier,
+		p99Name:   "p99ms." + name,
+		utilName:  "util." + name,
+		heatTrack: "heatmap/" + name,
+		wLat:      stats.NewQuantileSketch(alpha),
+		wWait:     stats.NewQuantileSketch(alpha),
+		wService:  stats.NewQuantileSketch(alpha),
 	}
 	for op := 0; op < 2; op++ {
 		s.lat[op] = stats.NewQuantileSketch(alpha)
@@ -240,7 +251,8 @@ func (ss *SketchSet) ServerInfos() []ServerInfo {
 }
 
 // ObserveDisk feeds one completed disk pass for server id: queue wait,
-// service time and payload size. Nil-safe.
+// service time and payload size. Each value lands in a cumulative and a
+// window digest; its bucket is computed once for both. Nil-safe.
 func (ss *SketchSet) ObserveDisk(id int, write bool, wait, service sim.Duration, bytes int64) {
 	if ss == nil {
 		return
@@ -255,15 +267,17 @@ func (ss *SketchSet) ObserveDisk(id int, write bool, wait, service sim.Duration,
 		s.wReadOps++
 	}
 	ws, sv := wait.Seconds(), service.Seconds()
-	total := ws + sv
-	s.lat[op].Add(total)
-	s.wait[op].Add(ws)
-	s.service[op].Add(sv)
+	k, ok := s.wLat.Key(ws + sv)
+	s.lat[op].AddKey(k, ok)
+	s.wLat.AddKey(k, ok)
+	k, ok = s.wWait.Key(ws)
+	s.wait[op].AddKey(k, ok)
+	s.wWait.AddKey(k, ok)
+	k, ok = s.wService.Key(sv)
+	s.service[op].AddKey(k, ok)
+	s.wService.AddKey(k, ok)
 	s.ops[op]++
 	s.bytes[op] += bytes
-	s.wLat.Add(total)
-	s.wWait.Add(ws)
-	s.wService.Add(sv)
 	s.wBytes += bytes
 	s.wBusy += sv
 }
@@ -287,8 +301,9 @@ func (ss *SketchSet) ObserveRegion(region, id int, bytes int64, lat sim.Duration
 		return
 	}
 	ss.roll(ss.engine.Now())
-	if region >= ss.regions {
-		ss.regions = region + 1
+	for ss.regions <= region {
+		ss.regionNames = append(ss.regionNames, fmt.Sprintf("region%d.bytes", ss.regions))
+		ss.regions++
 	}
 	row := ss.heat[id]
 	for len(row) <= region {
@@ -301,20 +316,32 @@ func (ss *SketchSet) ObserveRegion(region, id int, bytes int64, lat sim.Duration
 	ss.heat[id] = row
 }
 
-// ObserveNet feeds one completed network transfer landing at node:
-// submission-to-last-byte latency and size. Nil-safe.
-func (ss *SketchSet) ObserveNet(node string, lat sim.Duration, bytes int64) {
+// NetIndex returns node's dense transfer-digest index, registering the
+// node on first use; registration order is NetStats order. The network
+// calls it at a node's first transfer completion and caches the index
+// on the node. -1 when disabled.
+func (ss *SketchSet) NetIndex(node string) int {
 	if ss == nil {
-		return
+		return -1
 	}
-	ss.roll(ss.engine.Now())
 	idx, ok := ss.netIdx[node]
 	if !ok {
 		idx = len(ss.nets)
 		ss.netIdx[node] = idx
 		ss.nets = append(ss.nets, &netSketch{name: node, lat: stats.NewQuantileSketch(ss.cfg.Alpha)})
 	}
-	n := ss.nets[idx]
+	return idx
+}
+
+// ObserveNet feeds one completed network transfer landing at the node
+// NetIndex numbered id: submission-to-last-byte latency and size.
+// Nil-safe.
+func (ss *SketchSet) ObserveNet(id int, lat sim.Duration, bytes int64) {
+	if ss == nil {
+		return
+	}
+	ss.roll(ss.engine.Now())
+	n := ss.nets[id]
 	n.lat.Add(lat.Seconds())
 	n.xfers++
 	n.bytes += bytes
@@ -359,8 +386,8 @@ func (ss *SketchSet) closeWindow(end sim.Time) {
 			w.ServiceP99, _ = s.wService.Quantile(0.99)
 		}
 		if tr := ss.tracer; tr != nil && w.Ops > 0 {
-			tr.Counter("sketch", "p99ms."+s.name, end, w.P99*1e3)
-			tr.Counter("sketch", "util."+s.name, end, w.Util)
+			tr.Counter("sketch", s.p99Name, end, w.P99*1e3)
+			tr.Counter("sketch", s.utilName, end, w.Util)
 		}
 		if wins != nil {
 			wins[i] = w
@@ -371,7 +398,7 @@ func (ss *SketchSet) closeWindow(end sim.Time) {
 		for i, s := range ss.servers {
 			for r := range ss.heat[i] {
 				if wb := ss.heat[i][r].winBytes; wb > 0 {
-					tr.Counter("heatmap/"+s.name, fmt.Sprintf("region%d.bytes", r), end, float64(wb))
+					tr.Counter(s.heatTrack, ss.regionNames[r], end, float64(wb))
 				}
 			}
 		}

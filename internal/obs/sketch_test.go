@@ -174,9 +174,9 @@ func TestSketchHeatmapAccumulates(t *testing.T) {
 func TestSketchNetStatsDeterministicOrder(t *testing.T) {
 	e := sim.NewEngine(1)
 	ss := NewSketchSet(e, SketchConfig{})
-	ss.ObserveNet("h1", sim.Millisecond, 10)
-	ss.ObserveNet("h0", 2*sim.Millisecond, 20)
-	ss.ObserveNet("h1", 3*sim.Millisecond, 30)
+	ss.ObserveNet(ss.NetIndex("h1"), sim.Millisecond, 10)
+	ss.ObserveNet(ss.NetIndex("h0"), 2*sim.Millisecond, 20)
+	ss.ObserveNet(ss.NetIndex("h1"), 3*sim.Millisecond, 30)
 
 	st := ss.NetStats()
 	if len(st) != 2 || st[0].Node != "h1" || st[1].Node != "h0" {
@@ -199,7 +199,7 @@ func TestSketchSetNilDisabled(t *testing.T) {
 	ss.ObserveDisk(0, true, 0, sim.Millisecond, 1)
 	ss.ObserveQueue(0, 3)
 	ss.ObserveRegion(1, 0, 10, sim.Millisecond)
-	ss.ObserveNet("h0", sim.Millisecond, 1)
+	ss.ObserveNet(ss.NetIndex("h0"), sim.Millisecond, 1)
 	ss.OnWindow(func(sim.Time, sim.Duration, []ServerWindow) {})
 	ss.AttachTracer(nil)
 	ss.Flush()
@@ -242,5 +242,37 @@ func TestSketchCounterTracks(t *testing.T) {
 	// Gauges only for windows with traffic: exactly window 0.
 	if p99 != 1 || util != 1 || heat != 1 {
 		t.Fatalf("counter samples p99=%d util=%d heat=%d, want 1 each", p99, util, heat)
+	}
+}
+
+// TestSketchObserveAllocFree pins the sketch feed points: once a
+// server's and a node's digests have seen their value range, disk and
+// network observations allocate nothing.
+func TestSketchObserveAllocFree(t *testing.T) {
+	ss := NewSketchSet(sim.NewEngine(1), SketchConfig{})
+	id := ss.AddServer("h0", "hdd")
+	node := ss.NetIndex("h0")
+	feed := func() {
+		ss.ObserveDisk(id, true, 50*sim.Microsecond, 2*sim.Millisecond, 64<<10)
+		ss.ObserveDisk(id, false, 0, sim.Millisecond, 64<<10)
+		ss.ObserveNet(node, 300*sim.Microsecond, 64<<10)
+	}
+	feed()
+	if n := testing.AllocsPerRun(100, feed); n != 0 {
+		t.Errorf("warm sketch observations allocate %v times, want 0", n)
+	}
+}
+
+// BenchmarkSketchObserveDisk is one disk pass's cost in the sketch
+// layer: wait, service and total latency into the cumulative and window
+// digests.
+func BenchmarkSketchObserveDisk(b *testing.B) {
+	ss := NewSketchSet(sim.NewEngine(1), SketchConfig{})
+	id := ss.AddServer("h0", "hdd")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wait := sim.Duration(i%1000) * sim.Microsecond
+		ss.ObserveDisk(id, i&1 == 1, wait, 2*sim.Millisecond+sim.Duration(i%97)*sim.Microsecond, 64<<10)
 	}
 }

@@ -8,11 +8,15 @@ import (
 	"harl/internal/sim"
 )
 
-// collectSink retains every finalized span a streaming tracer delivers,
-// in delivery order.
+// collectSink retains a copy of every finalized span a streaming tracer
+// delivers, in delivery order.
 type collectSink struct{ got []Span }
 
-func (c *collectSink) OnSpan(s Span) { c.got = append(c.got, s) }
+func (c *collectSink) OnSpan(s *Span) {
+	cp := *s
+	cp.Tags = append([]Tag(nil), s.Tags...)
+	c.got = append(c.got, cp)
+}
 
 // driveTrace runs the same instrumented scenario against any tracer:
 // nested spans, an instant, a retroactive emit, and a counter sample.
@@ -70,6 +74,11 @@ func TestStreamTracerMatchesRetaining(t *testing.T) {
 			g.Start != w.Start || g.End != w.End || g.Inst != w.Inst ||
 			g.Ctr != w.Ctr || g.Value != w.Value || len(g.Tags) != len(w.Tags) {
 			t.Fatalf("span %d diverged: stream=%+v retain=%+v", w.ID, g, w)
+		}
+		for i := range w.Tags {
+			if g.Tags[i].Key != w.Tags[i].Key || g.Tags[i].Value() != w.Tags[i].Value() {
+				t.Fatalf("span %d tag %d: stream %v, retain %v", w.ID, i, g.Tags[i], w.Tags[i])
+			}
 		}
 	}
 }

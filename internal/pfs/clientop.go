@@ -156,16 +156,24 @@ func opName(op device.Op) string {
 	return "pfs.read"
 }
 
-// beginOp opens a client-operation span; 0 when tracing is off.
+// beginOp opens a client-operation span; 0 when tracing is off. The
+// tracer copies the tags, so they are built on the stack.
 func (f *File) beginOp(name string, parent obs.SpanID, off, size int64) obs.SpanID {
 	tr := f.client.fs.tracer
 	if tr == nil {
 		return 0
 	}
-	tags := make([]obs.Tag, 0, 3+len(f.spanTags))
-	tags = append(tags, obs.T("file", f.meta.Name), obs.TInt("off", off), obs.TInt("bytes", size))
+	var buf [8]obs.Tag
+	tags := append(buf[:0], obs.T("file", f.meta.Name), obs.TInt("off", off), obs.TInt("bytes", size))
 	tags = append(tags, f.spanTags...)
 	return tr.Begin(f.client.name, name, parent, tags...)
+}
+
+// opInstruments are one op kind's pfs_op_* instruments.
+type opInstruments struct {
+	seconds *obs.Histogram
+	total   *obs.Counter
+	bytes   *obs.Counter
 }
 
 // endOp closes an operation's span and feeds the op-latency histogram.
@@ -176,10 +184,18 @@ func (f *File) endOp(c *clientOp, err error) {
 		tr.End(c.span, obs.T("status", errStatus(err)))
 	}
 	if reg := fs.metrics; reg != nil {
-		name := opName(c.op)
-		reg.Histogram("pfs_op_seconds", 0, 2, 80, obs.T("op", name)).
-			Observe(fs.engine.Now().Sub(c.start).Seconds())
-		reg.Counter("pfs_op_total", obs.T("op", name)).Inc()
-		reg.Counter("pfs_op_bytes_total", obs.T("op", name)).Add(c.size)
+		m := fs.opMetrics[c.op]
+		if m == nil {
+			label := obs.T("op", opName(c.op))
+			m = &opInstruments{
+				seconds: reg.Histogram("pfs_op_seconds", 0, 2, 80, label),
+				total:   reg.Counter("pfs_op_total", label),
+				bytes:   reg.Counter("pfs_op_bytes_total", label),
+			}
+			fs.opMetrics[c.op] = m
+		}
+		m.seconds.Observe(fs.engine.Now().Sub(c.start).Seconds())
+		m.total.Inc()
+		m.bytes.Add(c.size)
 	}
 }

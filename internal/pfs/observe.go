@@ -39,6 +39,7 @@ func tierName(k device.Kind) string {
 func (fs *FS) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	fs.tracer = tr
 	fs.metrics = reg
+	fs.opMetrics = [2]*opInstruments{}
 	fs.net.Instrument(tr)
 	for _, s := range fs.servers {
 		labels := []obs.Tag{obs.T("server", s.Name), obs.T("tier", tierName(s.Role()))}
@@ -192,6 +193,10 @@ func (s *Server) observeDisk(op device.Op, parent obs.SpanID, submit, start, end
 		tr.Emit(s.Name, "disk.wait", parent, submit, start,
 			obs.T("tier", tier), obs.TInt("bytes", size))
 	}
-	tr.Emit(s.Name, "disk."+op.String(), parent, start, end,
+	name := "disk.read"
+	if op == device.Write {
+		name = "disk.write"
+	}
+	tr.Emit(s.Name, name, parent, start, end,
 		obs.T("tier", tier), obs.TInt("bytes", size))
 }

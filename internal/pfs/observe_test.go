@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"harl/internal/device"
 	"harl/internal/layout"
 	"harl/internal/obs"
 	"harl/internal/sim"
@@ -237,6 +238,36 @@ func TestSketchFeedsFromServePath(t *testing.T) {
 	for _, sp := range tr2.Spans() {
 		if sp.Ctr && sp.Name == "queue" {
 			t.Fatal("queue counters emitted without sketches attached")
+		}
+	}
+}
+
+// TestEndOpAllocFree pins the registry side of an operation's
+// completion: once an op kind has resolved its pfs_op_* handles at its
+// first completion, endOp with a registry attached allocates nothing.
+func TestEndOpAllocFree(t *testing.T) {
+	e, fs, f := wideFile(t, 8, Policy{})
+	reg := obs.NewRegistry()
+	fs.Instrument(nil, reg)
+	var failed error
+	done := func(err error) {
+		if err != nil {
+			failed = err
+		}
+	}
+	issuePhantom(f, false, 0, done)
+	issuePhantom(f, true, 0, done)
+	e.Run()
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	for _, op := range []device.Op{device.Read, device.Write} {
+		c := &clientOp{f: f, op: op, size: 4096}
+		if n := testing.AllocsPerRun(100, func() { f.endOp(c, nil) }); n != 0 {
+			t.Errorf("%v: endOp allocates %v times, want 0", op, n)
+		}
+		if got := reg.CounterValue("pfs_op_total", obs.T("op", opName(op))); got != 102 {
+			t.Errorf("%v: pfs_op_total = %d, want 102", op, got)
 		}
 	}
 }

@@ -155,6 +155,10 @@ type FS struct {
 	// attached, and every feed below is nil-safe — sketches are as
 	// optional as the tracer.
 	sketches *obs.SketchSet
+	// opMetrics caches the pfs_op_* instruments per op kind (indexed by
+	// device.Op), resolved at that kind's first completed operation so
+	// the registry holds only the kinds a run used; Instrument clears it.
+	opMetrics [2]*opInstruments
 
 	servers []*Server
 	files   map[string]*FileMeta

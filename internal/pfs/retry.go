@@ -181,8 +181,9 @@ func (o *subOp) beginAttempt(rg *replGroup) obs.SpanID {
 	if tr == nil {
 		return 0
 	}
-	tags := []obs.Tag{obs.T("op", o.op.String()), obs.T("server", o.server.Name),
-		obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size)}
+	var buf [6]obs.Tag
+	tags := append(buf[:0], obs.T("op", o.op.String()), obs.T("server", o.server.Name),
+		obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size))
 	if rg != nil {
 		tags = append(tags, obs.TInt("group", int64(o.sub.Server)), obs.TInt("view", int64(rg.g.View())))
 	}

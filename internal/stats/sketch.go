@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // QuantileSketch is a mergeable quantile sketch over positive values,
@@ -17,14 +16,20 @@ import (
 // and offsets are); zero, negative and non-finite samples are counted in
 // Invalid and excluded from quantiles, mirroring Histogram's NaN policy.
 //
+// The buckets are dense: counts[i] holds bucket key lo+i, and the range
+// [lo, lo+len(counts)) only grows, to cover every key a sample or merge
+// has reached. Reset zeroes the counts but keeps the range, so a sketch
+// reused window after window stops allocating once its range settles.
+//
 // The sketch is deterministic: bucket indices are pure arithmetic and
-// quantile queries walk the buckets in sorted key order, so equal sample
+// quantile queries walk the buckets in key order, so equal sample
 // streams always produce equal answers.
 type QuantileSketch struct {
 	alpha   float64
 	gamma   float64
 	invLogG float64
-	counts  map[int]int64
+	lo      int     // bucket key of counts[0]
+	counts  []int64 // counts[i] is bucket lo+i's sample count
 	total   int64
 	// Invalid counts rejected samples (<= 0, NaN, ±Inf).
 	Invalid int64
@@ -45,7 +50,6 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 		alpha:   alpha,
 		gamma:   gamma,
 		invLogG: 1 / math.Log(gamma),
-		counts:  make(map[int]int64),
 	}
 }
 
@@ -56,13 +60,46 @@ func (s *QuantileSketch) Alpha() float64 { return s.alpha }
 func (s *QuantileSketch) Count() int64 { return s.total }
 
 // Add records one sample.
-func (s *QuantileSketch) Add(x float64) {
+func (s *QuantileSketch) Add(x float64) { s.AddKey(s.Key(x)) }
+
+// Key returns the bucket x falls in and whether x is a valid sample.
+// Feeding one value to several sketches of the same alpha — Key once,
+// then AddKey on each — equals calling Add on each, with one logarithm.
+func (s *QuantileSketch) Key(x float64) (k int, ok bool) {
 	if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
+		return 0, false
+	}
+	return int(math.Ceil(math.Log(x) * s.invLogG)), true
+}
+
+// AddKey records one sample in bucket k, as Key returned it from a
+// sketch with the same alpha; ok false records an invalid sample.
+func (s *QuantileSketch) AddKey(k int, ok bool) {
+	if !ok {
 		s.Invalid++
 		return
 	}
-	s.counts[int(math.Ceil(math.Log(x)*s.invLogG))]++
+	s.cover(k, k)
+	s.counts[k-s.lo]++
 	s.total++
+}
+
+// cover grows the bucket range to include keys lo..hi. Growing upward
+// appends, so the runtime's capacity doubling amortizes it; growing
+// downward reallocates, which happens only when a new minimum arrives.
+func (s *QuantileSketch) cover(lo, hi int) {
+	if len(s.counts) == 0 {
+		s.lo, s.counts = lo, make([]int64, hi-lo+1)
+		return
+	}
+	if top := s.lo + len(s.counts) - 1; hi > top {
+		s.counts = append(s.counts, make([]int64, hi-top)...)
+	}
+	if lo < s.lo {
+		grown := make([]int64, s.lo-lo+len(s.counts))
+		copy(grown[s.lo-lo:], s.counts)
+		s.lo, s.counts = lo, grown
+	}
 }
 
 // Merge folds other's buckets into s. Both sketches must share the same
@@ -74,8 +111,12 @@ func (s *QuantileSketch) Merge(other *QuantileSketch) {
 	if other.alpha != s.alpha {
 		panic(fmt.Sprintf("stats: merging sketches with alphas %v and %v", s.alpha, other.alpha))
 	}
-	for k, c := range other.counts {
-		s.counts[k] += c
+	if n := len(other.counts); n > 0 {
+		s.cover(other.lo, other.lo+n-1)
+		off := other.lo - s.lo
+		for i, c := range other.counts {
+			s.counts[off+i] += c
+		}
 	}
 	s.total += other.total
 	s.Invalid += other.Invalid
@@ -90,18 +131,13 @@ func (s *QuantileSketch) Quantile(q float64) (float64, bool) {
 	if s.total == 0 {
 		return 0, false
 	}
-	keys := make([]int, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	rank := int64(q * float64(s.total-1))
 	var cum int64
-	for _, k := range keys {
-		cum += s.counts[k]
+	for i, c := range s.counts {
+		cum += c
 		if cum > rank {
 			// Midpoint of bucket (γ^(k-1), γ^k]: relative error <= alpha.
-			return 2 * math.Pow(s.gamma, float64(k)) / (1 + s.gamma), true
+			return 2 * math.Pow(s.gamma, float64(s.lo+i)) / (1 + s.gamma), true
 		}
 	}
 	// Unreachable: cum reaches total > rank.
@@ -121,11 +157,9 @@ func (s *QuantileSketch) Deciles() ([9]float64, bool) {
 	return d, true
 }
 
-// Reset empties the sketch, keeping its accuracy.
+// Reset empties the sketch, keeping its accuracy and its bucket range.
 func (s *QuantileSketch) Reset() {
-	for k := range s.counts {
-		delete(s.counts, k)
-	}
+	clear(s.counts)
 	s.total = 0
 	s.Invalid = 0
 }

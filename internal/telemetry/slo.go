@@ -156,6 +156,16 @@ func (e *Engine) Objectives() []Objective {
 // Alerts returns every alert fired so far, in firing order.
 func (e *Engine) Alerts() []Alert { return e.alerts }
 
+// watches reports whether any objective is of the given kind.
+func (e *Engine) watches(kind Kind) bool {
+	for _, st := range e.states {
+		if st.o.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
+
 // Observe feeds one measurement to every objective of the matching kind
 // and returns the alerts this observation fired (usually none). ok is
 // the operation-level success flag; value is the kind's magnitude

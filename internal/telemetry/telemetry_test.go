@@ -10,8 +10,8 @@ import (
 	"harl/internal/sim"
 )
 
-func span(id, parent int64, track string, start, end sim.Duration, tags ...obs.Tag) obs.Span {
-	return obs.Span{
+func span(id, parent int64, track string, start, end sim.Duration, tags ...obs.Tag) *obs.Span {
+	return &obs.Span{
 		ID: obs.SpanID(id), Parent: obs.SpanID(parent), Track: track,
 		Name: "op", Start: sim.Time(start), End: sim.Time(end), Tags: tags,
 	}
