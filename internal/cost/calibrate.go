@@ -154,10 +154,3 @@ func Calibrate(hProf, sProf device.Profile, netCfg netsim.Config, m, n, reps int
 	}
 	return p, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

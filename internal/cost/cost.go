@@ -26,6 +26,8 @@
 // MultiParams all read. It computes exactly, in O(servers) per request,
 // what the paper derives with the case analysis of its Figures 4-5;
 // package layout keeps that closed form as the loop's test oracle.
+// Evaluator.Bound floors a request's cost over every offset from its
+// size alone, which lets the grid search reject a candidate unscored.
 package cost
 
 import (
@@ -129,30 +131,51 @@ func (p Params) RequestBreakdown(op device.Op, offset, size, h, s int64) Breakdo
 	}
 	var loads [2]layout.Load
 	geo.Distribute(offset, size, loads[:])
-	return p.breakdown(op, loads)
+	return p.breakdown(op, loads[0], loads[1], p.startup(op, 0, loads[0].Touched), p.startup(op, 1, loads[1].Touched))
 }
 
 // breakdown applies Eqs. (1)-(6) to the HServer and SServer loads of one
-// request. It is the single arithmetic path shared by RequestBreakdown
-// and Evaluator, so cached and uncached evaluations are bit-identical.
-func (p Params) breakdown(op device.Op, loads [2]layout.Load) Breakdown {
-	t := newRequestTerms(op, p.R).add(loads[0], p.AlphaHMin, p.AlphaHMax, p.BetaH)
+// request (hl and sl), given each tier's expected maximum startup
+// (startup of its touched count). It is the single arithmetic path
+// shared by RequestBreakdown, Evaluator and Bound, so cached and uncached
+// evaluations are bit-identical. The receiver is a pointer and the
+// tiers are separate arguments, not arrays, so that a call copies no
+// Params and passes the loads in registers (Bound makes eight calls).
+func (p *Params) breakdown(op device.Op, hl, sl layout.Load, hStartup, sStartup float64) Breakdown {
+	t := newRequestTerms(op, p.R).add(hl, hStartup, p.BetaH)
 	if op == device.Read {
-		t = t.add(loads[1], p.AlphaSRMin, p.AlphaSRMax, p.BetaSR)
+		t = t.add(sl, sStartup, p.BetaSR)
 	} else {
-		t = t.add(loads[1], p.AlphaSWMin, p.AlphaSWMax, p.BetaSW)
+		t = t.add(sl, sStartup, p.BetaSW)
 	}
 	return t.breakdown(p.NetUnit)
 }
 
+// startup is Eqs. (2)-(4) for one tier (0 for HServers, 1 for SServers)
+// under op: the expected maximum startup draw when m of its servers are
+// touched, across every store of each touched slot's replica chain. It
+// depends on nothing but its arguments, so an Evaluator may tabulate it
+// per touched count.
+func (p *Params) startup(op device.Op, tier, m int) float64 {
+	lo, hi := p.AlphaHMin, p.AlphaHMax
+	switch {
+	case tier == 0:
+	case op == device.Read:
+		lo, hi = p.AlphaSRMin, p.AlphaSRMax
+	default:
+		lo, hi = p.AlphaSWMin, p.AlphaSWMax
+	}
+	return expectedMaxUniform(lo, hi, m*newRequestTerms(op, p.R).chain)
+}
+
 // requestTerms is Eqs. (1)-(6) over any number of tiers, folded one tier
-// at a time: add takes a tier's load and its parameters for the
-// operation, and breakdown closes the network term. Each term is the
-// maximum across tiers. Every term is non-negative, so running maxima
-// that start at 0 equal the paper's max over the tiers; and float
-// rounding is monotone, so max(sub-request) × t equals the max of the
-// per-tier products. It is a value of at most four words, so the fold
-// stays in registers.
+// at a time: add takes a tier's load, its expected maximum startup and
+// its unit transfer time for the operation, and breakdown closes the
+// network term. Each term is the maximum across tiers. Every term is
+// non-negative, so running maxima that start at 0 equal the paper's max
+// over the tiers; and float rounding is monotone, so max(sub-request) × t
+// equals the max of the per-tier products. It is a value of at most four
+// words, so the fold stays in registers.
 //
 // A write replicated r > 1 ways forwards each primary's sub-request
 // serially down its chain over the primary's uplink (r-1 extra hops of
@@ -171,12 +194,13 @@ func newRequestTerms(op device.Op, r int) requestTerms {
 	return requestTerms{chain: 1}
 }
 
-// add folds in one tier: its load, its startup range [alphaMin,
-// alphaMax] and its unit transfer time beta.
-func (t requestTerms) add(l layout.Load, alphaMin, alphaMax, beta float64) requestTerms {
+// add folds in one tier: its load, the expected maximum startup of its
+// l.Touched·chain touched stores (Eqs. (2)-(4)) and its unit transfer
+// time beta.
+func (t requestTerms) add(l layout.Load, startup, beta float64) requestTerms {
 	t.maxSub = max(t.maxSub, l.Max)
-	// Eqs. (2)-(5): expected maximum startup across touched servers.
-	t.startup = max(t.startup, expectedMaxUniform(alphaMin, alphaMax, l.Touched*t.chain))
+	// Eq. (5): the slower tier's startup.
+	t.startup = max(t.startup, startup)
 	// Eq. (6): storage transfer of the tier's largest sub-request.
 	t.transfer = max(t.transfer, float64(l.Max)*beta)
 	return t

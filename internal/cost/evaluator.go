@@ -18,13 +18,18 @@ import (
 // arithmetic is shared with RequestBreakdown, so evaluator results are
 // bit-identical to the uncached path.
 //
+// It also tabulates each tier's expected maximum startup (Eqs. (2)-(4))
+// per operation and touched count once, so no evaluation divides for
+// it; the table holds Params.startup's own values, bit for bit.
+//
 // An Evaluator is not safe for concurrent use; parallel searches give
 // each worker its own and Reset it between candidates.
 type Evaluator struct {
-	p     Params
-	tiers layout.Tiered // the M HServers and N SServers; Stripes holds (h, s)
-	geo   layout.Geometry
-	cache map[requestShape][2]layout.Load
+	p       Params
+	tiers   layout.Tiered // the M HServers and N SServers; Stripes holds (h, s)
+	geo     layout.Geometry
+	cache   map[requestShape][2]layout.Load
+	startup [2][2][]float64 // [read, write][tier][touched]: p.startup
 }
 
 // requestShape is a memo key: a request's offset in the round and its size.
@@ -38,6 +43,14 @@ func (p Params) NewEvaluator(h, s int64) (*Evaluator, error) {
 	e := &Evaluator{p: p, tiers: layout.TieredOf(layout.Striping{M: p.M, N: p.N}), cache: make(map[requestShape][2]layout.Load)}
 	if err := e.Reset(h, s); err != nil {
 		return nil, err
+	}
+	for o, op := range []device.Op{device.Read, device.Write} {
+		for tier, count := range []int{p.M, p.N} {
+			e.startup[o][tier] = make([]float64, count+1)
+			for m := range e.startup[o][tier] {
+				e.startup[o][tier][m] = p.startup(op, tier, m)
+			}
+		}
 	}
 	return e, nil
 }
@@ -78,7 +91,7 @@ func (e *Evaluator) RequestCostDirect(op device.Op, offset, size int64) float64 
 	}
 	var loads [2]layout.Load
 	e.geo.Distribute(offset, size, loads[:])
-	return e.p.breakdown(op, loads).Total()
+	return e.breakdown(op, loads[0], loads[1]).Total()
 }
 
 // RequestBreakdown is RequestCost with the three terms itemized.
@@ -92,5 +105,14 @@ func (e *Evaluator) RequestBreakdown(op device.Op, offset, size int64) Breakdown
 		e.geo.Distribute(shape.off, size, loads[:])
 		e.cache[shape] = loads
 	}
-	return e.p.breakdown(op, loads)
+	return e.breakdown(op, loads[0], loads[1])
+}
+
+// breakdown is Params.breakdown with each tier's startup looked up.
+func (e *Evaluator) breakdown(op device.Op, hl, sl layout.Load) Breakdown {
+	st := &e.startup[0]
+	if op != device.Read {
+		st = &e.startup[1]
+	}
+	return e.p.breakdown(op, hl, sl, st[0][hl.Touched], st[1][sl.Touched])
 }

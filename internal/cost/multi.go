@@ -118,10 +118,11 @@ func (p MultiParams) RequestBreakdown(op device.Op, offset, size int64, stripes 
 	geo.Distribute(offset, size, loads)
 	t := newRequestTerms(op, 1)
 	for i, tier := range p.Tiers {
+		m := loads[i].Touched * t.chain
 		if op == device.Read {
-			t = t.add(loads[i], tier.ReadAlphaMin, tier.ReadAlphaMax, tier.ReadBeta)
+			t = t.add(loads[i], expectedMaxUniform(tier.ReadAlphaMin, tier.ReadAlphaMax, m), tier.ReadBeta)
 		} else {
-			t = t.add(loads[i], tier.WriteAlphaMin, tier.WriteAlphaMax, tier.WriteBeta)
+			t = t.add(loads[i], expectedMaxUniform(tier.WriteAlphaMin, tier.WriteAlphaMax, m), tier.WriteBeta)
 		}
 	}
 	return t.breakdown(p.NetUnit)

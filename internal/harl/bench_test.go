@@ -1,10 +1,12 @@
 package harl
 
 import (
+	"math/rand"
 	"testing"
 
 	"harl/internal/cost"
 	"harl/internal/device"
+	"harl/internal/trace"
 )
 
 // BenchmarkAlgorithm2 measures the exhaustive stripe-pair search for a
@@ -68,7 +70,10 @@ func BenchmarkOptimizeRegion(b *testing.B) {
 }
 
 // BenchmarkAnalyze measures the whole Analysis Phase on a multi-region
-// four-phase trace (the acceptance workload for the parallel planner).
+// four-phase trace (the acceptance workload for the parallel planner)
+// across the ablation ladder, on a coarse 16 KB grid with 32 sampled
+// requests per region. The default-params cases run the planner as
+// shipped (4 KB grid, 128 sampled requests) on fourRegionTrace.
 func BenchmarkAnalyze(b *testing.B) {
 	tr := uniformTrace(0, 1, device.Read, 0)
 	tr.Records = tr.Records[:0]
@@ -98,6 +103,40 @@ func BenchmarkAnalyze(b *testing.B) {
 			}
 		})
 	}
+	four := fourRegionTrace()
+	for _, par := range []struct {
+		name string
+		n    int
+	}{{"default-params/serial", 1}, {"default-params/parallel", 0}} {
+		b.Run(par.name, func(b *testing.B) {
+			pl := Planner{Params: modelParams(), Step: DefaultStep, MaxRequests: DefaultMaxRequests, Parallelism: par.n}
+			for i := 0; i < b.N; i++ {
+				if _, err := pl.Analyze(four); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// fourRegionTrace is the IOR four-region workload's shape at a small
+// scale: consecutive regions of 64 KB, 256 KB, 512 KB and 2 MB requests
+// at random request-aligned offsets, each request written and then read
+// back.
+func fourRegionTrace() *trace.Trace {
+	const n = 256 // requests per region
+	rng := rand.New(rand.NewSource(5))
+	tr := &trace.Trace{}
+	var base int64
+	for _, size := range []int64{64 << 10, 256 << 10, 512 << 10, 2 << 20} {
+		for i := 0; i < n; i++ {
+			off := base + rng.Int63n(n)*size
+			tr.Records = append(tr.Records, record(device.Write, off, size), record(device.Read, off, size))
+		}
+		base += n * size
+	}
+	tr.SortByOffset()
+	return tr
 }
 
 // BenchmarkRequestCost measures one cost-model evaluation, the inner

@@ -12,7 +12,7 @@ import (
 // sampled requests with their evaluation-cache indexing precomputed, a
 // reusable cost.Evaluator (striping validated and round geometry derived
 // once per candidate instead of once per request), and the running best
-// candidate, against which the lower-bound early exit prunes.
+// candidate, against which the lower-bound early exits prune.
 //
 // The cost-evaluation cache is index-based rather than hash-based: two
 // sampled requests with the same (op, region-local offset, size) have
@@ -21,6 +21,11 @@ import (
 // evaluation per distinct shape per candidate. The inner loop therefore
 // pays no hashing at all; repetitive traces (BTIO's snapshot pattern,
 // strided collectives) collapse to their distinct request shapes.
+//
+// The shape bound works per (op, size) group instead: cost.Evaluator's
+// Bound floors every offset of a group at once, so one call per group
+// per candidate floors the whole sample, and the least group floor times
+// the number of requests still to score floors the rest of a sum.
 type searchWorker struct {
 	opt      Optimizer
 	eval     *cost.Evaluator
@@ -31,6 +36,12 @@ type searchWorker struct {
 	best     StripePair
 	bestCost float64
 
+	groups   []sampleShape // the sample's distinct (op, size) groups, off zeroed
+	counts   []float64     // samples per group
+	minFloor float64       // least group floor of the pinned candidate
+	slack    float64       // relative slack of the bound exits (see consider)
+	limit    float64       // bestCost·(1+slack)
+
 	// work holds the search profile counters (profile.go); maintaining
 	// them costs a few integer increments per candidate, negligible next
 	// to the model math.
@@ -38,23 +49,28 @@ type searchWorker struct {
 }
 
 // sampleShape is the dedup key: requests matching in all three fields
-// cost the same under any (h, s).
+// cost the same under any (h, s). With off zeroed it is the key of the
+// bound's (op, size) groups.
 type sampleShape struct {
 	op        device.Op
 	off, size int64
 }
 
 func (o Optimizer) newSearchWorker(sample []trace.Record, base int64) *searchWorker {
+	n := len(sample)
 	w := &searchWorker{
 		opt:      o,
 		sample:   sample,
-		local:    make([]int64, len(sample)),
-		shape:    make([]int, len(sample)),
-		costs:    make([]float64, len(sample)),
+		local:    make([]int64, n),
+		shape:    make([]int, n),
+		costs:    make([]float64, n),
 		best:     StripePair{H: 0, S: o.step()},
 		bestCost: math.Inf(1),
+		limit:    math.Inf(1),
+		slack:    float64(4*(n+1)) * 0x1p-53,
 	}
-	seen := make(map[sampleShape]int, len(sample))
+	seen := make(map[sampleShape]int, n)
+	groups := make(map[sampleShape]int)
 	for i, r := range sample {
 		local := r.Offset - base
 		if local < 0 {
@@ -67,6 +83,14 @@ func (o Optimizer) newSearchWorker(sample []trace.Record, base int64) *searchWor
 		} else {
 			seen[key] = i
 			w.shape[i] = i
+		}
+		key.off = 0
+		if g, ok := groups[key]; ok {
+			w.counts[g]++
+		} else {
+			groups[key] = len(w.groups)
+			w.groups = append(w.groups, key)
+			w.counts = append(w.counts, 1)
 		}
 	}
 	return w
@@ -84,14 +108,30 @@ func (w *searchWorker) scan(col gridColumn) {
 
 // consider scores candidate p against the worker's running best.
 //
-// Per-request costs are non-negative, so the partial sum is an admissible
-// lower bound on the candidate's total cost: once it strictly exceeds the
-// running best the candidate cannot win under any tie-break and the rest
-// of the sum is skipped. Exact ties complete their sum and lose or win by
-// the lexicographic (h, s) tie-break, so the search result is independent
-// of the order candidates are visited in — which lets scan order be
-// chosen purely for pruning power. Pruning never changes the search
-// result, only its cost.
+// Two lower bounds prune it. Per-request costs are non-negative, so the
+// partial sum is a lower bound on the candidate's total: once it
+// strictly exceeds the running best the candidate cannot win under any
+// tie-break and the rest of the sum is skipped. The shape bound (floor)
+// is sharper: before any request is scored, the floors of the sample's
+// (op, size) groups add up to a lower bound on the whole sum, and while
+// scoring, so does the partial sum plus the least group floor for each
+// request still to come. Exact ties complete their sum and lose or win by
+// the lexicographic (h, s) tie-break, so the search result is
+// independent of the order candidates are visited in — which lets scan
+// order be chosen purely for pruning power. Pruning never changes the
+// search result, only its cost.
+//
+// The floors are summed in a different order from the costs, so the
+// shape-bound exits compare against limit = bestCost·(1+slack) rather
+// than bestCost. With u = 2⁻⁵³ and n samples, each floor sum (the group
+// sum, or minFloor times the requests still to score) is at most (1+u)ⁿ
+// times an exact sum of floors, which is at most the exact sum of the
+// costs it stands for. The sample-order cost sum is at least (1−u)ⁿ
+// times its exact value from any partial sum on. slack = 4(n+1)·u
+// covers both factors plus the rounding of the exit's own addition and
+// of limit, so a floor sum above limit proves the candidate's computed
+// total strictly above bestCost: the shape bound never prunes an exact
+// or near tie.
 //
 // Aborting mid-sum leaves costs[] entries beyond the abort point stale,
 // which is safe: a later index only ever reads costs[shape[i]] with
@@ -99,7 +139,9 @@ func (w *searchWorker) scan(col gridColumn) {
 // any duplicate reads it within the same candidate.
 func (w *searchWorker) consider(p StripePair) {
 	w.work.Candidates++
-	if !w.opt.noCache {
+	// Pruning needs a finite best to beat.
+	prune := !w.opt.noPrune && !math.IsInf(w.bestCost, 1)
+	if !w.opt.noCache || prune {
 		if w.eval == nil {
 			e, err := w.opt.Params.NewEvaluator(p.H, p.S)
 			if err != nil {
@@ -110,9 +152,10 @@ func (w *searchWorker) consider(p StripePair) {
 			panic(err)
 		}
 	}
-	bound := w.bestCost
-	if w.opt.noPrune {
-		bound = math.Inf(1)
+	if prune && w.floor() > w.limit {
+		w.work.Bounded++
+		w.work.Pruned++
+		return
 	}
 	var total float64
 	for i, r := range w.sample {
@@ -130,7 +173,7 @@ func (w *searchWorker) consider(p StripePair) {
 			w.costs[i] = c
 		}
 		total += c
-		if total > bound {
+		if prune && (total > w.bestCost || total+float64(len(w.sample)-i-1)*w.minFloor > w.limit) {
 			w.work.Pruned++
 			return
 		}
@@ -138,7 +181,25 @@ func (w *searchWorker) consider(p StripePair) {
 	w.work.Scored++
 	if better(total, p, w.bestCost, w.best) {
 		w.best, w.bestCost = p, total
+		w.limit = total * (1 + w.slack)
 	}
+}
+
+// floor returns the pinned candidate's shape bound on the whole sample,
+// the summed floors of its (op, size) groups, and records the least
+// group floor for the scoring loop. It stops early, returning a partial
+// sum, once the sum passes limit: the candidate is rejected either way.
+func (w *searchWorker) floor() float64 {
+	var sum float64
+	w.minFloor = math.Inf(1)
+	for g, k := range w.groups {
+		f := w.eval.Bound(k.op, k.size)
+		if sum += w.counts[g] * f; sum > w.limit {
+			break
+		}
+		w.minFloor = min(w.minFloor, f)
+	}
+	return sum
 }
 
 // pairLess orders candidates lexicographically by (H, S) — the tie-break

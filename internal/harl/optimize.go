@@ -43,13 +43,23 @@
 //     running best. Candidates are visited in a pruning-friendly order
 //     (large s first within each h column) so a strong bound appears
 //     early.
+//   - Shape bound: cost.Evaluator.Bound floors a request's cost over
+//     every offset from its (op, size) alone. Each worker groups its
+//     sample by (op, size) once per region; a candidate whose summed
+//     group floors exceed the running best is rejected before any
+//     request is scored, and while scoring, the partial sum plus the
+//     least group floor per remaining request prunes earlier than the
+//     partial sum alone. Both tests carry a relative slack that covers
+//     the float rounding of the two differently ordered sums, so they
+//     never prune a tie. On the IOR four-region workload this cuts
+//     model evaluations from 7.3M to under 0.2M.
 //
 // Determinism guarantee: the search result is bit-identical at every
 // Parallelism setting. Candidate costs are summed in the same per-request
 // order everywhere, cached and uncached evaluations share one arithmetic
 // path, ties are broken toward the lexicographically smallest (h, s)
-// rather than arrival order, and pruning only discards candidates that
-// are already ≥ the running best (exact ties lose the tie-break anyway).
+// rather than arrival order, and pruning only discards candidates whose
+// computed total provably exceeds the running best.
 package harl
 
 import (
@@ -107,9 +117,9 @@ type Optimizer struct {
 	Parallelism int
 
 	// noCache and noPrune disable the evaluation cache and the
-	// lower-bound early exit. They exist only so benchmarks and tests
-	// can measure/verify each layer; both paths return identical
-	// results.
+	// lower-bound early exits (partial sum and shape bound). They exist
+	// only so benchmarks and tests can measure/verify each layer; both
+	// paths return identical results.
 	noCache bool
 	noPrune bool
 }

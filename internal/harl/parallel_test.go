@@ -11,8 +11,10 @@ import (
 )
 
 // searchTraces is the trace zoo the determinism tests sweep: uniform
-// reads/writes (IOR-like), a mixed-size region, and a tiny-average
-// degenerate region.
+// reads/writes (IOR-like), a mixed-size region, a tiny-average
+// degenerate region, a 2 MB write-then-read region (the shape where the
+// shape bound rejects most candidates unscored), and a region mixing
+// four (op, size) groups.
 func searchTraces() map[string][]trace.Record {
 	mixed := uniformTrace(40, 256<<10, device.Read, 30).Records
 	mixed = append(mixed, uniformTrace(40, 1<<20, device.Write, 31).Records...)
@@ -20,11 +22,23 @@ func searchTraces() map[string][]trace.Record {
 		{Op: device.Read, Offset: 0, Size: 512, End: 1},
 		{Op: device.Write, Offset: 512, Size: 1024, End: 1},
 	}
+	var rw []trace.Record
+	for _, r := range uniformTrace(6, 2<<20, device.Write, 32).Records {
+		read := r
+		read.Op = device.Read
+		rw = append(rw, r, read)
+	}
+	groups := uniformTrace(20, 128<<10, device.Read, 33).Records
+	groups = append(groups, uniformTrace(20, 128<<10, device.Write, 34).Records...)
+	groups = append(groups, uniformTrace(10, 384<<10, device.Read, 35).Records...)
+	groups = append(groups, uniformTrace(6, 640<<10, device.Write, 36).Records...)
 	return map[string][]trace.Record{
 		"uniform-read":  uniformTrace(96, 512<<10, device.Read, 27).Records,
 		"uniform-write": uniformTrace(96, 512<<10, device.Write, 28).Records,
 		"mixed":         mixed,
 		"tiny":          tiny,
+		"2mb-rw":        rw,
+		"four-groups":   groups,
 	}
 }
 
@@ -45,6 +59,8 @@ func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 	hOnly.N = 0
 	sOnly := modelParams()
 	sOnly.M = 0
+	r2 := modelParams()
+	r2.R = 2
 
 	for name, recs := range searchTraces() {
 		for _, params := range []struct {
@@ -54,6 +70,7 @@ func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 			{"hybrid", Optimizer{Params: modelParams()}},
 			{"h-only", Optimizer{Params: hOnly}},
 			{"s-only", Optimizer{Params: sOnly}},
+			{"hybrid-r2", Optimizer{Params: r2}},
 		} {
 			base := params.opt
 			base.Parallelism = 1

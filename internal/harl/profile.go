@@ -28,7 +28,8 @@ type RegionSearch struct {
 
 	Candidates int64 // grid candidates considered
 	Scored     int64 // candidates whose cost sum ran to completion
-	Pruned     int64 // candidates abandoned by the lower-bound early exit
+	Pruned     int64 // candidates abandoned by a lower-bound early exit
+	Bounded    int64 // of Pruned, those rejected by the shape bound before any evaluation
 	CacheHits  int64 // per-request costs served from the shape cache
 	Evals      int64 // per-request costs computed by the model
 
@@ -68,6 +69,7 @@ func (rs *RegionSearch) addWork(o RegionSearch) {
 	rs.Candidates += o.Candidates
 	rs.Scored += o.Scored
 	rs.Pruned += o.Pruned
+	rs.Bounded += o.Bounded
 	rs.CacheHits += o.CacheHits
 	rs.Evals += o.Evals
 }
@@ -102,8 +104,8 @@ func (p *SearchProfile) WriteTo(w io.Writer) (int64, error) {
 		len(p.Regions), time.Duration(p.WallNS), p.ShardBalance()); err != nil {
 		return n, err
 	}
-	if err := printf("search: %d candidates (%d scored, %d pruned), %d evals, %d cache hits\n",
-		t.Candidates, t.Scored, t.Pruned, t.Evals, t.CacheHits); err != nil {
+	if err := printf("search: %d candidates (%d scored, %d pruned, %d of them unscored), %d evals, %d cache hits\n",
+		t.Candidates, t.Scored, t.Pruned, t.Bounded, t.Evals, t.CacheHits); err != nil {
 		return n, err
 	}
 	for _, r := range p.Regions {

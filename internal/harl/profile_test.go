@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"harl/internal/device"
+	"harl/internal/trace"
 )
 
 // The grid search's profile agrees with OptimizeRegion's result, adds up,
@@ -19,9 +20,7 @@ func TestOptimizeRegionProfiled(t *testing.T) {
 	if rs.Requests != 64 || rs.Sampled != 64 {
 		t.Fatalf("request accounting: %+v", rs)
 	}
-	if rs.Candidates == 0 || rs.Scored+rs.Pruned != rs.Candidates {
-		t.Fatalf("candidate accounting doesn't add up: %+v", rs)
-	}
+	checkAccounting(t, rs)
 	if rs.Pruned == 0 {
 		t.Fatalf("lower-bound pruning never fired on a %d-candidate grid", rs.Candidates)
 	}
@@ -37,6 +36,36 @@ func TestOptimizeRegionProfiled(t *testing.T) {
 	rs2.WallNS = rs.WallNS
 	if rs2 != rs {
 		t.Fatalf("serial profile not reproducible:\n%+v\n%+v", rs, rs2)
+	}
+}
+
+// checkAccounting fails t unless the profile's candidate counts add up:
+// every candidate is scored or pruned, and the shape bound's rejections
+// are among the pruned.
+func checkAccounting(t *testing.T, rs RegionSearch) {
+	t.Helper()
+	if rs.Candidates == 0 || rs.Scored+rs.Pruned != rs.Candidates || rs.Bounded > rs.Pruned {
+		t.Fatalf("candidate accounting doesn't add up: %+v", rs)
+	}
+}
+
+// On a 2 MB write-then-read region the shape bound rejects most
+// candidates before any request is scored; with pruning off it never
+// does, and the plan is the same.
+func TestShapeBoundRejectsUnscored(t *testing.T) {
+	recs := searchTraces()["2mb-rw"]
+	(&trace.Trace{Records: recs}).SortByOffset()
+	opt := Optimizer{Params: modelParams(), Parallelism: 1}
+	rs := opt.optimize(recs, 0, avgSize(recs))
+	checkAccounting(t, rs)
+	if 2*rs.Bounded < rs.Candidates {
+		t.Fatalf("shape bound rejected %d of %d candidates unscored, want at least half", rs.Bounded, rs.Candidates)
+	}
+	opt.noPrune = true
+	all := opt.optimize(recs, 0, avgSize(recs))
+	checkAccounting(t, all)
+	if all.Pruned != 0 || all.Best != rs.Best || all.Cost != rs.Cost {
+		t.Fatalf("unpruned search: %+v, pruned: %+v", all, rs)
 	}
 }
 
@@ -77,9 +106,10 @@ func TestPlannerProfile(t *testing.T) {
 		t.Fatalf("workers ran %d regions, want %d", regionsRun, len(got.Regions))
 	}
 	for i, rs := range prof.Regions {
-		if rs.Region != i || rs.Candidates == 0 {
+		if rs.Region != i {
 			t.Fatalf("region %d profile malformed: %+v", i, rs)
 		}
+		checkAccounting(t, rs)
 		if rs.Best != got.Regions[i].Stripes {
 			t.Fatalf("region %d profile best %v != plan %v", i, rs.Best, got.Regions[i].Stripes)
 		}

@@ -13,10 +13,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -87,17 +88,40 @@ func (t *Trace) Len() int { return len(t.Records) }
 // requests keep capture order) — the order the region-division algorithm
 // requires.
 func (t *Trace) SortByOffset() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].Offset < t.Records[j].Offset
-	})
+	t.sortBy(func(r Record) int64 { return r.Offset })
 }
 
 // SortByStart sorts records by their begin timestamp (capture order for
-// merged multi-process traces).
+// merged multi-process traces), stably.
 func (t *Trace) SortByStart() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].Start < t.Records[j].Start
+	t.sortBy(func(r Record) int64 { return int64(r.Start) })
+}
+
+// sortBy stably sorts the records by ascending key, in place. It sorts
+// (key, index) pairs, whose distinct indices make the order total and
+// therefore stable, then gathers the records in that order: moving
+// 16-byte pairs costs far less than swapping whole records through a
+// reflection-based swapper.
+func (t *Trace) sortBy(key func(Record) int64) {
+	type keyed struct {
+		key int64
+		idx int
+	}
+	ks := make([]keyed, len(t.Records))
+	for i, r := range t.Records {
+		ks[i] = keyed{key(r), i}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
 	})
+	sorted := make([]Record, len(t.Records))
+	for i, k := range ks {
+		sorted[i] = t.Records[k.idx]
+	}
+	copy(t.Records, sorted)
 }
 
 // Filter returns a new trace containing the records keep accepts.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -79,6 +80,51 @@ func TestSortByStart(t *testing.T) {
 	tr.SortByStart()
 	if tr.Records[0].Start != 10 || tr.Records[2].Start != 30 {
 		t.Fatalf("order = %+v", tr.Records)
+	}
+}
+
+// TestSortMatchesStableOracle checks both sorts against sort.SliceStable
+// on traces crowded with equal keys: the order must be identical, ties
+// in capture order.
+func TestSortMatchesStableOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 2, 17, 1000, 5000} {
+		for _, keys := range []int64{1, 3, 64} {
+			recs := make([]Record, n)
+			for i := range recs {
+				recs[i] = Record{Rank: i, Offset: rng.Int63n(keys) * 4096, Size: 4096, Start: sim.Time(rng.Int63n(keys))}
+			}
+			for _, c := range []struct {
+				name string
+				sort func(*Trace)
+				less func(a, b Record) bool
+			}{
+				{"offset", (*Trace).SortByOffset, func(a, b Record) bool { return a.Offset < b.Offset }},
+				{"start", (*Trace).SortByStart, func(a, b Record) bool { return a.Start < b.Start }},
+			} {
+				want := append([]Record(nil), recs...)
+				sort.SliceStable(want, func(i, j int) bool { return c.less(want[i], want[j]) })
+				got := &Trace{Records: append([]Record(nil), recs...)}
+				c.sort(got)
+				if !reflect.DeepEqual(got.Records, want) {
+					t.Fatalf("%s sort, n=%d keys=%d: order differs from sort.SliceStable", c.name, n, keys)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkSortByOffset(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]Record, 65536)
+	for i := range recs {
+		recs[i] = rec(device.Read, rng.Int63n(1<<20)*4096, 4096)
+	}
+	tr := &Trace{Records: make([]Record, len(recs))}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(tr.Records, recs)
+		tr.SortByOffset()
 	}
 }
 
