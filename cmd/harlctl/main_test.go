@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -115,6 +116,30 @@ func TestOptimizeTiersShowRoundTrip(t *testing.T) {
 	}
 	if rows := len(lines) - 2; rows != len(trst.Entries) || rows == 0 {
 		t.Errorf("show printed %d rows for %d entries:\n%s", rows, len(trst.Entries), out)
+	}
+}
+
+// optimize -tiers -profile prints the search profile, with the best
+// stripes per tier, and -parallel changes nothing in the written table.
+func TestOptimizeTiersProfile(t *testing.T) {
+	dir := t.TempDir()
+	var tables [2][]byte
+	for i, par := range []string{"1", "4"} {
+		rst := filepath.Join(dir, "tiny"+par+".trst")
+		out, err := capture(t, "optimize", "-tiers", "-profile", "-parallel", par,
+			"-trace", "testdata/tiny.trace", "-out", rst, "-probes", "50")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "analysis: 1 regions") || !regexp.MustCompile(`best \d+K-\d+K-\d+K `).MatchString(out) {
+			t.Errorf("optimize -tiers -profile -parallel %s printed no tiered profile:\n%s", par, out)
+		}
+		if tables[i], err = os.ReadFile(rst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(tables[0], tables[1]) {
+		t.Errorf("-parallel changed the tiered RST:\n%s\n%s", tables[0], tables[1])
 	}
 }
 

@@ -14,6 +14,7 @@ package baselines
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"harl/internal/cost"
@@ -45,7 +46,7 @@ func (pl CARLPlanner) Analyze(tr *trace.Trace) (*harl.Plan, error) {
 	if err := pl.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if pl.Params.M == 0 || pl.Params.N == 0 {
+	if tiers := pl.Params.Tiers; len(tiers) != 2 || tiers[0].Count == 0 || tiers[1].Count == 0 {
 		return nil, fmt.Errorf("baselines: CARL needs both server classes")
 	}
 	regions, threshold, groups, err := harl.DivideTrace(tr, pl.ChunkSize, 0)
@@ -119,15 +120,18 @@ func (pl CARLPlanner) Analyze(tr *trace.Trace) (*harl.Plan, error) {
 }
 
 // hdOnlyParams restricts the model to the HServer class (N = 0), so
-// Algorithm 2 searches h alone.
+// Algorithm 2 searches h alone. It empties a copy of the tiers: p shares
+// them with the caller.
 func hdOnlyParams(p cost.Params) cost.Params {
-	p.N = 0
+	p.Tiers = slices.Clone(p.Tiers)
+	p.Tiers[1].Count = 0
 	return p
 }
 
 // ssdOnlyParams restricts the model to the SServer class (M = 0).
 func ssdOnlyParams(p cost.Params) cost.Params {
-	p.M = 0
+	p.Tiers = slices.Clone(p.Tiers)
+	p.Tiers[0].Count = 0
 	return p
 }
 

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"harl/internal/cost"
@@ -13,11 +14,15 @@ import (
 // modelParams mirrors the calibrated default system: 6H + 2S.
 func modelParams() cost.Params {
 	return cost.Params{
-		M: 6, N: 2,
-		NetUnit:   1.0 / (117 << 20),
-		AlphaHMin: 3e-4, AlphaHMax: 7e-4, BetaH: 1.0 / (20 << 20),
-		AlphaSRMin: 2e-4, AlphaSRMax: 4e-4, BetaSR: 1.0 / (200 << 20),
-		AlphaSWMin: 2e-4, AlphaSWMax: 4e-4, BetaSW: 1.0 / (180 << 20),
+		NetUnit: 1.0 / (117 << 20),
+		Tiers: []cost.TierParams{
+			{Name: "hserver", Count: 6,
+				Read:  cost.DeviceFit{AlphaMin: 3e-4, AlphaMax: 7e-4, Beta: 1.0 / (20 << 20)},
+				Write: cost.DeviceFit{AlphaMin: 3e-4, AlphaMax: 7e-4, Beta: 1.0 / (20 << 20)}},
+			{Name: "sserver", Count: 2,
+				Read:  cost.DeviceFit{AlphaMin: 2e-4, AlphaMax: 4e-4, Beta: 1.0 / (200 << 20)},
+				Write: cost.DeviceFit{AlphaMin: 2e-4, AlphaMax: 4e-4, Beta: 1.0 / (180 << 20)}},
+		},
 	}
 }
 
@@ -121,7 +126,7 @@ func TestCARLErrors(t *testing.T) {
 		t.Fatal("zero params accepted")
 	}
 	p := modelParams()
-	p.N = 0
+	p.Tiers[1].Count = 0
 	if _, err := (CARLPlanner{Params: p}).Analyze(phasedTrace()); err == nil {
 		t.Fatal("homogeneous system accepted")
 	}
@@ -130,6 +135,18 @@ func TestCARLErrors(t *testing.T) {
 	}
 	if _, err := (CARLPlanner{Params: modelParams()}).Analyze(nil); err == nil {
 		t.Fatal("nil trace accepted")
+	}
+}
+
+// CARL plans each class alone on a restricted copy of the parameters;
+// the caller's Params, whose tiers the copy would share, stay unchanged.
+func TestCARLLeavesParamsUnchanged(t *testing.T) {
+	p := modelParams()
+	if _, err := (CARLPlanner{Params: p, ChunkSize: 1 << 20, MaxRequests: 32}).Analyze(phasedTrace()); err != nil {
+		t.Fatal(err)
+	}
+	if want := modelParams(); !reflect.DeepEqual(p, want) {
+		t.Fatalf("Analyze changed the caller's params:\n got %+v\nwant %+v", p, want)
 	}
 }
 

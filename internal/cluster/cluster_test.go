@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"harl/internal/device"
@@ -61,10 +62,10 @@ func TestCalibrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.M != 6 || p.N != 2 {
+	if len(p.Tiers) != 2 || p.Tiers[0].Count != 6 || p.Tiers[1].Count != 2 {
 		t.Fatalf("params = %+v", p)
 	}
-	if p.AlphaHMax <= p.AlphaSRMax {
+	if p.Tiers[0].Read.AlphaMax <= p.Tiers[1].Read.AlphaMax {
 		t.Fatal("calibration lost the HServer/SServer gap")
 	}
 	// Default probe count path.
@@ -123,7 +124,7 @@ func TestDeterministicBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pa != pb {
+	if !reflect.DeepEqual(pa, pb) {
 		t.Fatal("identical configs calibrated differently")
 	}
 }

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"harl/internal/device"
@@ -13,52 +14,86 @@ import (
 // every server carries exactly q stripes wherever the request starts, so
 // the bound must then equal the cost.
 func checkBound(t testing.TB, e *Evaluator, op device.Op, size int64) {
-	h, s := e.Pair()
-	round := int64(e.p.M)*h + int64(e.p.N)*s
+	round := e.geo.Round()
 	b := e.Bound(op, size)
 	for off := int64(0); off < round; off++ {
-		c := e.RequestCostDirect(op, off, size)
+		c := e.RequestCost(op, off, size)
 		if b > c || size%round == 0 && b != c {
-			t.Fatalf("M=%d N=%d R=%d pair (%d,%d) op %v size %d off %d: bound %v, cost %v",
-				e.p.M, e.p.N, e.p.R, h, s, op, size, off, b, c)
+			t.Fatalf("counts %v R=%d stripes %v op %v size %d off %d: bound %v, cost %v",
+				e.p.Counts(), e.p.R, e.Stripes(), op, size, off, b, c)
 		}
 	}
 }
 
+// boundGrid checks Bound on every offset of every candidate of p whose
+// stripes all lie in [0, maxStripe], for every size up to rounds rounds
+// and two bytes and both operations. It returns the checks made.
+func boundGrid(t *testing.T, p Params, maxStripe, rounds int64) int {
+	checks := 0
+	stripes := make([]int64, len(p.Tiers))
+	var walk func(tier int)
+	walk = func(tier int) {
+		if tier < len(stripes) {
+			for x := int64(0); x <= maxStripe; x++ {
+				stripes[tier] = x
+				walk(tier + 1)
+			}
+			return
+		}
+		e, err := p.NewEvaluator(stripes...)
+		if err != nil {
+			return // stores no data
+		}
+		round := e.geo.Round()
+		for size := int64(1); size <= rounds*round+2; size++ {
+			for _, op := range []device.Op{device.Read, device.Write} {
+				checkBound(t, e, op, size)
+				checks += int(round)
+			}
+		}
+	}
+	walk(0)
+	return checks
+}
+
 // TestBoundExhaustive checks Bound against every offset on every small
-// geometry: up to three servers per tier (none included), stripes 0..5,
-// every size up to three rounds and two bytes, both operations and
-// replication factors 0..2.
+// geometry, with replication factors 0..2:
+//   - two tiers: up to three servers per tier (none included), stripes
+//     0..5, every size up to three rounds and two bytes;
+//   - three tiers: up to two servers per tier, stripes 0..4, every size
+//     up to two rounds and two bytes.
 func TestBoundExhaustive(t *testing.T) {
 	checks := 0
-	for m := 0; m <= 3; m++ {
-		for n := 0; n <= 3; n++ {
-			for r := 0; r <= min(2, m+n); r++ {
-				p := evalParams()
-				p.M, p.N, p.R = m, n, r
-				if p.Validate() != nil {
-					continue
+	for _, c := range []struct {
+		base              Params
+		maxCount          int
+		maxStripe, rounds int64
+	}{
+		{evalParams(), 3, 5, 3},
+		{threeTier(), 2, 4, 2},
+	} {
+		counts := make([]int, len(c.base.Tiers))
+		var walk func(tier int)
+		walk = func(tier int) {
+			if tier < len(counts) {
+				for n := 0; n <= c.maxCount; n++ {
+					counts[tier] = n
+					walk(tier + 1)
 				}
-				for h := int64(0); h <= 5; h++ {
-					for s := int64(0); s <= 5; s++ {
-						round := int64(m)*h + int64(n)*s
-						if round == 0 {
-							continue
-						}
-						e, err := p.NewEvaluator(h, s)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for size := int64(1); size <= 3*round+2; size++ {
-							for _, op := range []device.Op{device.Read, device.Write} {
-								checkBound(t, e, op, size)
-								checks += int(round)
-							}
-						}
-					}
+				return
+			}
+			for r := 0; r <= 2; r++ {
+				p := c.base
+				p.Tiers = slices.Clone(p.Tiers)
+				for i, n := range counts {
+					p.Tiers[i].Count = n
+				}
+				if p.R = r; p.Validate() == nil {
+					checks += boundGrid(t, p, c.maxStripe, c.rounds)
 				}
 			}
 		}
+		walk(0)
 	}
 	t.Logf("%d bound checks", checks)
 }
@@ -76,12 +111,12 @@ func TestBoundRealistic(t *testing.T) {
 		if b := e.Bound(device.Read, 0); b != 0 {
 			t.Fatalf("pair %v: Bound(0) = %v", pair, b)
 		}
-		round := 6*pair[0] + 2*pair[1]
+		round := e.geo.Round()
 		for _, size := range []int64{4 << 10, 64 << 10, 256 << 10, 512 << 10, 2 << 20, round, 2*round + 4096} {
 			for _, op := range []device.Op{device.Read, device.Write} {
 				b := e.Bound(op, size)
 				for off := int64(0); off < round; off += 1 << 10 {
-					if c := e.RequestCostDirect(op, off, size); b > c {
+					if c := e.RequestCost(op, off, size); b > c {
 						t.Fatalf("pair %v op %v size %d off %d: bound %v > cost %v", pair, op, size, off, b, c)
 					}
 				}
@@ -107,35 +142,48 @@ func TestBoundAllocations(t *testing.T) {
 }
 
 // FuzzEvaluatorBound checks Bound against RequestCost on random
-// geometries, offsets, sizes, operations and replication factors.
+// geometries of one to four tiers, offsets, sizes, operations and
+// replication factors. Tier i has counts[i] servers of stripe
+// stripes[i], and k = max(1, k%5) tiers take part.
 func FuzzEvaluatorBound(f *testing.F) {
-	f.Add(uint16(6), uint16(2), uint64(36<<10), uint64(148<<10), uint64(12345), uint64(512<<10), uint8(0), false)
-	f.Add(uint16(3), uint16(1), uint64(7), uint64(0), uint64(5), uint64(40), uint8(2), true)
-	f.Add(uint16(0), uint16(4), uint64(0), uint64(4096), uint64(1<<33), uint64(2<<20), uint8(3), true)
-	f.Add(uint16(5), uint16(5), uint64(100), uint64(300), uint64(999), uint64(2000), uint8(1), false)
+	f.Add(uint16(6), uint16(2), uint64(36<<10), uint64(148<<10), uint64(12345), uint64(512<<10), uint8(0), false, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint16(3), uint16(1), uint64(7), uint64(0), uint64(5), uint64(40), uint8(2), true, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint16(0), uint16(4), uint64(0), uint64(4096), uint64(1<<33), uint64(2<<20), uint8(3), true, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint16(5), uint16(5), uint64(100), uint64(300), uint64(999), uint64(2000), uint8(1), false, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
 	// 1000 HServers with 1 TB stripes: x·b passes 64 bits.
-	f.Add(uint16(1000), uint16(24), uint64(1<<40), uint64(0), uint64(3), uint64(1<<39), uint8(0), true)
-	f.Fuzz(func(t *testing.T, m, n uint16, h, s, off, size uint64, r uint8, write bool) {
-		p := evalParams()
-		p.M, p.N = int(m%1025), int(n%1025)
-		p.R = int(r) % (p.M + p.N + 1)
-		hs, ss := int64(h%(1<<41)), int64(s%(1<<41))
-		if p.Validate() != nil || int64(p.M)*hs+int64(p.N)*ss == 0 {
+	f.Add(uint16(1000), uint16(24), uint64(1<<40), uint64(0), uint64(3), uint64(1<<39), uint8(0), true, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint16(6), uint16(1), uint64(16<<10), uint64(36<<10), uint64(777), uint64(512<<10), uint8(0), false, uint8(3), uint16(1), uint16(0), uint64(40<<10), uint64(0))
+	f.Add(uint16(2), uint16(0), uint64(5), uint64(9), uint64(31), uint64(100), uint8(2), true, uint8(4), uint16(3), uint16(1), uint64(0), uint64(7))
+	f.Add(uint16(4), uint16(9), uint64(4096), uint64(1), uint64(0), uint64(9000), uint8(1), true, uint8(1), uint16(5), uint16(5), uint64(2), uint64(3))
+	f.Fuzz(func(t *testing.T, m, n uint16, h, s, off, size uint64, r uint8, write bool, k uint8, c2, c3 uint16, x2, x3 uint64) {
+		counts := []uint16{m, n, c2, c3}[:max(1, k%5)]
+		stripes := []uint64{h, s, x2, x3}[:len(counts)]
+		base := threeTier().Tiers
+		p := Params{NetUnit: threeTier().NetUnit}
+		xs := make([]int64, len(counts))
+		for i, c := range counts {
+			tier := base[i%len(base)]
+			tier.Count = int(c % 1025)
+			p.Tiers = append(p.Tiers, tier)
+			xs[i] = int64(stripes[i] % (1 << 41))
+		}
+		p.R = int(r) % (p.Servers() + 1)
+		if p.Validate() != nil {
 			return
 		}
-		e, err := p.NewEvaluator(hs, ss)
+		e, err := p.NewEvaluator(xs...)
 		if err != nil {
-			t.Fatal(err)
+			return // stores no data
 		}
 		op := device.Read
 		if write {
 			op = device.Write
 		}
 		sz, o := int64(size%(1<<42))+1, int64(off%(1<<42))
-		b, c := e.Bound(op, sz), e.RequestCostDirect(op, o, sz)
+		b, c := e.Bound(op, sz), e.RequestCost(op, o, sz)
 		if b > c || math.IsNaN(b) {
-			t.Fatalf("M=%d N=%d R=%d pair (%d,%d) op %v size %d off %d: bound %v > cost %v",
-				p.M, p.N, p.R, hs, ss, op, sz, o, b, c)
+			t.Fatalf("counts %v R=%d stripes %v op %v size %d off %d: bound %v > cost %v",
+				p.Counts(), p.R, xs, op, sz, o, b, c)
 		}
 	})
 }

@@ -119,35 +119,63 @@ func FitNetwork(cfg netsim.Config, reps int, seed int64) (float64, error) {
 	return total.Seconds() / float64(reps) / float64(probe), nil
 }
 
-// Calibrate assembles the full parameter set for a hybrid system of m
-// HServers (profile hProf) and n SServers (profile sProf) on the given
+// Calibrate assembles the two-tier parameter set for a hybrid system of
+// m HServers (profile hProf) and n SServers (profile sProf) on the given
 // network. HServers are fitted on the read path only, matching Table I's
 // single HServer profile; SServers are fitted separately for reads and
 // writes.
 func Calibrate(hProf, sProf device.Profile, netCfg netsim.Config, m, n, reps int, seed int64) (Params, error) {
-	p := Params{M: m, N: n}
+	p := Params{Tiers: []TierParams{{Name: "hserver", Count: m}, {Name: "sserver", Count: n}}}
 	var err error
 	if p.NetUnit, err = FitNetwork(netCfg, min(reps, 50), seed); err != nil {
 		return Params{}, err
 	}
 	if m > 0 {
-		hFit, err := FitDevice(hProf, device.Read, reps, seed+1)
-		if err != nil {
+		h := &p.Tiers[0]
+		if h.Read, err = FitDevice(hProf, device.Read, reps, seed+1); err != nil {
 			return Params{}, err
 		}
-		p.AlphaHMin, p.AlphaHMax, p.BetaH = hFit.AlphaMin, hFit.AlphaMax, hFit.Beta
+		h.Write = h.Read
 	}
 	if n > 0 {
-		srFit, err := FitDevice(sProf, device.Read, reps, seed+2)
-		if err != nil {
+		s := &p.Tiers[1]
+		if s.Read, err = FitDevice(sProf, device.Read, reps, seed+2); err != nil {
 			return Params{}, err
 		}
-		p.AlphaSRMin, p.AlphaSRMax, p.BetaSR = srFit.AlphaMin, srFit.AlphaMax, srFit.Beta
-		swFit, err := FitDevice(sProf, device.Write, reps, seed+3)
-		if err != nil {
+		if s.Write, err = FitDevice(sProf, device.Write, reps, seed+3); err != nil {
 			return Params{}, err
 		}
-		p.AlphaSWMin, p.AlphaSWMax, p.BetaSW = swFit.AlphaMin, swFit.AlphaMax, swFit.Beta
+	}
+	if err := p.Validate(); err != nil {
+		return Params{}, err
+	}
+	return p, nil
+}
+
+// CalibrateTiers fits a parameter set against one device profile per
+// tier plus the network — the Section III-G measurement run generalized
+// to any tier count. Unlike Calibrate, it fits every tier's reads and
+// writes separately.
+func CalibrateTiers(profiles []device.Profile, counts []int, netCfg netsim.Config, reps int, seed int64) (Params, error) {
+	if len(profiles) == 0 || len(profiles) != len(counts) {
+		return Params{}, fmt.Errorf("cost: need matching profiles/counts, got %d/%d", len(profiles), len(counts))
+	}
+	var p Params
+	var err error
+	if p.NetUnit, err = FitNetwork(netCfg, min(reps, 50), seed); err != nil {
+		return Params{}, err
+	}
+	for i, prof := range profiles {
+		tier := TierParams{Name: prof.Name, Count: counts[i]}
+		if counts[i] > 0 {
+			if tier.Read, err = FitDevice(prof, device.Read, reps, seed+int64(2*i)+1); err != nil {
+				return Params{}, err
+			}
+			if tier.Write, err = FitDevice(prof, device.Write, reps, seed+int64(2*i)+2); err != nil {
+				return Params{}, err
+			}
+		}
+		p.Tiers = append(p.Tiers, tier)
 	}
 	if err := p.Validate(); err != nil {
 		return Params{}, err

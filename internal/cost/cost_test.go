@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,12 +12,15 @@ import (
 
 // testParams gives round numbers for hand-worked checks.
 func testParams() Params {
+	hdd := DeviceFit{AlphaMin: 4e-3, AlphaMax: 8e-3, Beta: 1e-8} // 4-8ms, 100MB/s
 	return Params{
-		M: 2, N: 1,
-		NetUnit:   1e-8,                               // 100 MB/s
-		AlphaHMin: 4e-3, AlphaHMax: 8e-3, BetaH: 1e-8, // HDD: 4-8ms, 100MB/s
-		AlphaSRMin: 1e-4, AlphaSRMax: 2e-4, BetaSR: 2e-9, // SSD read: 0.1-0.2ms, 500MB/s
-		AlphaSWMin: 2e-4, AlphaSWMax: 4e-4, BetaSW: 5e-9, // SSD write: 0.2-0.4ms, 200MB/s
+		NetUnit: 1e-8, // 100 MB/s
+		Tiers: []TierParams{
+			{Name: "hserver", Count: 2, Read: hdd, Write: hdd},
+			{Name: "sserver", Count: 1,
+				Read:  DeviceFit{AlphaMin: 1e-4, AlphaMax: 2e-4, Beta: 2e-9},  // 0.1-0.2ms, 500MB/s
+				Write: DeviceFit{AlphaMin: 2e-4, AlphaMax: 4e-4, Beta: 5e-9}}, // 0.2-0.4ms, 200MB/s
+		},
 	}
 }
 
@@ -25,14 +29,15 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("good params rejected: %v", err)
 	}
 	mutations := []func(*Params){
-		func(p *Params) { p.M, p.N = 0, 0 },
-		func(p *Params) { p.M = -1 },
+		func(p *Params) { p.Tiers[0].Count, p.Tiers[1].Count = 0, 0 },
+		func(p *Params) { p.Tiers[0].Count = -1 },
+		func(p *Params) { p.Tiers = nil },
 		func(p *Params) { p.NetUnit = -1 },
-		func(p *Params) { p.AlphaHMax = p.AlphaHMin - 1 },
-		func(p *Params) { p.AlphaSRMin = -1 },
-		func(p *Params) { p.AlphaSWMax = p.AlphaSWMin - 1 },
-		func(p *Params) { p.BetaH = -1 },
-		func(p *Params) { p.BetaSW = -1 },
+		func(p *Params) { p.Tiers[0].Read.AlphaMax = p.Tiers[0].Read.AlphaMin - 1 },
+		func(p *Params) { p.Tiers[1].Read.AlphaMin = -1 },
+		func(p *Params) { p.Tiers[1].Write.AlphaMax = p.Tiers[1].Write.AlphaMin - 1 },
+		func(p *Params) { p.Tiers[0].Read.Beta = -1 },
+		func(p *Params) { p.Tiers[1].Write.Beta = -1 },
 	}
 	for i, mutate := range mutations {
 		p := testParams()
@@ -91,8 +96,7 @@ func TestRequestBreakdownHandWorked(t *testing.T) {
 
 func TestWriteUsesWriteParameters(t *testing.T) {
 	p := testParams()
-	p.M = 0
-	p.N = 2 // SServers only, h=0
+	p.Tiers[0].Count, p.Tiers[1].Count = 0, 2 // SServers only, h=0
 	const size = 1 << 20
 	r := p.RequestCost(device.Read, 0, size, 0, 512<<10)
 	w := p.RequestCost(device.Write, 0, size, 0, 512<<10)
@@ -123,7 +127,7 @@ func TestCostPanicsOnUnusableLayout(t *testing.T) {
 // layout, because the HServer startup dominates.
 func TestSmallRequestsPreferSServers(t *testing.T) {
 	p := testParams()
-	p.M, p.N = 6, 2
+	p.Tiers[0].Count, p.Tiers[1].Count = 6, 2
 	const size = 128 << 10
 	balanced := p.RequestCost(device.Read, 0, size, 64<<10, 64<<10)
 	ssdOnly := p.RequestCost(device.Read, 0, size, 0, 64<<10)
@@ -137,7 +141,7 @@ func TestSmallRequestsPreferSServers(t *testing.T) {
 // everything rather than queueing on two SServers.
 func TestLargeRequestsUseBothClasses(t *testing.T) {
 	p := testParams()
-	p.M, p.N = 6, 2
+	p.Tiers[0].Count, p.Tiers[1].Count = 6, 2
 	const size = 64 << 20
 	spread := p.RequestCost(device.Read, 0, size, 1<<20, 4<<20)
 	ssdOnly := p.RequestCost(device.Read, 0, size, 0, 1<<20)
@@ -150,7 +154,7 @@ func TestLargeRequestsUseBothClasses(t *testing.T) {
 // size for a fixed layout and offset.
 func TestCostMonotoneInSizeProperty(t *testing.T) {
 	p := testParams()
-	p.M, p.N = 6, 2
+	p.Tiers[0].Count, p.Tiers[1].Count = 6, 2
 	prop := func(a, b uint32, off32 uint32) bool {
 		sa, sb := int64(a%(8<<20))+1, int64(b%(8<<20))+1
 		if sa > sb {
@@ -170,7 +174,7 @@ func TestCostMonotoneInSizeProperty(t *testing.T) {
 // total is their sum.
 func TestBreakdownConsistencyProperty(t *testing.T) {
 	p := testParams()
-	p.M, p.N = 6, 2
+	p.Tiers[0].Count, p.Tiers[1].Count = 6, 2
 	prop := func(size32, h16, s16 uint16, opBit bool) bool {
 		h := int64(h16%128) * 4096
 		s := int64(s16%128) * 4096
@@ -245,19 +249,23 @@ func TestCalibrateEndToEnd(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("calibrated params invalid: %v", err)
 	}
-	if p.M != 6 || p.N != 2 {
-		t.Fatalf("counts = %d/%d", p.M, p.N)
+	if len(p.Tiers) != 2 || p.Tiers[0].Count != 6 || p.Tiers[1].Count != 2 {
+		t.Fatalf("tiers = %+v", p.Tiers)
 	}
 	// The calibrated model must preserve the class ordering the paper's
 	// Table I describes: HServer startup >> SServer startup, SSD write
 	// slower than SSD read.
-	if p.AlphaHMax <= p.AlphaSRMax {
+	h, s := p.Tiers[0], p.Tiers[1]
+	if h.Write != h.Read {
+		t.Fatal("HServers should share one profile across operations")
+	}
+	if h.Read.AlphaMax <= s.Read.AlphaMax {
 		t.Fatal("HServer startup should exceed SServer startup")
 	}
-	if p.BetaSW <= p.BetaSR {
+	if s.Write.Beta <= s.Read.Beta {
 		t.Fatal("SServer write unit time should exceed read")
 	}
-	if p.BetaH <= p.BetaSR {
+	if h.Read.Beta <= s.Read.Beta {
 		t.Fatal("HServer transfer should be slower than SServer read")
 	}
 }
@@ -271,7 +279,7 @@ func TestCalibrateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed produced different params:\n%+v\n%+v", a, b)
 	}
 }

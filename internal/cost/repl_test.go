@@ -7,12 +7,15 @@ import (
 )
 
 func replTestParams() Params {
+	h := DeviceFit{AlphaMin: 1e-4, AlphaMax: 3e-4, Beta: 2e-9}
 	return Params{
-		M: 4, N: 4,
-		NetUnit:   1e-9,
-		AlphaHMin: 1e-4, AlphaHMax: 3e-4, BetaH: 2e-9,
-		AlphaSRMin: 2e-5, AlphaSRMax: 8e-5, BetaSR: 1e-9,
-		AlphaSWMin: 5e-5, AlphaSWMax: 2e-4, BetaSW: 4e-9,
+		NetUnit: 1e-9,
+		Tiers: []TierParams{
+			{Count: 4, Read: h, Write: h},
+			{Count: 4,
+				Read:  DeviceFit{AlphaMin: 2e-5, AlphaMax: 8e-5, Beta: 1e-9},
+				Write: DeviceFit{AlphaMin: 5e-5, AlphaMax: 2e-4, Beta: 4e-9}},
+		},
 	}
 }
 
@@ -75,11 +78,11 @@ func TestReplCostValidate(t *testing.T) {
 	if p.Validate() == nil {
 		t.Fatal("negative R validated")
 	}
-	p.R = p.M + p.N + 1
+	p.R = p.Servers() + 1
 	if p.Validate() == nil {
 		t.Fatal("R beyond cluster size validated")
 	}
-	p.R = p.M + p.N
+	p.R = p.Servers()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"harl/internal/cost"
 	"harl/internal/harl"
@@ -100,9 +101,11 @@ func AblationCostModel(o Options) (*Table, error) {
 	}{
 		{"full model (HARL)", func(p cost.Params) cost.Params { return p }},
 		{"no startup term", func(p cost.Params) cost.Params {
-			p.AlphaHMin, p.AlphaHMax = 0, 0
-			p.AlphaSRMin, p.AlphaSRMax = 0, 0
-			p.AlphaSWMin, p.AlphaSWMax = 0, 0
+			p.Tiers = slices.Clone(p.Tiers)
+			for i := range p.Tiers {
+				p.Tiers[i].Read.AlphaMin, p.Tiers[i].Read.AlphaMax = 0, 0
+				p.Tiers[i].Write.AlphaMin, p.Tiers[i].Write.AlphaMax = 0, 0
+			}
 			return p
 		}},
 		{"no network term", func(p cost.Params) cost.Params {

@@ -194,14 +194,12 @@ func (r *TraceRun) Breakdown() (*TraceBreakdown, error) {
 			e := r.Plan.RST.Entries[piece.region]
 			st := layout.Striping{M: hCount, N: sCount, H: e.H, S: e.S}
 			for _, sub := range st.Map(piece.local, piece.length) {
-				size := float64(sub.Size)
+				tier := 1
 				if sub.Server < hCount {
-					b.Tiers[0].ModelSeconds += (p.AlphaHMin+p.AlphaHMax)/2 + size*p.BetaH
-				} else if rec.Op == device.Read {
-					b.Tiers[1].ModelSeconds += (p.AlphaSRMin+p.AlphaSRMax)/2 + size*p.BetaSR
-				} else {
-					b.Tiers[1].ModelSeconds += (p.AlphaSWMin+p.AlphaSWMax)/2 + size*p.BetaSW
+					tier = 0
 				}
+				f := p.Tiers[tier].Fit(rec.Op)
+				b.Tiers[tier].ModelSeconds += (f.AlphaMin+f.AlphaMax)/2 + float64(sub.Size)*f.Beta
 			}
 		}
 	}

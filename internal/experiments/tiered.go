@@ -70,7 +70,7 @@ func ThreeTier(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	stripes, _ := harl.TieredOptimizer{Params: params}.OptimizeRegion(sorted.Records, 0, avg)
+	stripes, _ := harl.Optimizer{Params: params}.OptimizeStripes(sorted.Records, 0, avg)
 	lo := layout.Tiered{Counts: counts, Stripes: stripes}
 	res3, err := runTiered(lo)
 	if err != nil {

@@ -25,12 +25,13 @@ func BenchmarkAlgorithm2(b *testing.B) {
 // BenchmarkTieredCoordinateDescent measures the multi-tier search on a
 // three-profile system.
 func BenchmarkTieredCoordinateDescent(b *testing.B) {
-	opt := TieredOptimizer{Params: threeTierParams()}
+	opt := Optimizer{Params: threeTierParams()}
 	tr := uniformTrace(256, 512<<10, device.Read, 1)
 	tr.SortByOffset()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt.OptimizeRegion(tr.Records, 0, 512<<10)
+		opt.OptimizeStripes(tr.Records, 0, 512<<10)
 	}
 }
 
@@ -73,18 +74,10 @@ func BenchmarkOptimizeRegion(b *testing.B) {
 // four-phase trace (the acceptance workload for the parallel planner)
 // across the ablation ladder, on a coarse 16 KB grid with 32 sampled
 // requests per region. The default-params cases run the planner as
-// shipped (4 KB grid, 128 sampled requests) on fourRegionTrace.
+// shipped (4 KB grid, 128 sampled requests) on fourRegionTrace, on two
+// tiers and, through AnalyzeTiered, on three.
 func BenchmarkAnalyze(b *testing.B) {
-	tr := uniformTrace(0, 1, device.Read, 0)
-	tr.Records = tr.Records[:0]
-	off := int64(0)
-	for phase := 0; phase < 4; phase++ {
-		size := int64(64<<10) << uint(2*phase)
-		for i := 0; i < 200; i++ {
-			tr.Records = append(tr.Records, record(device.Read, off, size))
-			off += size
-		}
-	}
+	tr := fourPhaseTrace()
 	for _, v := range searchVariants(modelParams()) {
 		b.Run(v.name, func(b *testing.B) {
 			pl := Planner{
@@ -117,6 +110,29 @@ func BenchmarkAnalyze(b *testing.B) {
 			}
 		})
 	}
+	b.Run("three-tier", func(b *testing.B) {
+		pl := Planner{Params: threeTierParams(), Parallelism: 1}
+		for i := 0; i < b.N; i++ {
+			if _, err := pl.AnalyzeTiered(four); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// fourPhaseTrace is four consecutive phases of 200 sequential reads
+// each, of 64 KB, 256 KB, 1 MB and 4 MB requests.
+func fourPhaseTrace() *trace.Trace {
+	tr := &trace.Trace{}
+	off := int64(0)
+	for phase := 0; phase < 4; phase++ {
+		size := int64(64<<10) << uint(2*phase)
+		for i := 0; i < 200; i++ {
+			tr.Records = append(tr.Records, record(device.Read, off, size))
+			off += size
+		}
+	}
+	return tr
 }
 
 // fourRegionTrace is the IOR four-region workload's shape at a small
@@ -146,30 +162,5 @@ func BenchmarkRequestCost(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.RequestCost(device.Read, int64(i)*4096, 512<<10, 32<<10, 160<<10)
-	}
-}
-
-// BenchmarkPlannerAnalyze measures the whole Analysis Phase on a
-// four-phase workload.
-func BenchmarkPlannerAnalyze(b *testing.B) {
-	// A coarser grid keeps the benchmark near a second per run; the
-	// default 4 KB step on a 4 MB-average region costs ~130k candidate
-	// pairs.
-	pl := Planner{Params: modelParams(), ChunkSize: 16 << 20, MaxRequests: 32, Step: 16 << 10}
-	tr := uniformTrace(0, 1, device.Read, 0)
-	tr.Records = tr.Records[:0]
-	off := int64(0)
-	for phase := 0; phase < 4; phase++ {
-		size := int64(64<<10) << uint(2*phase)
-		for i := 0; i < 200; i++ {
-			tr.Records = append(tr.Records, record(device.Read, off, size))
-			off += size
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pl.Analyze(tr); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -2,17 +2,19 @@ package harl
 
 import (
 	"math"
+	"slices"
 
 	"harl/internal/cost"
 	"harl/internal/device"
 	"harl/internal/trace"
 )
 
-// searchWorker is one grid-search worker's private state: the region's
-// sampled requests with their evaluation-cache indexing precomputed, a
-// reusable cost.Evaluator (striping validated and round geometry derived
-// once per candidate instead of once per request), and the running best
-// candidate, against which the lower-bound early exits prune.
+// searchWorker is one search worker's private state, for any tier count:
+// the region's sampled requests with their evaluation-cache indexing
+// precomputed, a reusable cost.Evaluator (striping validated and round
+// geometry derived once per candidate instead of once per request), the
+// candidate under consideration, and the running best candidate, against
+// which the lower-bound early exits prune.
 //
 // The cost-evaluation cache is index-based rather than hash-based: two
 // sampled requests with the same (op, region-local offset, size) have
@@ -33,8 +35,12 @@ type searchWorker struct {
 	local    []int64   // region-local offset per sample
 	shape    []int     // first sample index with the same (op, local, size)
 	costs    []float64 // per-candidate memo, written at first occurrences
-	best     StripePair
+	point    []int64   // the candidate being considered, one stripe per tier
+	best     []int64
 	bestCost float64
+	// keepTies keeps the incumbent on an exact tie (coordinate descent);
+	// otherwise the lexicographically smaller candidate wins.
+	keepTies bool
 
 	groups   []sampleShape // the sample's distinct (op, size) groups, off zeroed
 	counts   []float64     // samples per group
@@ -57,14 +63,15 @@ type sampleShape struct {
 }
 
 func (o Optimizer) newSearchWorker(sample []trace.Record, base int64) *searchWorker {
-	n := len(sample)
+	n, k := len(sample), len(o.Params.Tiers)
 	w := &searchWorker{
 		opt:      o,
 		sample:   sample,
 		local:    make([]int64, n),
 		shape:    make([]int, n),
 		costs:    make([]float64, n),
-		best:     StripePair{H: 0, S: o.step()},
+		point:    make([]int64, k),
+		best:     make([]int64, k),
 		bestCost: math.Inf(1),
 		limit:    math.Inf(1),
 		slack:    float64(4*(n+1)) * 0x1p-53,
@@ -96,17 +103,22 @@ func (o Optimizer) newSearchWorker(sample []trace.Record, base int64) *searchWor
 	return w
 }
 
-// scan evaluates every candidate of one grid column in ascending order.
+// scan considers every candidate of one grid column in order, skipping
+// any that stores no data.
 func (w *searchWorker) scan(col gridColumn) {
-	p := col.start
+	copy(w.point, col.seed)
+	x := col.start
 	for i := int64(0); i < col.n; i++ {
-		w.consider(p)
-		p.H += col.delta.H
-		p.S += col.delta.S
+		w.point[col.axis] = x
+		if x != 0 || storesData(w.opt.Params.Tiers, w.point) {
+			w.consider()
+		}
+		x += col.delta
 	}
 }
 
-// consider scores candidate p against the worker's running best.
+// consider scores the candidate w.point against the worker's running
+// best.
 //
 // Two lower bounds prune it. Per-request costs are non-negative, so the
 // partial sum is a lower bound on the candidate's total: once it
@@ -116,10 +128,10 @@ func (w *searchWorker) scan(col gridColumn) {
 // (op, size) groups add up to a lower bound on the whole sum, and while
 // scoring, so does the partial sum plus the least group floor for each
 // request still to come. Exact ties complete their sum and lose or win by
-// the lexicographic (h, s) tie-break, so the search result is
-// independent of the order candidates are visited in — which lets scan
-// order be chosen purely for pruning power. Pruning never changes the
-// search result, only its cost.
+// the tie rule, so in the two-tier grid, whose rule is lexicographic,
+// the search result is independent of the order candidates are visited
+// in — which lets scan order be chosen purely for pruning power. Pruning
+// never changes the search result, only its cost.
 //
 // The floors are summed in a different order from the costs, so the
 // shape-bound exits compare against limit = bestCost·(1+slack) rather
@@ -137,18 +149,19 @@ func (w *searchWorker) scan(col gridColumn) {
 // which is safe: a later index only ever reads costs[shape[i]] with
 // shape[i] <= i, and every first occurrence re-writes its entry before
 // any duplicate reads it within the same candidate.
-func (w *searchWorker) consider(p StripePair) {
+func (w *searchWorker) consider() {
+	p := w.point
 	w.work.Candidates++
 	// Pruning needs a finite best to beat.
 	prune := !w.opt.noPrune && !math.IsInf(w.bestCost, 1)
 	if !w.opt.noCache || prune {
 		if w.eval == nil {
-			e, err := w.opt.Params.NewEvaluator(p.H, p.S)
+			e, err := w.opt.Params.NewEvaluator(p...)
 			if err != nil {
 				panic(err)
 			}
 			w.eval = e
-		} else if err := w.eval.Reset(p.H, p.S); err != nil {
+		} else if err := w.eval.Reset(p...); err != nil {
 			panic(err)
 		}
 	}
@@ -163,13 +176,13 @@ func (w *searchWorker) consider(p StripePair) {
 		switch {
 		case w.opt.noCache:
 			w.work.Evals++
-			c = w.opt.Params.RequestCost(r.Op, w.local[i], r.Size, p.H, p.S)
+			c = w.opt.Params.RequestCost(r.Op, w.local[i], r.Size, p...)
 		case w.shape[i] < i:
 			w.work.CacheHits++
 			c = w.costs[w.shape[i]]
 		default:
 			w.work.Evals++
-			c = w.eval.RequestCostDirect(r.Op, w.local[i], r.Size)
+			c = w.eval.RequestCost(r.Op, w.local[i], r.Size)
 			w.costs[i] = c
 		}
 		total += c
@@ -179,8 +192,9 @@ func (w *searchWorker) consider(p StripePair) {
 		}
 	}
 	w.work.Scored++
-	if better(total, p, w.bestCost, w.best) {
-		w.best, w.bestCost = p, total
+	if total < w.bestCost || !w.keepTies && better(total, p, w.bestCost, w.best) {
+		copy(w.best, p)
+		w.bestCost = total
 		w.limit = total * (1 + w.slack)
 	}
 }
@@ -202,22 +216,14 @@ func (w *searchWorker) floor() float64 {
 	return sum
 }
 
-// pairLess orders candidates lexicographically by (H, S) — the tie-break
-// that makes the search result independent of evaluation order.
-func pairLess(a, b StripePair) bool {
-	if a.H != b.H {
-		return a.H < b.H
-	}
-	return a.S < b.S
-}
-
 // better reports whether candidate (c, p) beats (bestC, best): strictly
-// lower cost, or equal cost with the lexicographically smaller pair.
-// This matches the serial seed search, which scanned ascending (h, s)
-// and kept the first strict improvement.
-func better(c float64, p StripePair, bestC float64, best StripePair) bool {
+// lower cost, or equal cost with the lexicographically smaller stripes —
+// the tie-break that makes the grid search's result independent of
+// evaluation order. It matches the serial seed search, which scanned
+// ascending (h, s) and kept the first strict improvement.
+func better(c float64, p []int64, bestC float64, best []int64) bool {
 	if c != bestC {
 		return c < bestC
 	}
-	return pairLess(p, best)
+	return slices.Compare(p, best) < 0
 }

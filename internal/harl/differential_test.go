@@ -27,11 +27,15 @@ import (
 
 func diffParams() cost.Params {
 	return cost.Params{
-		M: 6, N: 2,
-		NetUnit:   1.0 / (117 << 20),
-		AlphaHMin: 3e-3, AlphaHMax: 7e-3, BetaH: 1.0 / (100 << 20),
-		AlphaSRMin: 6e-4, AlphaSRMax: 1.2e-3, BetaSR: 1.0 / (400 << 20),
-		AlphaSWMin: 8e-4, AlphaSWMax: 1.6e-3, BetaSW: 1.0 / (200 << 20),
+		NetUnit: 1.0 / (117 << 20),
+		Tiers: []cost.TierParams{
+			{Name: "hserver", Count: 6,
+				Read:  cost.DeviceFit{AlphaMin: 3e-3, AlphaMax: 7e-3, Beta: 1.0 / (100 << 20)},
+				Write: cost.DeviceFit{AlphaMin: 3e-3, AlphaMax: 7e-3, Beta: 1.0 / (100 << 20)}},
+			{Name: "sserver", Count: 2,
+				Read:  cost.DeviceFit{AlphaMin: 6e-4, AlphaMax: 1.2e-3, Beta: 1.0 / (400 << 20)},
+				Write: cost.DeviceFit{AlphaMin: 8e-4, AlphaMax: 1.6e-3, Beta: 1.0 / (200 << 20)}},
+		},
 	}
 }
 

@@ -17,12 +17,27 @@ import (
 // sub-millisecond startups and slower writes.
 func modelParams() cost.Params {
 	return cost.Params{
-		M: 6, N: 2,
-		NetUnit:   1.0 / (117 << 20),
-		AlphaHMin: 3e-3, AlphaHMax: 7e-3, BetaH: 1.0 / (100 << 20),
-		AlphaSRMin: 6e-4, AlphaSRMax: 1.2e-3, BetaSR: 1.0 / (400 << 20),
-		AlphaSWMin: 8e-4, AlphaSWMax: 1.6e-3, BetaSW: 1.0 / (200 << 20),
+		NetUnit: 1.0 / (117 << 20),
+		Tiers: []cost.TierParams{
+			{Name: "hserver", Count: 6,
+				Read:  cost.DeviceFit{AlphaMin: 3e-3, AlphaMax: 7e-3, Beta: 1.0 / (100 << 20)},
+				Write: cost.DeviceFit{AlphaMin: 3e-3, AlphaMax: 7e-3, Beta: 1.0 / (100 << 20)}},
+			{Name: "sserver", Count: 2,
+				Read:  cost.DeviceFit{AlphaMin: 6e-4, AlphaMax: 1.2e-3, Beta: 1.0 / (400 << 20)},
+				Write: cost.DeviceFit{AlphaMin: 8e-4, AlphaMax: 1.6e-3, Beta: 1.0 / (200 << 20)}},
+		},
 	}
+}
+
+// regionCost sums the per-request model cost of records under the
+// candidate stripes through the uncached path: the reference the
+// cached search is verified against.
+func regionCost(p cost.Params, records []trace.Record, base int64, stripes ...int64) float64 {
+	var total float64
+	for _, r := range records {
+		total += p.RequestCost(r.Op, max(r.Offset-base, 0), r.Size, stripes...)
+	}
+	return total
 }
 
 // uniformTrace builds n random-offset requests of one size, like IOR.
@@ -85,7 +100,7 @@ func TestOptimizerBeatsDefaultLayout(t *testing.T) {
 		tr := uniformTrace(64, size, device.Write, size)
 		tr.SortByOffset()
 		pair, best := opt.OptimizeRegion(tr.Records, 0, float64(size))
-		defaultCost := opt.regionCost(opt.sampleRecords(tr.Records), 0, StripePair{H: 64 << 10, S: 64 << 10})
+		defaultCost := regionCost(opt.Params, opt.sampleRecords(tr.Records), 0, 64<<10, 64<<10)
 		if best > defaultCost {
 			t.Fatalf("size %d: optimum %v cost %v worse than default %v", size, pair, best, defaultCost)
 		}
@@ -97,14 +112,14 @@ func TestOptimizerHomogeneousSystems(t *testing.T) {
 	tr.SortByOffset()
 
 	hOnly := modelParams()
-	hOnly.N = 0
+	hOnly.Tiers[1].Count = 0
 	pair, _ := Optimizer{Params: hOnly}.OptimizeRegion(tr.Records, 0, 512<<10)
 	if pair.S != 0 || pair.H == 0 {
 		t.Fatalf("HServer-only system chose %v", pair)
 	}
 
 	sOnly := modelParams()
-	sOnly.M = 0
+	sOnly.Tiers[0].Count = 0
 	pair, _ = Optimizer{Params: sOnly}.OptimizeRegion(tr.Records, 0, 512<<10)
 	if pair.H != 0 || pair.S == 0 {
 		t.Fatalf("SServer-only system chose %v", pair)
@@ -245,6 +260,10 @@ func TestReadRSTErrors(t *testing.T) {
 		"#harl-rst v1\n0 x 1 1\n",             // bad int
 		"#harl-rst v1\n5 10 1 1\n",            // does not start at 0
 		"#harl-rst v1\n0 10 1 1\n20 30 1 1\n", // gap
+		// A second header mid-file would change the row width, and the
+		// later rows would silently lose their replication factor.
+		"#harl-rst v2\n0 10 1 1 2\n#harl-rst v1\n10 20 1 1\n",
+		"#harl-rst v1\n#harl-rst v1\n0 10 1 1\n", // repeated header
 	}
 	for i, in := range cases {
 		if _, err := ReadRST(strings.NewReader(in)); err == nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"harl/internal/device"
@@ -52,13 +53,14 @@ func avgSize(recs []trace.Record) float64 {
 
 // TestOptimizeRegionParallelBitIdentical is the intra-region differential
 // test: every Parallelism setting, with and without the cache and the
-// pruning layer, must return the bit-identical (pair, cost) of the serial
-// uncached search (the seed implementation's path).
+// pruning layer, must return the bit-identical (stripes, cost) of the
+// serial uncached search (the seed implementation's path), on two tiers
+// and, through coordinate descent, on three.
 func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 	hOnly := modelParams()
-	hOnly.N = 0
+	hOnly.Tiers[1].Count = 0
 	sOnly := modelParams()
-	sOnly.M = 0
+	sOnly.Tiers[0].Count = 0
 	r2 := modelParams()
 	r2.R = 2
 
@@ -71,6 +73,7 @@ func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 			{"h-only", Optimizer{Params: hOnly}},
 			{"s-only", Optimizer{Params: sOnly}},
 			{"hybrid-r2", Optimizer{Params: r2}},
+			{"three-tier", Optimizer{Params: threeTierParams()}},
 		} {
 			base := params.opt
 			base.Parallelism = 1
@@ -79,7 +82,7 @@ func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 			sorted := append([]trace.Record(nil), recs...)
 			(&trace.Trace{Records: sorted}).SortByOffset()
 			avg := avgSize(sorted)
-			wantPair, wantCost := base.OptimizeRegion(sorted, 0, avg)
+			want, wantCost := base.OptimizeStripes(sorted, 0, avg)
 
 			variants := []Optimizer{
 				{Params: params.opt.Params, Parallelism: 1},                // cache + prune, serial
@@ -93,10 +96,10 @@ func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 				{Params: params.opt.Params, Parallelism: 4, noPrune: true}, // parallel unpruned
 			}
 			for vi, v := range variants {
-				gotPair, gotCost := v.OptimizeRegion(sorted, 0, avg)
-				if gotPair != wantPair || math.Float64bits(gotCost) != math.Float64bits(wantCost) {
+				got, gotCost := v.OptimizeStripes(sorted, 0, avg)
+				if !slices.Equal(got, want) || math.Float64bits(gotCost) != math.Float64bits(wantCost) {
 					t.Fatalf("%s/%s variant %d: got (%v, %v), want (%v, %v)",
-						name, params.label, vi, gotPair, gotCost, wantPair, wantCost)
+						name, params.label, vi, got, gotCost, want, wantCost)
 				}
 			}
 		}
@@ -107,9 +110,9 @@ func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 // candidate set of the seed's nested loops.
 func TestColumnsCoverGrid(t *testing.T) {
 	hOnly := modelParams()
-	hOnly.N = 0
+	hOnly.Tiers[1].Count = 0
 	sOnly := modelParams()
-	sOnly.M = 0
+	sOnly.Tiers[0].Count = 0
 	cases := []struct {
 		label string
 		opt   Optimizer
@@ -125,11 +128,11 @@ func TestColumnsCoverGrid(t *testing.T) {
 	for _, tc := range cases {
 		want := make(map[StripePair]bool)
 		switch {
-		case tc.opt.Params.N == 0:
+		case tc.opt.Params.Tiers[1].Count == 0:
 			for h := tc.step; h <= tc.rBar; h += tc.step {
 				want[StripePair{H: h}] = true
 			}
-		case tc.opt.Params.M == 0:
+		case tc.opt.Params.Tiers[0].Count == 0:
 			for s := tc.step; s <= tc.rBar; s += tc.step {
 				want[StripePair{S: s}] = true
 			}
@@ -142,14 +145,14 @@ func TestColumnsCoverGrid(t *testing.T) {
 		}
 		got := make(map[StripePair]bool)
 		for _, col := range tc.opt.columns(tc.rBar, tc.step) {
-			p := col.start
+			point := slices.Clone(col.seed)
 			for i := int64(0); i < col.n; i++ {
+				point[col.axis] = col.start + i*col.delta
+				p := pairOf(point)
 				if got[p] {
 					t.Fatalf("%s: candidate %v enumerated twice", tc.label, p)
 				}
 				got[p] = true
-				p.H += col.delta.H
-				p.S += col.delta.S
 			}
 		}
 		if !reflect.DeepEqual(got, want) {

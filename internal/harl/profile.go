@@ -33,8 +33,8 @@ type RegionSearch struct {
 	CacheHits  int64 // per-request costs served from the shape cache
 	Evals      int64 // per-request costs computed by the model
 
-	WallNS int64 // wall-clock nanoseconds spent in the search
-	Best   StripePair
+	WallNS int64   // wall-clock nanoseconds spent in the search
+	Best   []int64 // the best candidate's stripe per tier
 	Cost   float64
 }
 
@@ -111,7 +111,7 @@ func (p *SearchProfile) WriteTo(w io.Writer) (int64, error) {
 	for _, r := range p.Regions {
 		if err := printf("  region %2d: %5d reqs (%3d sampled)  %6d cand  %5.1f%% pruned  best %v  %v\n",
 			r.Region, r.Requests, r.Sampled, r.Candidates,
-			percent(r.Pruned, r.Candidates), r.Best, time.Duration(r.WallNS)); err != nil {
+			percent(r.Pruned, r.Candidates), stripesString(r.Best), time.Duration(r.WallNS)); err != nil {
 			return n, err
 		}
 	}

@@ -1,6 +1,8 @@
 package harl
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,14 +29,14 @@ func TestOptimizeRegionProfiled(t *testing.T) {
 	if rs.Evals == 0 {
 		t.Fatalf("no model evaluations recorded: %+v", rs)
 	}
-	if rs.Best != pair || rs.Cost != c {
+	if pairOf(rs.Best) != pair || rs.Cost != c {
 		t.Fatalf("profile best (%v, %v) != result (%v, %v)", rs.Best, rs.Cost, pair, c)
 	}
 
 	// Counts are reproducible at Parallelism 1.
 	rs2 := opt.optimize(tr.Records, 0, 512<<10)
 	rs2.WallNS = rs.WallNS
-	if rs2 != rs {
+	if !reflect.DeepEqual(rs2, rs) {
 		t.Fatalf("serial profile not reproducible:\n%+v\n%+v", rs, rs2)
 	}
 }
@@ -64,7 +66,7 @@ func TestShapeBoundRejectsUnscored(t *testing.T) {
 	opt.noPrune = true
 	all := opt.optimize(recs, 0, avgSize(recs))
 	checkAccounting(t, all)
-	if all.Pruned != 0 || all.Best != rs.Best || all.Cost != rs.Cost {
+	if all.Pruned != 0 || !slices.Equal(all.Best, rs.Best) || all.Cost != rs.Cost {
 		t.Fatalf("unpruned search: %+v, pruned: %+v", all, rs)
 	}
 }
@@ -110,7 +112,7 @@ func TestPlannerProfile(t *testing.T) {
 			t.Fatalf("region %d profile malformed: %+v", i, rs)
 		}
 		checkAccounting(t, rs)
-		if rs.Best != got.Regions[i].Stripes {
+		if pairOf(rs.Best) != got.Regions[i].Stripes {
 			t.Fatalf("region %d profile best %v != plan %v", i, rs.Best, got.Regions[i].Stripes)
 		}
 	}

@@ -67,10 +67,7 @@ func (a *ReplAxis) durabilityCharge(p cost.Params, requests int, span int64, r i
 // that work), and its Best and Cost are the winner's.
 func (pl Planner) optimizeRegionRepl(opt Optimizer, group []trace.Record, reg region.Region) (RegionSearch, int64) {
 	a := pl.Repl
-	maxR := a.MaxR
-	if limit := opt.Params.M + opt.Params.N; maxR > limit {
-		maxR = limit
-	}
+	maxR := min(a.MaxR, opt.Params.Servers())
 	span := reg.End - reg.Offset
 	var sum RegionSearch
 	var bestObj float64

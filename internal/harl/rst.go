@@ -166,10 +166,14 @@ func ReadRST(r io.Reader) (*RST, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			switch line {
-			case rstHeader:
-				wantFields = 4
-			case rstHeaderV2:
+			if line != rstHeader && line != rstHeaderV2 {
+				continue
+			}
+			if wantFields != 0 {
+				return nil, fmt.Errorf("harl: RST line %d: second header %q", lineNo, line)
+			}
+			wantFields = 4
+			if line == rstHeaderV2 {
 				wantFields = 5
 			}
 			continue

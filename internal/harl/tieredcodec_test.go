@@ -54,6 +54,8 @@ func TestReadTieredRSTErrors(t *testing.T) {
 		"#harl-tiered-rst v1\n#counts -1 2\n0 10 1 1\n",                  // negative count
 		"#harl-tiered-rst v1\n#counts 2\n0 10 4611686018427387904\n",     // round overflows int64
 		"#harl-tiered-rst v1\n#counts 1 1\n0 10 9223372036854775807 1\n", // round overflows int64
+		"#harl-tiered-rst v1\n#counts 6 1\n#counts 1\n0 10 1 1 1\n",      // second #counts line
+		"#harl-tiered-rst v1\n#countsX 2\n0 10 1\n",                      // #counts misspelled
 	}
 	for i, in := range cases {
 		if _, err := ReadTieredRST(strings.NewReader(in)); err == nil {
