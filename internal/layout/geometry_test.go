@@ -48,31 +48,6 @@ func TestGeometryMatchesDistributeAnalytic(t *testing.T) {
 	}
 }
 
-// TestGeometryCanonicalPeriodicity pins the property the search cache
-// relies on: distributions are invariant under shifting the offset by
-// whole striping rounds.
-func TestGeometryCanonicalPeriodicity(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, st := range randomStripings(rng, 40) {
-		g, err := NewGeometry(TieredOf(st))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 200; trial++ {
-			off := rng.Int63n(1 << 30)
-			size := rng.Int63n(8<<20) + 1
-			canon := g.Canonical(off)
-			if canon < 0 || canon >= st.RoundSize() {
-				t.Fatalf("Canonical(%d) = %d outside round [0,%d)", off, canon, st.RoundSize())
-			}
-			if got, want := st.analytic(canon, size), st.analytic(off, size); got != want {
-				t.Fatalf("%v: Distribute(%d,%d)=%+v != Distribute(%d,%d)=%+v",
-					st, canon, size, got, off, size, want)
-			}
-		}
-	}
-}
-
 func TestGeometryErrorsAndPanics(t *testing.T) {
 	if _, err := NewGeometry(TieredOf(Striping{})); err == nil {
 		t.Fatal("empty striping accepted")
@@ -91,7 +66,6 @@ func TestGeometryErrorsAndPanics(t *testing.T) {
 	mustPanicGeom(t, func() { g.Distribute(-1, 10, loads) })
 	mustPanicGeom(t, func() { g.Distribute(0, -1, loads) })
 	mustPanicGeom(t, func() { g.Distribute(0, 10, loads[:1]) })
-	mustPanicGeom(t, func() { g.Canonical(-1) })
 }
 
 func mustPanicGeom(t *testing.T, fn func()) {
