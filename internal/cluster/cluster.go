@@ -25,11 +25,6 @@ type Config struct {
 	SProfile device.Profile
 	Network  netsim.Config
 	Seed     int64
-
-	// HeapEngine drives the testbed on the retained binary-heap
-	// reference engine instead of the timer wheel. Both must behave
-	// bit-identically; differential tests flip this to prove it.
-	HeapEngine bool
 }
 
 // Default is the paper's default setup: 6 HServers + 2 SServers on
@@ -100,9 +95,6 @@ func New(cfg Config) (*Testbed, error) {
 		return nil, err
 	}
 	e := sim.NewEngine(cfg.Seed)
-	if cfg.HeapEngine {
-		e = sim.NewHeapEngine(cfg.Seed)
-	}
 	net := netsim.MustNew(e, cfg.Network)
 	profiles := make([]device.Profile, 0, cfg.HServers+cfg.SServers)
 	for i := 0; i < cfg.HServers; i++ {

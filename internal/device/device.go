@@ -1,16 +1,14 @@
 // Package device models the storage hardware under the simulated file
 // servers: mechanical disks (HServers) and flash SSDs (SServers).
 //
-// Each device combines two things:
-//
-//   - a service-time model — how long one contiguous read or write of a
-//     given size takes, mirroring the storage parameters of the paper's
-//     Table I (uniform startup time on [αmin, αmax], linear transfer time
-//     β per byte, with separate read/write profiles and a garbage-collection
-//     penalty for SSD writes), and
-//   - a sparse in-memory block store — the simulated platters/flash, so the
-//     parallel file system built on top moves real bytes and end-to-end
-//     data integrity can be verified.
+// A Device is a service-time model: how long one contiguous read or
+// write of a given size takes, mirroring the storage parameters of the
+// paper's Table I (uniform startup time on [αmin, αmax], linear transfer
+// time β per byte, with separate read/write profiles and a
+// garbage-collection penalty for SSD writes). Store is the sparse
+// in-memory byte store the file servers keep file data in, so the
+// parallel file system built on top moves real bytes and end-to-end data
+// integrity can be verified.
 //
 // The service-time model is deliberately richer than the analytical cost
 // model HARL optimizes with (sequential-access startup discounts, GC
@@ -187,12 +185,10 @@ func DefaultSATASSD() Profile {
 	}
 }
 
-// Device is one simulated drive: a service-time model plus a sparse block
-// store. It is driven from a single simulation goroutine and is not safe
-// for concurrent use.
+// Device is one simulated drive's service-time model. It is driven from
+// a single simulation goroutine and is not safe for concurrent use.
 type Device struct {
-	prof  Profile
-	store *Store
+	prof Profile
 
 	lastEnd      [2]int64 // last byte touched + 1, per Op, for SeqDiscount
 	writtenSince int64    // bytes written since the last GC pause
@@ -208,7 +204,7 @@ func New(prof Profile) (*Device, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	return &Device{prof: prof, store: NewStore(), lastEnd: [2]int64{-1, -1}}, nil
+	return &Device{prof: prof, lastEnd: [2]int64{-1, -1}}, nil
 }
 
 // MustNew is New for known-good profiles; it panics on error.
@@ -266,12 +262,3 @@ func (d *Device) ServiceTime(op Op, offset, size int64, rng *rand.Rand) sim.Dura
 	}
 	return total
 }
-
-// ReadAt copies stored bytes at offset into p; holes read as zeros.
-func (d *Device) ReadAt(p []byte, offset int64) { d.store.ReadAt(p, offset) }
-
-// WriteAt stores p at offset.
-func (d *Device) WriteAt(p []byte, offset int64) { d.store.WriteAt(p, offset) }
-
-// StoredBytes reports how many bytes the sparse store currently holds.
-func (d *Device) StoredBytes() int64 { return d.store.Bytes() }

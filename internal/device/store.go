@@ -1,7 +1,7 @@
 package device
 
 // Store is a sparse in-memory byte store addressed by absolute offset. It
-// backs the simulated drives: file servers read and write real data so the
+// holds the file servers' data: they read and write real bytes so the
 // whole stack can be checked end-to-end, while untouched ranges cost no
 // memory. Pages are allocated lazily on first write; holes read as zeros,
 // matching POSIX sparse-file semantics.

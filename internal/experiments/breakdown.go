@@ -189,11 +189,16 @@ func (r *TraceRun) Breakdown() (*TraceBreakdown, error) {
 	// layout. cfg.Trace() is exactly the request plan ior.Run replays.
 	hCount, sCount := r.FS.CountRoles()
 	p := r.Params
+	rst := r.Plan.RST.Entries
+	ends := make([]int64, len(rst))
+	for i, e := range rst {
+		ends[i] = e.End
+	}
 	for _, rec := range r.Config.Trace().Records {
-		for _, piece := range splitRST(&r.Plan.RST, rec.Offset, rec.Size) {
-			e := r.Plan.RST.Entries[piece.region]
+		for _, piece := range harl.SplitRegions(ends, rec.Offset, rec.Size) {
+			e := rst[piece.Region]
 			st := layout.Striping{M: hCount, N: sCount, H: e.H, S: e.S}
-			for _, sub := range st.Map(piece.local, piece.length) {
+			for _, sub := range st.Map(piece.Local, piece.Length) {
 				tier := 1
 				if sub.Server < hCount {
 					tier = 0
@@ -204,33 +209,6 @@ func (r *TraceRun) Breakdown() (*TraceBreakdown, error) {
 		}
 	}
 	return b, nil
-}
-
-// rstPiece is one region-local fragment of a logical request, mirroring
-// the split HARLFile performs at region boundaries.
-type rstPiece struct {
-	region int
-	local  int64
-	length int64
-}
-
-// splitRST cuts [off, off+size) at RST region boundaries; the last
-// region is open-ended, as in HARLFile.split.
-func splitRST(rst *harl.RST, off, size int64) []rstPiece {
-	var pieces []rstPiece
-	pos := off
-	end := off + size
-	for pos < end {
-		ri := rst.Lookup(pos)
-		e := rst.Entries[ri]
-		pieceEnd := e.End
-		if ri == len(rst.Entries)-1 || pieceEnd > end {
-			pieceEnd = end
-		}
-		pieces = append(pieces, rstPiece{region: ri, local: pos - e.Offset, length: pieceEnd - pos})
-		pos = pieceEnd
-	}
-	return pieces
 }
 
 // FigTraceBreakdown runs the instrumented IOR baseline and tabulates

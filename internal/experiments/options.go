@@ -61,11 +61,6 @@ type Options struct {
 	// replaying a seed replays the exact fault sequence and metrics.
 	ChaosSeed int64
 
-	// HeapEngine runs every testbed on the retained binary-heap
-	// reference engine instead of the timer wheel. Figures must be
-	// byte-identical either way; the engine differential test flips it.
-	HeapEngine bool
-
 	// Attach, when non-nil, is invoked on every testbed a driver builds,
 	// right after construction and before the workload runs. It is the
 	// telemetry hook: RunSLO uses it to wire a streaming tracer and the
@@ -76,11 +71,10 @@ type Options struct {
 }
 
 // clusterDefault is the paper's default testbed configured by this
-// option set — the single place Seed and the engine choice are applied.
+// option set — the single place Seed is applied.
 func (o Options) clusterDefault() cluster.Config {
 	cfg := cluster.Default()
 	cfg.Seed = o.Seed
-	cfg.HeapEngine = o.HeapEngine
 	return cfg
 }
 

@@ -117,25 +117,6 @@ func TestReplRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineWheelHeapReplDifferential replays the double-crash scenario
-// on the timer-wheel and heap engines; the replication protocol's
-// timers, forwards and catch-up sessions must fire identically.
-func TestEngineWheelHeapReplDifferential(t *testing.T) {
-	o := QuickOptions()
-	wheel, err := runReplIOR(o, o.clientPolicy(), 2, ReplShapeDoubleCrash, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.HeapEngine = true
-	heap, err := runReplIOR(o, o.clientPolicy(), 2, ReplShapeDoubleCrash, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wheel != heap {
-		t.Errorf("repl results diverged:\n wheel %+v\n heap  %+v", wheel, heap)
-	}
-}
-
 // TestFigReplTable renders the replication figure: six rows, zero
 // integrity violations, and replication must cost something — the
 // fault-free r=2 goodput cannot exceed r=1's (forwards and acks are

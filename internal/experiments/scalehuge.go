@@ -122,9 +122,10 @@ func RunScaleHuge(seed int64) (*ScaleHugeResult, error) {
 }
 
 // FigScaleHuge renders the scenario's deterministic facts as a table —
-// wall-clock numbers deliberately stay out so the table participates in
-// byte-identical serial/parallel and wheel/heap comparisons. The timing
-// is measured by the scale_huge workload of the bench module.
+// wall-clock numbers deliberately stay out so the table is byte-identical
+// across runs and across serial and parallel regeneration, and can be
+// pinned as a golden. The timing is measured by the scale_huge workload
+// of the bench module.
 func FigScaleHuge(o Options) (*Table, error) {
 	res, err := RunScaleHuge(o.Seed)
 	if err != nil {

@@ -97,8 +97,12 @@ func fpFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // Write encodes the fingerprint as text: a threshold line, then one
 // "offset end h s requests mean cv mix d10..d90" line per region —
 // stored alongside the RST so a later monitoring run can reload the
-// plan-time assumptions.
+// plan-time assumptions. An invalid fingerprint is rejected before any
+// byte is written.
 func (f *PlanFingerprint) Write(w io.Writer) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, fpHeader); err != nil {
 		return err
@@ -139,6 +143,9 @@ func ReadFingerprint(r io.Reader) (*PlanFingerprint, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			if line == fpHeader {
+				if sawHeader {
+					return nil, fmt.Errorf("harl: fingerprint line %d: second %q header", lineNo, fpHeader)
+				}
 				sawHeader = true
 			}
 			continue
@@ -148,6 +155,9 @@ func ReadFingerprint(r io.Reader) (*PlanFingerprint, error) {
 		}
 		fields := strings.Fields(line)
 		if fields[0] == "threshold" {
+			if sawThreshold {
+				return nil, fmt.Errorf("harl: fingerprint line %d: second threshold line", lineNo)
+			}
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("harl: fingerprint line %d: malformed threshold", lineNo)
 			}

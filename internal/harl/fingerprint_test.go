@@ -131,6 +131,25 @@ func TestFingerprintRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFingerprintWriteRejectsInvalid: Write validates first, so it
+// never emits a fingerprint ReadFingerprint would refuse.
+func TestFingerprintWriteRejectsInvalid(t *testing.T) {
+	region := RegionFingerprint{Offset: 0, End: 10, H: 4096, Requests: 1, MeanSize: 1}
+	gap := region
+	gap.Offset, gap.End = 20, 30
+	for name, bad := range map[string]*PlanFingerprint{
+		"NaN threshold": {Threshold: math.NaN(), Regions: []RegionFingerprint{region}},
+		"gap":           {Threshold: 1, Regions: []RegionFingerprint{region, gap}},
+	} {
+		var buf bytes.Buffer
+		if err := bad.Write(&buf); err == nil {
+			t.Errorf("%s: invalid fingerprint written as %q", name, buf.String())
+		} else if buf.Len() != 0 {
+			t.Errorf("%s: refused fingerprint still wrote %q", name, buf.String())
+		}
+	}
+}
+
 func TestFingerprintReadRejectsGarbage(t *testing.T) {
 	for name, in := range map[string]string{
 		"no header":    "threshold 1\n0 1 1 1 1 1 0 0 0 0 0 0 0 0 0 0 0\n",
@@ -146,6 +165,9 @@ func TestFingerprintReadRejectsGarbage(t *testing.T) {
 		"Inf decile":    fpHeader + "\nthreshold 1\n0 10 4096 0 1 1 0 1 1 1 1 1 +Inf 1 1 1 1\n",
 		"zero stripes":  fpHeader + "\nthreshold 1\n0 10 0 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
 		"negative S":    fpHeader + "\nthreshold 1\n0 10 4096 -1 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
+		"second threshold": fpHeader + "\nthreshold 100\n0 10 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n" +
+			"threshold 7\n",
+		"second header": fpHeader + "\nthreshold 1\n" + fpHeader + "\n0 10 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
 	} {
 		if _, err := ReadFingerprint(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadFingerprint accepted malformed input", name)

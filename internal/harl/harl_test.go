@@ -253,6 +253,25 @@ func TestRSTCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRSTWriteRejectsInvalid: Write validates first, so it never emits
+// a table ReadRST would refuse, and it writes nothing on refusal.
+func TestRSTWriteRejectsInvalid(t *testing.T) {
+	for name, bad := range map[string]*RST{
+		"empty range":    {Entries: []RSTEntry{{Offset: 5, End: 1, H: 1, S: 1}}},
+		"gap":            {Entries: []RSTEntry{{Offset: 0, End: 10, H: 1}, {Offset: 20, End: 30, H: 1}}},
+		"no stripes":     {Entries: []RSTEntry{{Offset: 0, End: 10}}},
+		"negative r":     {Entries: []RSTEntry{{Offset: 0, End: 10, H: 1, R: -1}}},
+		"nonzero origin": {Entries: []RSTEntry{{Offset: 4, End: 10, H: 1}}},
+	} {
+		var buf bytes.Buffer
+		if err := bad.Write(&buf); err == nil {
+			t.Errorf("%s: invalid table written as %q", name, buf.String())
+		} else if buf.Len() != 0 {
+			t.Errorf("%s: refused table still wrote %q", name, buf.String())
+		}
+	}
+}
+
 func TestReadRSTErrors(t *testing.T) {
 	cases := []string{
 		"0 10 1 1\n",                          // missing header

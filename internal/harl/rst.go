@@ -88,6 +88,41 @@ func (t *RST) Lookup(offset int64) int {
 	return i
 }
 
+// Piece is one region-local fragment of a logical request.
+type Piece struct {
+	Region int   // the region holding the fragment
+	Local  int64 // offset within the region's physical file
+	Length int64
+}
+
+// SplitRegions cuts [off, off+size) at region boundaries, where region i
+// covers [ends[i-1], ends[i]) and region 0 starts at 0, as in a valid
+// RST or TieredRST. The last region is open-ended: offsets past the
+// table's extent fall into it, as in Lookup, and its physical file
+// simply grows — the same behaviour the paper's MDS exhibits for
+// requests past the traced range. A negative range panics.
+func SplitRegions(ends []int64, off, size int64) []Piece {
+	if off < 0 || size < 0 {
+		panic(fmt.Sprintf("harl: invalid range %d+%d", off, size))
+	}
+	var pieces []Piece
+	last := len(ends) - 1
+	for pos, end := off, off+size; pos < end; {
+		ri := sort.Search(last, func(i int) bool { return ends[i] > pos })
+		var start int64
+		if ri > 0 {
+			start = ends[ri-1]
+		}
+		pieceEnd := end
+		if ri < last && ends[ri] < end {
+			pieceEnd = ends[ri]
+		}
+		pieces = append(pieces, Piece{Region: ri, Local: pos - start, Length: pieceEnd - pos})
+		pos = pieceEnd
+	}
+	return pieces
+}
+
 // Merge combines adjacent regions with identical stripe pairs (Section
 // III-E: "if adjacent regions have the same optimal stripe sizes, the two
 // regions are combined"), reducing metadata overhead. It returns the
@@ -122,8 +157,12 @@ const (
 // Write encodes the table as text: "offset end h s" per line (v1), or
 // "offset end h s r" (v2) when any region carries a replication factor
 // above 1. The format is the on-disk RST the paper stores alongside the
-// application.
+// application. An invalid table is rejected before any byte is written,
+// so Write never produces bytes ReadRST refuses.
 func (t *RST) Write(w io.Writer) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
 	replicated := false
 	for _, e := range t.Entries {
 		if e.R > 1 {

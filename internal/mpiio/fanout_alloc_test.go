@@ -46,7 +46,7 @@ func TestHARLFileFanOutAllocs(t *testing.T) {
 		{"WriteAt", 18, func() { f.WriteAt(0, off, payload, check) }},
 		{"ReadAt", 19, func() { f.ReadAt(0, off, size, readCheck) }},
 	} {
-		if got := f.split(off, size); len(got) != 2 {
+		if got := harl.SplitRegions(f.ends, off, size); len(got) != 2 {
 			t.Fatalf("request splits into %d spans, want 2", len(got))
 		}
 		allocs := testing.AllocsPerRun(20, func() {

@@ -2,7 +2,6 @@ package mpiio
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"harl/internal/device"
@@ -24,8 +23,9 @@ import (
 type HARLFile struct {
 	name string
 	rst  *harl.RST // nil for files placed from a TieredRST
-	// bounds[i] is region i's logical byte range; contiguous from 0.
-	bounds []regionBound
+	// ends[i] is the end of region i's logical byte range; the regions
+	// are contiguous from 0 (harl.SplitRegions).
+	ends []int64
 	// handles[region][rank] is rank's open handle on the region's file.
 	handles [][]*pfs.File
 
@@ -45,9 +45,9 @@ type HARLFile struct {
 // nil detaches. Attaching never perturbs the simulation: the monitor is
 // a passive observer of the virtual clock.
 func (f *HARLFile) AttachMonitor(m *monitor.Monitor) error {
-	if m != nil && m.Regions() != len(f.bounds) {
+	if m != nil && m.Regions() != len(f.ends) {
 		return fmt.Errorf("mpiio: monitor covers %d regions, file %q has %d",
-			m.Regions(), f.name, len(f.bounds))
+			m.Regions(), f.name, len(f.ends))
 	}
 	f.mon = m
 	return nil
@@ -55,12 +55,6 @@ func (f *HARLFile) AttachMonitor(m *monitor.Monitor) error {
 
 // Monitor returns the attached workload monitor (nil when detached).
 func (f *HARLFile) Monitor() *monitor.Monitor { return f.mon }
-
-// regionBound is one region's logical range.
-type regionBound struct {
-	Offset int64
-	End    int64
-}
 
 // Name returns the logical file name.
 func (f *HARLFile) Name() string { return f.name }
@@ -70,7 +64,7 @@ func (f *HARLFile) Name() string { return f.name }
 func (f *HARLFile) RST() *harl.RST { return f.rst }
 
 // Regions returns the number of regions backing the file.
-func (f *HARLFile) Regions() int { return len(f.bounds) }
+func (f *HARLFile) Regions() int { return len(f.ends) }
 
 // CreateHARL materializes the RST: one physical file per region, striped
 // with the region's pair and replicated R ways, opened on every rank.
@@ -83,7 +77,7 @@ func (w *World) CreateHARL(name string, rst *harl.RST, done func(*HARLFile, erro
 	regions := make([]regionFile, len(rst.Entries))
 	for i, e := range rst.Entries {
 		st := layout.Striping{M: hCount, N: sCount, H: e.H, S: e.S}
-		regions[i] = regionFile{regionBound: regionBound{Offset: e.Offset, End: e.End}, lo: st}
+		regions[i] = regionFile{end: e.End, lo: st}
 		if e.R > 1 {
 			// A replicated region places tier-affine replica groups per
 			// slot, rotated by region index so consecutive regions spread
@@ -106,17 +100,17 @@ func (w *World) CreateHARLTiered(name string, trst *harl.TieredRST, done func(*H
 	regions := make([]regionFile, len(trst.Entries))
 	for i, e := range trst.Entries {
 		regions[i] = regionFile{
-			regionBound: regionBound{Offset: e.Offset, End: e.End},
-			lo:          layout.Tiered{Counts: trst.Counts, Stripes: e.Stripes},
+			end: e.End,
+			lo:  layout.Tiered{Counts: trst.Counts, Stripes: e.Stripes},
 		}
 	}
 	w.createRegions(name, nil, regions, done)
 }
 
-// regionFile is one region's physical file: the logical range it backs,
-// its layout and its replica placement (no groups: one copy).
+// regionFile is one region's physical file: the end of the logical range
+// it backs, its layout and its replica placement (no groups: one copy).
 type regionFile struct {
-	regionBound
+	end      int64
 	lo       layout.Mapper
 	replicas repl.Spec
 }
@@ -137,7 +131,7 @@ func (w *World) createRegions(name string, rst *harl.RST, regions []regionFile, 
 		handles: make([][]*pfs.File, len(regions)),
 	}
 	for _, rf := range regions {
-		f.bounds = append(f.bounds, rf.regionBound)
+		f.ends = append(f.ends, rf.end)
 	}
 	f.instrumentRegions(w.fs.Metrics())
 	var createRegion func(i int)
@@ -160,43 +154,10 @@ func (w *World) createRegions(name string, rst *harl.RST, regions []regionFile, 
 	createRegion(0)
 }
 
-// span is one region-local piece of a logical request.
-type span struct {
-	region int
-	local  int64 // offset within the region's physical file
-	length int64
-}
-
-// split cuts [off, off+size) at region boundaries. Offsets beyond the
-// RST's extent fall into the last region, whose physical file simply
-// grows — the same behaviour the paper's MDS exhibits for requests past
-// the traced range.
-func (f *HARLFile) split(off, size int64) []span {
-	if off < 0 || size < 0 {
-		panic(fmt.Sprintf("mpiio: invalid range %d+%d", off, size))
-	}
-	var spans []span
-	pos := off
-	end := off + size
-	for pos < end {
-		ri := min(sort.Search(len(f.bounds), func(i int) bool { return f.bounds[i].End > pos }), len(f.bounds)-1)
-		b := f.bounds[ri]
-		// The last region is open-ended: requests past the table's extent
-		// keep growing its physical file.
-		pieceEnd := b.End
-		if ri == len(f.bounds)-1 || pieceEnd > end {
-			pieceEnd = end
-		}
-		spans = append(spans, span{region: ri, local: pos - b.Offset, length: pieceEnd - pos})
-		pos = pieceEnd
-	}
-	return spans
-}
-
 // WriteAt implements File: split at region boundaries and fan out.
 func (f *HARLFile) WriteAt(rank int, off int64, data []byte, done func(error)) {
-	fanOut(f, device.Write, rank, off, int64(len(data)), done, callDone, func(h *pfs.File, parent obs.SpanID, sp span, at int64, done func(error)) {
-		h.WriteAtSpan(parent, data[at:at+sp.length], sp.local, done)
+	fanOut(f, device.Write, rank, off, int64(len(data)), done, callDone, func(h *pfs.File, parent obs.SpanID, sp harl.Piece, at int64, done func(error)) {
+		h.WriteAtSpan(parent, data[at:at+sp.Length], sp.Local, done)
 	})
 }
 
@@ -204,8 +165,8 @@ func (f *HARLFile) WriteAt(rank int, off int64, data []byte, done func(error)) {
 // place in the one logical buffer.
 func (f *HARLFile) ReadAt(rank int, off, size int64, done func([]byte, error)) {
 	out := make([]byte, size)
-	fanOut(f, device.Read, rank, off, size, readResult{out, done}, readResult.deliver, func(h *pfs.File, parent obs.SpanID, sp span, at int64, done func(error)) {
-		h.ReadIntoSpan(parent, out[at:at+sp.length], sp.local, done)
+	fanOut(f, device.Read, rank, off, size, readResult{out, done}, readResult.deliver, func(h *pfs.File, parent obs.SpanID, sp harl.Piece, at int64, done func(error)) {
+		h.ReadIntoSpan(parent, out[at:at+sp.Length], sp.Local, done)
 	})
 }
 
@@ -237,8 +198,8 @@ func callDone(done func(error), err error) { done(err) }
 // completed, finish(result, err) runs with the first error. result is
 // the caller's completion state: the one completion closure carries it,
 // so no request pays a second closure to adapt its callback.
-func fanOut[R any](f *HARLFile, op device.Op, rank int, off, size int64, result R, finish func(R, error), issue func(h *pfs.File, parent obs.SpanID, sp span, at int64, done func(error))) {
-	spans := f.split(off, size)
+func fanOut[R any](f *HARLFile, op device.Op, rank int, off, size int64, result R, finish func(R, error), issue func(h *pfs.File, parent obs.SpanID, sp harl.Piece, at int64, done func(error))) {
+	spans := harl.SplitRegions(f.ends, off, size)
 	if len(spans) == 0 {
 		f.handles[0][0].Engine().Schedule(0, func() { finish(result, nil) })
 		return
@@ -266,11 +227,11 @@ func fanOut[R any](f *HARLFile, op device.Op, rank int, off, size int64, result 
 	var at int64
 	for _, sp := range spans {
 		if counters != nil {
-			counters[sp.region].Add(sp.length)
+			counters[sp.Region].Add(sp.Length)
 		}
-		f.mon.Observe(op, sp.region, sp.local, sp.length)
-		issue(f.handles[sp.region][rank], mpiSpan, sp, at, remaining.Done)
-		at += sp.length
+		f.mon.Observe(op, sp.Region, sp.Local, sp.Length)
+		issue(f.handles[sp.Region][rank], mpiSpan, sp, at, remaining.Done)
+		at += sp.Length
 	}
 }
 
@@ -302,9 +263,9 @@ func (f *HARLFile) instrumentRegions(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	f.mRegionWrite = make([]*obs.Counter, len(f.bounds))
-	f.mRegionRead = make([]*obs.Counter, len(f.bounds))
-	for i := range f.bounds {
+	f.mRegionWrite = make([]*obs.Counter, len(f.ends))
+	f.mRegionRead = make([]*obs.Counter, len(f.ends))
+	for i := range f.ends {
 		labels := []obs.Tag{obs.T("file", f.name), obs.T("region", strconv.Itoa(i))}
 		f.mRegionWrite[i] = reg.Counter("mpi_region_write_bytes_total", labels...)
 		f.mRegionRead[i] = reg.Counter("mpi_region_read_bytes_total", labels...)
@@ -317,7 +278,11 @@ func (f *HARLFile) Size() int64 {
 	var size int64
 	for i, hs := range f.handles {
 		if regionSize := hs[0].Size(); regionSize > 0 {
-			if s := f.bounds[i].Offset + regionSize; s > size {
+			var start int64
+			if i > 0 {
+				start = f.ends[i-1]
+			}
+			if s := start + regionSize; s > size {
 				size = s
 			}
 		}

@@ -136,24 +136,24 @@ func TestHARLFileSplit(t *testing.T) {
 		w.CreateHARL("f", testRST(), func(file *HARLFile, err error) { f = file })
 	})
 	// Entirely inside region 0.
-	spans := f.split(0, 1000)
-	if len(spans) != 1 || spans[0].region != 0 || spans[0].local != 0 {
+	spans := harl.SplitRegions(f.ends, 0, 1000)
+	if len(spans) != 1 || spans[0].Region != 0 || spans[0].Local != 0 {
 		t.Fatalf("spans = %+v", spans)
 	}
 	// Crossing region 0->1.
-	spans = f.split(1<<20-100, 200)
-	if len(spans) != 2 || spans[0].length != 100 || spans[1].region != 1 || spans[1].local != 0 {
+	spans = harl.SplitRegions(f.ends, 1<<20-100, 200)
+	if len(spans) != 2 || spans[0].Length != 100 || spans[1].Region != 1 || spans[1].Local != 0 {
 		t.Fatalf("spans = %+v", spans)
 	}
 	// Beyond the RST extent: stays in the last region.
-	spans = f.split(10<<20, 500)
-	if len(spans) != 1 || spans[0].region != 2 {
+	spans = harl.SplitRegions(f.ends, 10<<20, 500)
+	if len(spans) != 1 || spans[0].Region != 2 {
 		t.Fatalf("spans = %+v", spans)
 	}
-	if spans[0].local != 10<<20-(3<<20) {
-		t.Fatalf("local = %d", spans[0].local)
+	if spans[0].Local != 10<<20-(3<<20) {
+		t.Fatalf("local = %d", spans[0].Local)
 	}
-	mustPanic(t, func() { f.split(-1, 10) })
+	mustPanic(t, func() { harl.SplitRegions(f.ends, -1, 10) })
 }
 
 func TestHARLFileSizeTracksRegions(t *testing.T) {

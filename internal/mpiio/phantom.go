@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"harl/internal/device"
+	"harl/internal/harl"
 	"harl/internal/obs"
 	"harl/internal/pfs"
 )
@@ -30,15 +31,15 @@ func (f *PlainFile) ReadDiscard(rank int, off, size int64, done func(error)) {
 
 // WriteZeros implements PhantomFile, splitting at region boundaries.
 func (f *HARLFile) WriteZeros(rank int, off, size int64, done func(error)) {
-	fanOut(f, device.Write, rank, off, size, done, callDone, func(h *pfs.File, parent obs.SpanID, sp span, _ int64, done func(error)) {
-		h.WriteZerosSpan(parent, sp.local, sp.length, done)
+	fanOut(f, device.Write, rank, off, size, done, callDone, func(h *pfs.File, parent obs.SpanID, sp harl.Piece, _ int64, done func(error)) {
+		h.WriteZerosSpan(parent, sp.Local, sp.Length, done)
 	})
 }
 
 // ReadDiscard implements PhantomFile, splitting at region boundaries.
 func (f *HARLFile) ReadDiscard(rank int, off, size int64, done func(error)) {
-	fanOut(f, device.Read, rank, off, size, done, callDone, func(h *pfs.File, parent obs.SpanID, sp span, _ int64, done func(error)) {
-		h.ReadDiscardSpan(parent, sp.local, sp.length, done)
+	fanOut(f, device.Read, rank, off, size, done, callDone, func(h *pfs.File, parent obs.SpanID, sp harl.Piece, _ int64, done func(error)) {
+		h.ReadDiscardSpan(parent, sp.Local, sp.Length, done)
 	})
 }
 

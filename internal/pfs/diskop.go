@@ -6,26 +6,23 @@ import (
 	"harl/internal/sim"
 )
 
-// diskOp carries one sub-request's state from admission to disk
+// diskOp carries one sub-request's disk pass from admission to
 // completion. Records are pooled on the FS free list and dispatched
 // through the package-level diskOpDone, so the per-sub-request hot path
 // — the dominant allocation site in large runs — allocates nothing. The
-// caller's continuation is fn(arg, data, err): with a package-level fn
-// and a pooled arg (the client's subLeg) it costs no closure either.
+// caller's continuation is fn(arg, err): with a package-level fn and a
+// pooled arg (the client's subLeg) it costs no closure either.
 type diskOp struct {
-	next    *diskOp
-	s       *Server
-	op      device.Op
-	fileID  uint64
-	local   int64
-	data    []byte
-	size    int64
-	phantom bool // move no bytes: the object store is never touched
-	parent  obs.SpanID
-	submit  sim.Time
-	epoch   uint64
-	fn      func(arg any, data []byte, err error)
-	arg     any
+	next   *diskOp
+	s      *Server
+	op     device.Op
+	local  int64
+	size   int64
+	parent obs.SpanID
+	submit sim.Time
+	epoch  uint64
+	fn     func(arg any, err error)
+	arg    any
 }
 
 // diskOpPoolCap bounds the FS-wide diskOp free list; completions beyond
@@ -44,8 +41,7 @@ func (fs *FS) allocOp() *diskOp {
 }
 
 // recycleOp returns a completed record to the pool with every pointer
-// field nilled, so pooled records never retain payload buffers or
-// continuations.
+// field nilled, so pooled records never retain continuations.
 func (fs *FS) recycleOp(o *diskOp) {
 	*o = diskOp{}
 	if fs.opsPooled >= diskOpPoolCap {
@@ -56,39 +52,22 @@ func (fs *FS) recycleOp(o *diskOp) {
 	fs.opsPooled++
 }
 
-// diskOpDone is the single completion callback for every disk
-// sub-request. The record is recycled as soon as its fields are copied
-// out — before the object store is touched or the caller's continuation
-// runs, either of which may issue new sub-requests that reuse it.
+// diskOpDone is the single completion callback for every disk pass. The
+// record is recycled as soon as its fields are copied out — before the
+// caller's continuation runs, which may issue new sub-requests that
+// reuse it. A delivered pass hands fn the fault outcome; a dropped one
+// never calls back.
 func diskOpDone(arg any, start, end sim.Time) {
 	o := arg.(*diskOp)
-	s, op, fileID, local := o.s, o.op, o.fileID, o.local
-	data, size, epoch, phantom := o.data, o.size, o.epoch, o.phantom
-	fn, farg := o.fn, o.arg
-	s.observeDisk(op, o.parent, o.submit, start, end, size)
+	s, epoch, fn, farg := o.s, o.epoch, o.fn, o.arg
+	s.observeDisk(o.op, o.parent, o.submit, start, end, o.size)
 	s.fs.recycleOp(o)
-	err, ok := s.deliver(epoch)
-	if !ok {
-		return
+	if err, ok := s.deliver(epoch); ok {
+		fn(farg, err)
 	}
-	if phantom || err != nil {
-		fn(farg, nil, err)
-		return
-	}
-	obj := s.object(fileID)
-	if op == device.Write {
-		before := obj.Bytes()
-		obj.WriteAt(data, local)
-		s.stored += obj.Bytes() - before
-		fn(farg, nil, nil)
-		return
-	}
-	buf := make([]byte, size)
-	obj.ReadAt(buf, local)
-	fn(farg, buf, nil)
 }
 
 // errDone adapts a func(error) continuation, riding as the arg, to the
 // disk-op completion shape; the replication protocol's server-side
 // steps still pass closures.
-func errDone(arg any, _ []byte, err error) { arg.(func(error))(err) }
+func errDone(arg any, err error) { arg.(func(error))(err) }

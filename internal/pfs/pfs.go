@@ -60,20 +60,14 @@ type Server struct {
 	flakyErrP  float64
 	flakyDropP float64
 
-	// objects holds this server's portion of each file, keyed by file ID.
-	// Each object is sparse and stores the file's stripes contiguously,
-	// like an OrangeFS datafile.
-	objects map[uint64]*device.Store
+	// stores holds this server's copy of each layout slot it keeps,
+	// keyed by (file, slot). The slot numbered like the server is its
+	// datafile, which stores its stripes of the file contiguously, like an
+	// OrangeFS datafile; other slots are backup copies that replicated
+	// files (repl.go) place here. Each store is sparse.
+	stores map[storeKey]*device.Store
 
-	// replObjects holds backup copies of other slots' objects for
-	// replicated files (repl.go), keyed by (file, slot). Allocated lazily.
-	// A replicated write that lands in this server's own datafile counts
-	// toward stored exactly like an unreplicated one (applyReplica);
-	// backup-object bytes are protocol overhead and are not counted,
-	// matching remove(), which refunds only datafile bytes.
-	replObjects map[replKey]*device.Store
-
-	stored int64 // bytes resident, for capacity accounting
+	stored int64 // datafile bytes resident, for capacity accounting (account)
 
 	// Observability (observe.go). The counters are pre-resolved at
 	// Instrument time and nil-safe, so uninstrumented serving pays only
@@ -99,30 +93,70 @@ func (s *Server) DiskBusy() sim.Duration { return s.disk.BusyTotal }
 // StoredBytes returns the bytes resident on this server.
 func (s *Server) StoredBytes() int64 { return s.stored }
 
-func (s *Server) object(fileID uint64) *device.Store {
-	obj, ok := s.objects[fileID]
+// storeKey addresses one slot's store on a server.
+type storeKey struct {
+	file uint64
+	slot int
+}
+
+// storeFor returns the server's store for one slot of a file, creating
+// it empty on first use.
+func (s *Server) storeFor(fileID uint64, slot int) *device.Store {
+	key := storeKey{file: fileID, slot: slot}
+	obj, ok := s.stores[key]
 	if !ok {
 		obj = device.NewStore()
-		s.objects[fileID] = obj
+		s.stores[key] = obj
 	}
 	return obj
 }
 
+// account charges a change in one slot's allocated bytes to capacity
+// accounting. Only the server's own slot, its datafile, counts toward
+// stored, so Utilization, pfs_stored_bytes and remove's refund see
+// replicated and unreplicated files alike; backup copies of other slots
+// are protocol overhead and stay uncounted.
+func (s *Server) account(slot int, delta int64) {
+	if slot == s.ID {
+		s.stored += delta
+	}
+}
+
+// writeSlot writes data at local into the server's copy of a slot. A
+// phantom write (nil data) touches no store.
+func (s *Server) writeSlot(fileID uint64, slot int, data []byte, local int64) {
+	if data == nil {
+		return
+	}
+	obj := s.storeFor(fileID, slot)
+	before := obj.Bytes()
+	obj.WriteAt(data, local)
+	s.account(slot, obj.Bytes()-before)
+}
+
+// readSlot returns size bytes at local from the server's copy of a
+// slot; holes read as zeros.
+func (s *Server) readSlot(fileID uint64, slot int, local, size int64) []byte {
+	buf := make([]byte, size)
+	s.storeFor(fileID, slot).ReadAt(buf, local)
+	return buf
+}
+
 // serve runs one sub-request through the disk queue and calls fn(arg,
-// data, err) when the disk finishes. Data movement against the object
-// store happens at completion time. A crashed server swallows the
-// request — fn never fires, and clients recover through their deadline
-// timers; a flaky server may reply with a transient error, in which
-// case a write is NOT committed (so acknowledged bytes are exactly the
-// committed bytes).
-func (s *Server) serve(op device.Op, fileID uint64, local int64, data []byte, size int64, parent obs.SpanID, fn func(arg any, data []byte, err error), arg any) {
+// err) when the disk finishes. It models timing only: the protocol step
+// that owns the payload moves it through storeFor inside fn. A crashed
+// server swallows the request — fn never fires, and clients recover
+// through their deadline timers; a flaky server may drop it or reply
+// with a transient error, in which case the caller commits no bytes (so
+// acknowledged bytes are exactly the committed bytes).
+func (s *Server) serve(op device.Op, local, size int64, parent obs.SpanID, fn func(arg any, err error), arg any) {
 	epoch, ok := s.admit()
 	if !ok {
 		return
 	}
 	service := s.scale(s.Dev.ServiceTime(op, local, size, s.fs.engine.Rand()))
 	o := s.fs.allocOp()
-	o.s, o.op, o.fileID, o.local, o.data, o.size = s, op, fileID, local, data, size
+	o.s, o.op, o.local, o.size = s, op, local, size
 	o.parent, o.submit, o.epoch, o.fn, o.arg = parent, s.fs.engine.Now(), epoch, fn, arg
 	s.enqueue()
 	s.disk.UseCall(service, diskOpDone, o)
@@ -220,7 +254,7 @@ func New(e *sim.Engine, net *netsim.Network, profiles []device.Profile) (*FS, er
 			disk:       sim.NewResource(e, name+"/disk", 1),
 			fs:         fs,
 			SlowFactor: 1,
-			objects:    make(map[uint64]*device.Store),
+			stores:     make(map[storeKey]*device.Store),
 			sketchID:   -1,
 		})
 	}
@@ -315,7 +349,7 @@ func (fs *FS) FileBytesOn(name string, server int) int64 {
 	if !ok {
 		return 0
 	}
-	if obj, ok := fs.servers[server].objects[meta.ID]; ok {
+	if obj, ok := fs.servers[server].stores[storeKey{file: meta.ID, slot: server}]; ok {
 		return obj.Bytes()
 	}
 	return 0
@@ -345,7 +379,7 @@ func (s *Server) Utilization() float64 {
 // spent busy — 0 (not NaN) at virtual time 0, before anything has run.
 func (s *Server) DiskUtilization() float64 { return s.disk.Utilization() }
 
-// remove deletes a file and its server objects.
+// remove deletes a file and every server's stores of it.
 func (fs *FS) remove(name string) error {
 	meta, ok := fs.files[name]
 	if !ok {
@@ -353,17 +387,14 @@ func (fs *FS) remove(name string) error {
 	}
 	delete(fs.files, name)
 	for _, s := range fs.servers {
-		if obj, ok := s.objects[meta.ID]; ok {
-			s.stored -= obj.Bytes()
-			delete(s.objects, meta.ID)
+		for key, obj := range s.stores {
+			if key.file == meta.ID {
+				s.account(key.slot, -obj.Bytes())
+				delete(s.stores, key)
+			}
 		}
 	}
 	if meta.Repl != nil {
-		for _, s := range fs.servers {
-			for slot := range meta.Repl.groups {
-				delete(s.replObjects, replKey{file: meta.ID, slot: slot})
-			}
-		}
 		for i, m := range fs.replFiles {
 			if m == meta {
 				fs.replFiles = append(fs.replFiles[:i], fs.replFiles[i+1:]...)

@@ -46,20 +46,3 @@ func (f *File) ReadDiscardSpan(parent obs.SpanID, off, size int64, done func(err
 	c.done = done
 	c.launch()
 }
-
-// servePhantom runs a sub-request through the disk queue without touching
-// the object store; fn(arg, nil, err) fires at completion. It shares
-// serve's fault semantics: crashed servers swallow the request, flaky
-// servers may drop it or reply with a transient error.
-func (s *Server) servePhantom(op device.Op, local, size int64, parent obs.SpanID, fn func(arg any, data []byte, err error), arg any) {
-	epoch, ok := s.admit()
-	if !ok {
-		return
-	}
-	service := s.scale(s.Dev.ServiceTime(op, local, size, s.fs.engine.Rand()))
-	o := s.fs.allocOp()
-	o.s, o.op, o.local, o.size, o.phantom = s, op, local, size, true
-	o.parent, o.submit, o.epoch, o.fn, o.arg = parent, s.fs.engine.Now(), epoch, fn, arg
-	s.enqueue()
-	s.disk.UseCall(service, diskOpDone, o)
-}

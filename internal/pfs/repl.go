@@ -64,59 +64,13 @@ type ReplStats struct {
 	ResyncBytes    uint64 // image bytes shipped by full resyncs
 }
 
-// replKey addresses one slot's backup object on a server.
-type replKey struct {
-	file uint64
-	slot int
-}
-
-// storeFor returns the server's store for one slot of a replicated file:
-// its own datafile when it is the slot's primary, a backup object
-// otherwise.
-func (s *Server) storeFor(fileID uint64, slot int) *device.Store {
-	if slot == s.ID {
-		return s.object(fileID)
-	}
-	if s.replObjects == nil {
-		s.replObjects = make(map[replKey]*device.Store)
-	}
-	key := replKey{file: fileID, slot: slot}
-	obj, ok := s.replObjects[key]
-	if !ok {
-		obj = device.NewStore()
-		s.replObjects[key] = obj
-	}
-	return obj
-}
-
-// applyReplica writes a record's payload into the member's copy of a
-// slot. Writes landing in the member's own datafile keep capacity
-// accounting in step with the unreplicated path (diskop.go), so
-// Utilization, pfs_stored_bytes and remove()'s refund see replicated
-// files too; backup objects are protocol overhead and deliberately
-// uncounted, matching remove(), which refunds only datafile bytes.
-func (s *Server) applyReplica(fileID uint64, slot int, data []byte, local int64) {
-	if data == nil {
-		return
-	}
-	obj := s.storeFor(fileID, slot)
-	before := obj.Bytes()
-	obj.WriteAt(data, local)
-	if slot == s.ID {
-		s.stored += obj.Bytes() - before
-	}
-}
-
 // installImage clones source's store pages for one slot into this
-// server's copy — the full-image transfer of a resync — under the same
-// capacity-accounting rule as applyReplica.
+// server's copy — the full-image transfer of a resync.
 func (s *Server) installImage(fileID uint64, slot int, source *Server) {
 	dst := s.storeFor(fileID, slot)
 	before := dst.Bytes()
 	dst.CopyFrom(source.storeFor(fileID, slot))
-	if slot == s.ID {
-		s.stored += dst.Bytes() - before
-	}
+	s.account(slot, dst.Bytes()-before)
 }
 
 // replState is a replicated file's protocol state: the placement spec and
@@ -280,9 +234,9 @@ func (fs *FS) beginReplWrite(meta *FileMeta, slot int, s *Server, local int64, d
 // applied to the member's store and the commit is reported to the group.
 // ackTo, when non-nil, is the serving replica's node; the backup's commit
 // report then rides a (payload-free) ack message back to it first. The
-// store application happens here rather than in the generic disk-op path
-// so it can be refused atomically with the commit (see replApply) — a
-// member's commit point never overstates its store contents.
+// store application happens here, in the step that owns the record's
+// bytes, so it can be refused atomically with the commit (see replApply)
+// — a member's commit point never overstates its store contents.
 func (fs *FS) replicaWrite(meta *FileMeta, rg *replGroup, member *Server, rec repl.Record, span obs.SpanID, ackTo *netsim.Node) {
 	// The commit gets its own span on the member's track, tagged with the
 	// group coordinates, so critpath blame can charge chain-write overhead
@@ -295,7 +249,7 @@ func (fs *FS) replicaWrite(meta *FileMeta, rg *replGroup, member *Server, rec re
 			obs.TInt("view", int64(rg.g.View())), obs.TInt("seq", int64(rec.Seq)),
 			obs.TInt("bytes", rec.Size))
 	}
-	member.servePhantom(device.Write, rec.Local, rec.Size, wspan, errDone, func(err error) {
+	member.serve(device.Write, rec.Local, rec.Size, wspan, errDone, func(err error) {
 		if err == nil {
 			err = fs.replApply(meta, rg, member, rec)
 		}
@@ -322,7 +276,7 @@ func (fs *FS) replApply(meta *FileMeta, rg *replGroup, member *Server, rec repl.
 	if cs := rg.cu[member.ID]; cs != nil && cs.active {
 		return fmt.Errorf("%w: replica %s is catching up", ErrUnavailable, member.Name)
 	}
-	member.applyReplica(meta.ID, rg.g.Slot(), rec.Data, rec.Local)
+	member.writeSlot(meta.ID, rg.g.Slot(), rec.Data, rec.Local)
 	return nil
 }
 
@@ -362,7 +316,7 @@ func (fs *FS) replCommit(meta *FileMeta, rg *replGroup, server int, seq uint64, 
 // bytes older than an acknowledged write.
 func (fs *FS) replRead(meta *FileMeta, slot int, s *Server, local, size int64, phantom bool, span obs.SpanID, reply func([]byte, error)) {
 	rg := meta.Repl.groups[slot]
-	s.servePhantom(device.Read, local, size, span, errDone, func(err error) {
+	s.serve(device.Read, local, size, span, errDone, func(err error) {
 		if err != nil {
 			reply(nil, err)
 			return
@@ -379,9 +333,7 @@ func (fs *FS) replRead(meta *FileMeta, slot int, s *Server, local, size int64, p
 			reply(nil, nil)
 			return
 		}
-		buf := make([]byte, size)
-		s.storeFor(meta.ID, slot).ReadAt(buf, local)
-		reply(buf, nil)
+		reply(s.readSlot(meta.ID, slot, local, size), nil)
 	})
 }
 
@@ -638,7 +590,7 @@ func (fs *FS) catchStep(meta *FileMeta, rg *replGroup, server int, token int) {
 			obs.TInt("seq", int64(rec.Seq)), obs.TInt("lag", int64(g.Lag(server))))
 	}
 	fs.net.TransferSpan(cspan, source.node, member.node, rec.Size, func(sim.Time) {
-		member.servePhantom(device.Write, rec.Local, rec.Size, cspan, errDone, func(err error) {
+		member.serve(device.Write, rec.Local, rec.Size, cspan, errDone, func(err error) {
 			if cs.token != token || !cs.active {
 				fs.tracer.End(cspan, obs.T("status", "superseded"))
 				return
@@ -656,7 +608,7 @@ func (fs *FS) catchStep(meta *FileMeta, rg *replGroup, server int, token int) {
 			cs.tries = 0
 			fs.Repl.CatchUpRecords++
 			fs.Repl.CatchUpBytes += uint64(rec.Size)
-			member.applyReplica(meta.ID, g.Slot(), rec.Data, rec.Local)
+			member.writeSlot(meta.ID, g.Slot(), rec.Data, rec.Local)
 			g.Replayed(server, rec.Seq)
 			fs.tracer.End(cspan, obs.T("status", "ok"), obs.TInt("lag", int64(g.Lag(server))))
 			if p := findPending(rg, rec.Seq); p != nil {
@@ -720,7 +672,7 @@ func (fs *FS) catchResync(meta *FileMeta, rg *replGroup, server, src, token int)
 			obs.TInt("bytes", size))
 	}
 	fs.net.TransferSpan(rspan, source.node, member.node, size, func(sim.Time) {
-		member.servePhantom(device.Write, 0, size, rspan, errDone, func(err error) {
+		member.serve(device.Write, 0, size, rspan, errDone, func(err error) {
 			if cs.token != token || !cs.active {
 				fs.tracer.End(rspan, obs.T("status", "superseded"))
 				return

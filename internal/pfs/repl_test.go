@@ -72,8 +72,10 @@ func TestReplWriteReadRoundTrip(t *testing.T) {
 	// Every byte written must also sit on a backup replica.
 	var backupBytes int64
 	for _, s := range fs.servers {
-		for _, obj := range s.replObjects {
-			backupBytes += obj.Bytes()
+		for key, obj := range s.stores {
+			if key.slot != s.ID {
+				backupBytes += obj.Bytes()
+			}
 		}
 	}
 	if backupBytes != int64(len(payload)) {
@@ -368,8 +370,8 @@ func TestReplPhantomWritesReplicate(t *testing.T) {
 	}
 	// Phantom payloads must stay phantom on the backups too.
 	for _, s := range fs.servers {
-		for _, obj := range s.replObjects {
-			if obj.Bytes() != 0 {
+		for key, obj := range s.stores {
+			if key.slot != s.ID && obj.Bytes() != 0 {
 				t.Fatal("phantom write materialized backup bytes")
 			}
 		}
@@ -459,8 +461,8 @@ func TestReplRemoveCleansBackupObjects(t *testing.T) {
 	})
 	e.Run()
 	for _, s := range fs.servers {
-		if len(s.replObjects) != 0 {
-			t.Fatalf("server %s still holds %d backup objects", s.Name, len(s.replObjects))
+		if len(s.stores) != 0 {
+			t.Fatalf("server %s still holds %d stores", s.Name, len(s.stores))
 		}
 	}
 	if len(fs.replFiles) != 0 {
@@ -551,11 +553,11 @@ func TestReplCommitDroppedDuringCatchUp(t *testing.T) {
 	recA, _ := g.Assign(0, 8<<10, fill(91, 8<<10))
 	recB, _ := g.Assign(4<<10, 8<<10, fill(92, 8<<10))
 	for _, rec := range []repl.Record{recA, recB} {
-		fs.servers[serving].applyReplica(meta.ID, 0, rec.Data, rec.Local)
+		fs.servers[serving].writeSlot(meta.ID, 0, rec.Data, rec.Local)
 		g.Commit(serving, rec.Seq)
 		g.Ack(rec.Seq)
 	}
-	fs.servers[backup].applyReplica(meta.ID, 0, recB.Data, recB.Local)
+	fs.servers[backup].writeSlot(meta.ID, 0, recB.Data, recB.Local)
 
 	fs.startCatchUp(meta, rg, backup)
 	if cs := rg.cu[backup]; cs == nil || !cs.active {

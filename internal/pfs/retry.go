@@ -220,7 +220,8 @@ func (o *subOp) exchange(i int, target *Server) {
 }
 
 // legLanded serves a request that reached its target: the replication
-// protocol on replicated files, a disk pass otherwise.
+// protocol on replicated files, a disk pass through the target's
+// datafile otherwise.
 func legLanded(arg any, _ sim.Time) {
 	l := arg.(*subLeg)
 	o := l.o
@@ -232,11 +233,27 @@ func legLanded(arg any, _ sim.Time) {
 		} else {
 			fs.replRead(o.f.meta, o.sub.Server, l.target, o.sub.Local, o.sub.Size, o.phantom, o.span, reply)
 		}
-	case o.phantom:
-		l.target.servePhantom(o.op, o.sub.Local, o.sub.Size, o.span, legServed, l)
 	default:
-		l.target.serve(o.op, o.f.meta.ID, o.sub.Local, o.payload, o.sub.Size, o.span, legServed, l)
+		l.target.serve(o.op, o.sub.Local, o.sub.Size, o.span, legDisk, l)
 	}
+}
+
+// legDisk completes an unreplicated sub-request's disk pass: unless the
+// pass failed or the op is phantom, it moves the payload through the
+// datafile — the slot's store on the target, which owns the slot — and
+// then sends the reply.
+func legDisk(arg any, err error) {
+	l := arg.(*subLeg)
+	o := l.o
+	var data []byte
+	if err == nil && !o.phantom {
+		if o.op == device.Write {
+			l.target.writeSlot(o.f.meta.ID, o.sub.Server, o.payload, o.sub.Local)
+		} else {
+			data = l.target.readSlot(o.f.meta.ID, o.sub.Server, o.sub.Local, o.sub.Size)
+		}
+	}
+	legServed(l, data, err)
 }
 
 // legServed sends the service outcome back to the client. Read replies

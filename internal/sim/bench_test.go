@@ -2,7 +2,10 @@ package sim
 
 import "testing"
 
-func benchEventThroughput(b *testing.B, e *Engine) {
+// BenchmarkEngineEventThroughput measures raw event dispatch rate — the
+// budget every simulated component spends from.
+func BenchmarkEngineEventThroughput(b *testing.B) {
+	e := NewEngine(1)
 	n := 0
 	var tick func()
 	tick = func() {
@@ -16,20 +19,10 @@ func benchEventThroughput(b *testing.B, e *Engine) {
 	e.Run()
 }
 
-// BenchmarkEngineEventThroughput measures raw event dispatch rate — the
-// budget every simulated component spends from.
-func BenchmarkEngineEventThroughput(b *testing.B) {
-	benchEventThroughput(b, NewEngine(1))
-}
-
-// BenchmarkEngineEventThroughputHeap is the same workload on the
-// retained heap-reference engine (per-event allocation, binary heap) —
-// the pre-wheel baseline the speedup claims compare against.
-func BenchmarkEngineEventThroughputHeap(b *testing.B) {
-	benchEventThroughput(b, NewHeapEngine(1))
-}
-
-func benchHeapChurn(b *testing.B, e *Engine) {
+// BenchmarkEngineHeapChurn stresses the event queue with out-of-order
+// scheduling, the pattern striped I/O produces.
+func BenchmarkEngineHeapChurn(b *testing.B) {
+	e := NewEngine(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if e.Pending() < 1024 {
@@ -40,18 +33,6 @@ func benchHeapChurn(b *testing.B, e *Engine) {
 		}
 	}
 	e.Run()
-}
-
-// BenchmarkEngineHeapChurn stresses the event queue with out-of-order
-// scheduling, the pattern striped I/O produces.
-func BenchmarkEngineHeapChurn(b *testing.B) {
-	benchHeapChurn(b, NewEngine(1))
-}
-
-// BenchmarkEngineHeapChurnHeap is the churn workload on the
-// heap-reference engine baseline.
-func BenchmarkEngineHeapChurnHeap(b *testing.B) {
-	benchHeapChurn(b, NewHeapEngine(1))
 }
 
 // BenchmarkResourceUse measures the FIFO queue's reservation cost.

@@ -23,17 +23,6 @@ type event struct {
 	end   Time
 }
 
-// eventQueue is the priority-queue contract the engine runs on: pop and
-// peek always yield the globally minimal (at, seq) event. The
-// production implementation is the hierarchical timer wheel; a plain
-// binary heap is retained as a reference for differential tests.
-type eventQueue interface {
-	push(*event)
-	pop() *event
-	peek() (Time, bool)
-	len() int
-}
-
 // EventPoolCap bounds the engine's event free list. Recycled records
 // beyond the cap are dropped to the garbage collector, so a burst that
 // once had millions of events in flight does not pin that memory for
@@ -46,13 +35,12 @@ const EventPoolCap = 1 << 14
 type Engine struct {
 	now     Time
 	seq     uint64
-	q       eventQueue
+	q       wheelQueue
 	rng     *rand.Rand
 	stopped bool
 
 	free      *event // recycled event records
 	pooled    int
-	poolCap   int
 	poolHW    int
 	poolDrops uint64
 
@@ -64,23 +52,7 @@ type Engine struct {
 // NewEngine returns an engine whose random source is seeded with seed.
 // The same seed always yields the same simulation.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:     rand.New(rand.NewSource(seed)),
-		q:       &wheelQueue{},
-		poolCap: EventPoolCap,
-	}
-}
-
-// NewHeapEngine returns an engine driven by the retained binary-heap
-// reference queue, with event pooling disabled so every schedule
-// allocates — the pre-wheel implementation, kept as the baseline for
-// differential determinism tests and benchmarks. Behavior must be
-// bit-identical to NewEngine for any workload.
-func NewHeapEngine(seed int64) *Engine {
-	return &Engine{
-		rng: rand.New(rand.NewSource(seed)),
-		q:   &heapQueue{},
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -113,7 +85,7 @@ func (e *Engine) allocEvent(at Time) *event {
 func (e *Engine) recycle(ev *event) {
 	ev.fn, ev.dfn, ev.cfn, ev.arg = nil, nil, nil, nil
 	ev.start, ev.end = 0, 0
-	if e.pooled >= e.poolCap {
+	if e.pooled >= EventPoolCap {
 		e.poolDrops++
 		return
 	}

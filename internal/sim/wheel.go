@@ -85,7 +85,7 @@ func (h *eventHeapSlice) pop() *event {
 	return ev
 }
 
-// wheelQueue is the production event queue.
+// wheelQueue is the engine's event queue.
 //
 // Invariants:
 //   - near holds exactly the events with tick <= cur; everything in a
@@ -212,26 +212,4 @@ func (w *wheelQueue) pop() *event {
 	w.advance()
 	w.size--
 	return w.near.pop()
-}
-
-// heapQueue is the retained reference queue: a plain binary heap over
-// the same pooled event records, semantically identical to the
-// pre-wheel container/heap engine. It exists so differential tests can
-// replay whole scenarios on both queues and require bit-identical
-// behavior, and as the benchmark baseline.
-type heapQueue struct {
-	h eventHeapSlice
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
-func (q *heapQueue) push(ev *event) { q.h.push(ev) }
-
-func (q *heapQueue) pop() *event { return q.h.pop() }
-
-func (q *heapQueue) peek() (Time, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].at, true
 }

@@ -1,55 +1,94 @@
 package sim
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// driveBoth runs the same scripted scenario on a wheel engine and a
-// heap-reference engine and asserts the observable execution — the
-// exact (now, id) firing sequence, final clock, and Processed count —
-// is identical.
-func driveBoth(t *testing.T, script func(e *Engine, record func(id int))) {
-	t.Helper()
-	type firing struct {
-		at Time
-		id int
+// queuePair drives the timer wheel and the plain binary heap
+// (eventHeapSlice, the oracle) through the same operations. A push
+// hands both the same event record, so every pop must return the very
+// record the oracle pops. now follows the engine's clock — a pop moves
+// it to the popped event, a bounded drain to its deadline — and pushes
+// are relative to it, so no push precedes the clock, as the engine
+// guarantees.
+type queuePair struct {
+	t   testing.TB
+	w   wheelQueue
+	h   eventHeapSlice
+	now Time
+	seq uint64
+}
+
+func (q *queuePair) push(delay Duration, id int) {
+	q.seq++
+	ev := &event{at: q.now.Add(delay), seq: q.seq, arg: id}
+	q.w.push(ev)
+	q.h.push(ev)
+}
+
+func (q *queuePair) pop() *event {
+	q.t.Helper()
+	if q.w.len() != len(q.h) {
+		q.t.Fatalf("len: wheel %d, heap %d", q.w.len(), len(q.h))
 	}
-	run := func(e *Engine) []firing {
-		var log []firing
-		script(e, func(id int) { log = append(log, firing{e.Now(), id}) })
-		return log
-	}
-	wheel := NewEngine(42)
-	heap := NewHeapEngine(42)
-	wl, hl := run(wheel), run(heap)
-	if len(wl) != len(hl) {
-		t.Fatalf("wheel fired %d events, heap %d", len(wl), len(hl))
-	}
-	for i := range wl {
-		if wl[i] != hl[i] {
-			t.Fatalf("firing %d: wheel %+v, heap %+v", i, wl[i], hl[i])
+	got := q.w.pop()
+	if len(q.h) == 0 {
+		if got != nil {
+			q.t.Fatalf("empty wheel popped (at %v, seq %d)", got.at, got.seq)
 		}
+		return nil
 	}
-	if wheel.Now() != heap.Now() {
-		t.Fatalf("final time: wheel %v, heap %v", wheel.Now(), heap.Now())
+	if want := q.h.pop(); got != want {
+		q.t.Fatalf("pop: wheel (at %v, seq %d), heap (at %v, seq %d)", got.at, got.seq, want.at, want.seq)
 	}
-	if wheel.Processed != heap.Processed {
-		t.Fatalf("processed: wheel %d, heap %d", wheel.Processed, heap.Processed)
+	q.now = got.at
+	return got
+}
+
+// runUntil pops every event at or before deadline, bounding the drain
+// by peek as Engine.RunUntil does, then moves the clock to deadline.
+// The peek may sweep the wheel's cursor past deadline, so later pushes
+// can land behind it.
+func (q *queuePair) runUntil(deadline Time, fired func(*event)) {
+	q.t.Helper()
+	for {
+		at, ok := q.w.peek()
+		if ok != (len(q.h) > 0) || ok && at != q.h[0].at {
+			q.t.Fatalf("peek: wheel (%v, %v), heap holds %d", at, ok, len(q.h))
+		}
+		if !ok || at > deadline {
+			break
+		}
+		fired(q.pop())
+	}
+	if q.now < deadline {
+		q.now = deadline
+	}
+}
+
+// drain pops until both queues are empty.
+func (q *queuePair) drain(fired func(*event)) {
+	q.t.Helper()
+	for q.w.len() > 0 {
+		fired(q.pop())
+	}
+	if q.pop() != nil || len(q.h) != 0 {
+		q.t.Fatalf("heap still holds %d events after the wheel drained", len(q.h))
 	}
 }
 
 // TestWheelHeapDifferentialRandom replays randomized schedules — ties,
-// zero delays, nested scheduling, far-future overflow events, RunUntil
-// segments — on both queue implementations and requires bit-identical
-// firing order. This is the unit-level determinism contract; the
-// experiments package replays whole IOR/chaos/drift scenarios on top.
+// zero delays, events pushed from a pop, far-future overflow events, a
+// bounded drain — on the wheel and the heap oracle and requires the
+// same pop sequence.
 func TestWheelHeapDifferentialRandom(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		src := rand.New(rand.NewSource(int64(trial)))
 		n := 200 + src.Intn(400)
-		// Pre-draw the schedule so both engines see the same script
-		// regardless of their own rng state.
 		delays := make([]Duration, n)
 		for i := range delays {
 			switch src.Intn(10) {
@@ -68,60 +107,131 @@ func TestWheelHeapDifferentialRandom(t *testing.T) {
 			nested[i] = Duration(src.Int63n(int64(Millisecond)))
 		}
 		deadline := Time(src.Int63n(int64(30 * Second)))
-		driveBoth(t, func(e *Engine, record func(id int)) {
-			for i, d := range delays {
-				i, d := i, d
-				e.Schedule(d, func() {
-					record(i)
-					if i%3 == 0 {
-						e.Schedule(nested[i], func() { record(n + i) })
-					}
-				})
+		q := &queuePair{t: t}
+		for i, d := range delays {
+			q.push(d, i)
+		}
+		fired := func(ev *event) {
+			if i := ev.arg.(int); i < n && i%3 == 0 {
+				q.push(nested[i], n+i)
 			}
-			e.RunUntil(deadline)
-			e.Run()
-		})
+		}
+		q.runUntil(deadline, fired)
+		q.drain(fired)
 	}
 }
 
-// TestWheelHeapDifferentialStop checks that Stop interacts with both
-// queues identically: pending events survive and a later Run resumes.
+// TestWheelHeapDifferentialStop replays the engine's stop-and-resume
+// pattern on the wheel and the heap oracle: a drain halted part-way (a
+// Stop) leaves the rest queued, a bounded drain (a RunUntil) follows,
+// and a last drain resumes in order.
 func TestWheelHeapDifferentialStop(t *testing.T) {
-	driveBoth(t, func(e *Engine, record func(id int)) {
-		for i := 0; i < 50; i++ {
-			i := i
-			e.Schedule(Duration(i)*Millisecond, func() {
-				record(i)
-				if i == 10 {
-					e.Stop()
-				}
-			})
-		}
-		e.Run()
-		record(-1)
-		e.RunUntil(e.Now().Add(5 * Millisecond))
-		record(-2)
-		e.Run()
-	})
+	q := &queuePair{t: t}
+	for i := 0; i < 50; i++ {
+		q.push(Duration(i)*Millisecond, i)
+	}
+	for q.pop().arg.(int) != 10 {
+	}
+	q.runUntil(q.now.Add(5*Millisecond), func(*event) {})
+	q.drain(func(*event) {})
 }
 
 // TestWheelCascadeTieWithFineBucket pins the trickiest wheel case: a
 // coarse bucket and a fine bucket starting at the same tick. Both must
-// drain before any of their events fire, or same-tick events fire out
+// drain before any of their events pops, or same-tick events pop out
 // of seq order.
 func TestWheelCascadeTieWithFineBucket(t *testing.T) {
-	driveBoth(t, func(e *Engine, record func(id int)) {
-		target := Time(64 << wheelTickBits) // start of a level-1 block
-		// Scheduled first, from tick 0: lands in a coarse bucket.
-		e.ScheduleAt(target, func() { record(1) })
-		// Advance near the target, then schedule the same instant again:
-		// lands in a level-0 bucket for the identical tick.
-		e.ScheduleAt(target-Time(32<<wheelTickBits), func() {
-			record(0)
-			e.ScheduleAt(target, func() { record(2) })
-		})
-		e.Run()
+	q := &queuePair{t: t}
+	target := Duration(64 << wheelTickBits) // start of a level-1 block
+	half := Duration(32 << wheelTickBits)
+	// Pushed first, from tick 0: lands in a coarse bucket.
+	q.push(target, 1)
+	q.push(target-half, 0)
+	var order []int
+	q.pop()
+	// The clock is half a block short of the target: the same instant
+	// pushed again lands in a level-0 bucket for the identical tick.
+	q.push(half, 2)
+	q.drain(func(ev *event) { order = append(order, ev.arg.(int)) })
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("order = %v, want [1 2]", order)
+	}
+}
+
+// FuzzWheelQueue runs a script of pushes, pops and bounded drains on the
+// wheel and the heap oracle; every pop must match. Each op byte's low
+// two bits pick the operation and the rest parameterise it.
+func FuzzWheelQueue(f *testing.F) {
+	// The cascade tie of TestWheelCascadeTieWithFineBucket.
+	target := Duration(64 << wheelTickBits)
+	half := Duration(32 << wheelTickBits)
+	f.Add([]byte(wheelScript(nil).push(target).push(target - half).pop().push(half).pop().pop()))
+	// TestWheelRunUntilThenPastCursor at the queue level: the bounded
+	// drain's peek sweeps the cursor toward 10s, then nearer pushes land
+	// behind it.
+	f.Add([]byte(wheelScript(nil).push(10 * Second).until(3 * Second).push(Millisecond).push(Microsecond).pop().pop()))
+	f.Add([]byte(wheelScript(nil).tiny(0).tiny(0).push(20 * Second).tiny(3).pop().push(60 * Second).until(Second).tiny(9)))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > fuzzMaxScript {
+			script = script[:fuzzMaxScript] // keeps the clock far from overflow
+		}
+		q := &queuePair{t: t}
+		arg := func(n int) []byte {
+			var b [4]byte
+			script = script[copy(b[:n], script):]
+			return b[:n]
+		}
+		for len(script) > 0 {
+			op := script[0]
+			script = script[1:]
+			switch op & 3 {
+			case fuzzTiny:
+				q.push(Duration(arg(1)[0])*fuzzTinyUnit, 0)
+			case fuzzPush:
+				q.push(Duration(binary.LittleEndian.Uint32(arg(4)))<<(op>>2&15), 0)
+			case fuzzPop:
+				q.pop()
+			case fuzzUntil:
+				q.runUntil(q.now.Add(Duration(binary.LittleEndian.Uint32(arg(4)))<<(op>>2&15)), func(*event) {})
+			}
+		}
+		q.drain(func(*event) {})
 	})
+}
+
+// FuzzWheelQueue's operations.
+const (
+	fuzzTiny     = iota // push now + b·fuzzTinyUnit, b the next byte: same-tick ties and near pushes
+	fuzzPush            // push now + d, d the next 4 bytes (little-endian) shifted left by op>>2 & 15
+	fuzzPop             // pop one event (a no-op on an empty queue)
+	fuzzUntil           // drain to now + d, d as for fuzzPush, bounded by peek
+	fuzzTinyUnit = 97 * Nanosecond
+
+	fuzzMaxScript = 4096
+)
+
+// wheelScript builds FuzzWheelQueue inputs.
+type wheelScript []byte
+
+func (s wheelScript) tiny(b byte) wheelScript { return append(s, fuzzTiny, b) }
+
+func (s wheelScript) pop() wheelScript { return append(s, fuzzPop) }
+
+func (s wheelScript) push(d Duration) wheelScript { return s.dur(fuzzPush, d) }
+
+func (s wheelScript) until(d Duration) wheelScript { return s.dur(fuzzUntil, d) }
+
+// dur encodes d as the smallest shift that leaves a 32-bit mantissa;
+// d must be exact at that shift.
+func (s wheelScript) dur(op byte, d Duration) wheelScript {
+	shift := 0
+	for d>>shift > math.MaxUint32 {
+		shift++
+	}
+	if shift > 15 || d>>shift<<shift != d {
+		panic(fmt.Sprintf("wheelScript: %v is not encodable", d))
+	}
+	return binary.LittleEndian.AppendUint32(append(s, op|byte(shift)<<2), uint32(d>>shift))
 }
 
 // TestWheelRunUntilThenPastCursor pins the peek-advances-cursor edge:
@@ -182,23 +292,6 @@ func TestEventPoolCap(t *testing.T) {
 	}
 	if want := uint64(n - EventPoolCap); drops != want {
 		t.Fatalf("drops = %d, want %d", drops, want)
-	}
-}
-
-// TestHeapEngineDoesNotPool pins the reference engine's role as the
-// pre-wheel baseline: every schedule allocates, nothing is pooled.
-func TestHeapEngineDoesNotPool(t *testing.T) {
-	e := NewHeapEngine(1)
-	for i := 0; i < 100; i++ {
-		e.Schedule(Duration(i)*Microsecond, func() {})
-	}
-	e.Run()
-	pooled, hw, drops := e.PoolStats()
-	if pooled != 0 || hw != 0 {
-		t.Fatalf("heap engine pooled %d (hw %d), want 0", pooled, hw)
-	}
-	if drops != 100 {
-		t.Fatalf("drops = %d, want 100", drops)
 	}
 }
 
