@@ -10,8 +10,9 @@ chaos_hint = echo "reproduce a chaos failure with: make chaos CHAOS_SEED=$(or $(
 
 # verify is the tier-1 gate: everything must pass before a commit lands.
 # One race pass runs every test once, including the chaos, replication,
-# monitor, engine-differential, SLO and doctor suites and the exact
-# virtual-outcome pins; trace adds the only check no test covers.
+# monitor, SLO and doctor suites, the wheel-vs-heap event-queue
+# differentials, the decoder seed corpora and the exact virtual-outcome
+# pins; trace adds the only check no test covers.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...

@@ -94,6 +94,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -820,22 +821,37 @@ func cmdShow(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The header line distinguishes two-tier from tiered tables.
-	if rst, err := harl.ReadRST(bytes.NewReader(data)); err == nil {
-		fmt.Printf("%-6s %-14s %-14s %-10s %-10s\n", "region", "offset", "end", "H stripe", "S stripe")
-		for i, e := range rst.Entries {
-			fmt.Printf("%-6d %-14d %-14d %-10s %-10s\n", i, e.Offset, e.End, kb(e.H), kb(e.S))
+	// The header names the format, and only that format's decoder reads it.
+	if harl.IsTieredRST(data) {
+		trst, err := harl.ReadTieredRST(bytes.NewReader(data))
+		if err != nil {
+			return err
+		}
+		fmt.Printf("tier server counts: %v\n", trst.Counts)
+		fmt.Printf("%-6s %-14s %-14s %s\n", "region", "offset", "end", "per-tier stripes")
+		for i, e := range trst.Entries {
+			fmt.Printf("%-6d %-14d %-14d %v\n", i, e.Offset, e.End, e.Stripes)
 		}
 		return nil
 	}
-	trst, err := harl.ReadTieredRST(bytes.NewReader(data))
+	rst, err := harl.ReadRST(bytes.NewReader(data))
 	if err != nil {
-		return fmt.Errorf("not a valid RST or tiered RST: %w", err)
+		return err
 	}
-	fmt.Printf("tier server counts: %v\n", trst.Counts)
-	fmt.Printf("%-6s %-14s %-14s %s\n", "region", "offset", "end", "per-tier stripes")
-	for i, e := range trst.Entries {
-		fmt.Printf("%-6d %-14d %-14d %v\n", i, e.Offset, e.End, e.Stripes)
+	// A region with a replication factor (every table Write emits as v2)
+	// adds the R column.
+	replicated := slices.ContainsFunc(rst.Entries, func(e harl.RSTEntry) bool { return e.R != 0 })
+	fmt.Printf("%-6s %-14s %-14s %-10s %-10s", "region", "offset", "end", "H stripe", "S stripe")
+	if replicated {
+		fmt.Print(" R")
+	}
+	fmt.Println()
+	for i, e := range rst.Entries {
+		fmt.Printf("%-6d %-14d %-14d %-10s %-10s", i, e.Offset, e.End, kb(e.H), kb(e.S))
+		if replicated {
+			fmt.Printf(" %d", e.R)
+		}
+		fmt.Println()
 	}
 	return nil
 }

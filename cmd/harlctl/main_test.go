@@ -119,6 +119,50 @@ func TestOptimizeTiersShowRoundTrip(t *testing.T) {
 	}
 }
 
+// show picks its decoder from the header: v1 and tiered tables print as
+// they always have, v2 tables add the R column, and a malformed table
+// reports the error of the format its header names.
+func TestShowReadsTheHeader(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name, table, want, wantErr string
+	}{
+		{name: "v1", table: "#harl-rst v1\n0 134217728 16384 65536\n134217728 201326592 0 147456\n",
+			want: "region offset         end            H stripe   S stripe  \n" +
+				"0      0              134217728      16KB       64KB      \n" +
+				"1      134217728      201326592      0KB        144KB     \n"},
+		{name: "v2", table: "#harl-rst v2\n0 100 4096 8192 2\n100 300 0 65536 1\n",
+			want: "region offset         end            H stripe   S stripe   R\n" +
+				"0      0              100            4KB        8KB        2\n" +
+				"1      100            300            0KB        64KB       1\n"},
+		{name: "tiered", table: "#harl-tiered-rst v1\n#counts 6 1 1\n0 134217728 16384 32768 65536\n134217728 268435456 0 65536 131072\n",
+			want: "tier server counts: [6 1 1]\n" +
+				"region offset         end            per-tier stripes\n" +
+				"0      0              134217728      [16384 32768 65536]\n" +
+				"1      134217728      268435456      [0 65536 131072]\n"},
+		{name: "malformed v1", table: "#harl-rst v1\n0 10 1\n", wantErr: "harl: RST line 2: want 4 fields"},
+		{name: "malformed tiered", table: "#harl-tiered-rst v1\n0 10 1\n", wantErr: "harl: tiered RST line 2: missing #counts line"},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "_"))
+		if err := os.WriteFile(path, []byte(c.table), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := capture(t, "show", "-rst", path)
+		if c.wantErr != "" {
+			if err == nil || !strings.HasPrefix(err.Error(), c.wantErr) {
+				t.Errorf("%s: error %v, want one starting %q", c.name, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if out != c.want {
+			t.Errorf("%s: show printed\n%q\nwant\n%q", c.name, out, c.want)
+		}
+	}
+}
+
 // optimize -tiers -profile prints the search profile, with the best
 // stripes per tier, and -parallel changes nothing in the written table.
 func TestOptimizeTiersProfile(t *testing.T) {

@@ -6,9 +6,9 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"harl/internal/stats"
+	"harl/internal/textfmt"
 	"harl/internal/trace"
 )
 
@@ -128,79 +128,43 @@ func (f *PlanFingerprint) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// fpFormat is the fingerprint's on-disk text format; its keyed line
+// carries the threshold.
+var fpFormat = textfmt.Format{Name: "harl: fingerprint", Headers: []string{fpHeader}, Key: "threshold"}
+
 // ReadFingerprint decodes a fingerprint written by Write.
 func ReadFingerprint(r io.Reader) (*PlanFingerprint, error) {
-	sc := bufio.NewScanner(r)
 	f := &PlanFingerprint{}
-	lineNo := 0
-	sawHeader := false
-	sawThreshold := false
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	head := func(_ int, threshold []string) error {
+		if len(threshold) != 1 {
+			return fmt.Errorf("malformed threshold")
 		}
-		if strings.HasPrefix(line, "#") {
-			if line == fpHeader {
-				if sawHeader {
-					return nil, fmt.Errorf("harl: fingerprint line %d: second %q header", lineNo, fpHeader)
-				}
-				sawHeader = true
-			}
-			continue
-		}
-		if !sawHeader {
-			return nil, fmt.Errorf("harl: fingerprint line %d: missing %q header", lineNo, fpHeader)
-		}
-		fields := strings.Fields(line)
-		if fields[0] == "threshold" {
-			if sawThreshold {
-				return nil, fmt.Errorf("harl: fingerprint line %d: second threshold line", lineNo)
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("harl: fingerprint line %d: malformed threshold", lineNo)
-			}
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("harl: fingerprint line %d: %w", lineNo, err)
-			}
-			f.Threshold = v
-			sawThreshold = true
-			continue
-		}
-		if len(fields) != 17 {
-			return nil, fmt.Errorf("harl: fingerprint line %d: want 17 fields, got %d", lineNo, len(fields))
-		}
-		var reg RegionFingerprint
 		var err error
-		for i, dst := range []*int64{&reg.Offset, &reg.End, &reg.H, &reg.S} {
-			if *dst, err = strconv.ParseInt(fields[i], 10, 64); err != nil {
-				return nil, fmt.Errorf("harl: fingerprint line %d field %d: %w", lineNo, i, err)
-			}
+		f.Threshold, err = strconv.ParseFloat(threshold[0], 64)
+		return err
+	}
+	err := fpFormat.Read(r, head, func(fields []string) error {
+		if len(fields) != 17 {
+			return fmt.Errorf("want 17 fields, got %d", len(fields))
 		}
-		req, err := strconv.Atoi(fields[4])
+		v, err := textfmt.Ints(fields[:5])
 		if err != nil {
-			return nil, fmt.Errorf("harl: fingerprint line %d field 4: %w", lineNo, err)
+			return err
 		}
-		reg.Requests = req
-		for i, dst := range []*float64{&reg.MeanSize, &reg.CV, &reg.WriteMix} {
-			if *dst, err = strconv.ParseFloat(fields[5+i], 64); err != nil {
-				return nil, fmt.Errorf("harl: fingerprint line %d field %d: %w", lineNo, 5+i, err)
+		var vals [12]float64 // mean, cv, mix, then the nine deciles
+		for i := range vals {
+			if vals[i], err = strconv.ParseFloat(fields[5+i], 64); err != nil {
+				return err
 			}
 		}
-		for i := range reg.SizeDeciles {
-			if reg.SizeDeciles[i], err = strconv.ParseFloat(fields[8+i], 64); err != nil {
-				return nil, fmt.Errorf("harl: fingerprint line %d field %d: %w", lineNo, 8+i, err)
-			}
-		}
+		reg := RegionFingerprint{Offset: v[0], End: v[1], H: v[2], S: v[3], Requests: int(v[4]),
+			MeanSize: vals[0], CV: vals[1], WriteMix: vals[2]}
+		copy(reg.SizeDeciles[:], vals[3:])
 		f.Regions = append(f.Regions, reg)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if !sawThreshold {
-		return nil, fmt.Errorf("harl: fingerprint missing threshold line")
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -215,20 +179,14 @@ func (f *PlanFingerprint) Validate() error {
 	if !finiteNonNegative(f.Threshold) {
 		return fmt.Errorf("harl: fingerprint threshold %v is not a finite non-negative number", f.Threshold)
 	}
+	if err := contiguous("fingerprint region", len(f.Regions), func(i int) (int64, int64) {
+		return f.Regions[i].Offset, f.Regions[i].End
+	}); err != nil {
+		return err
+	}
 	for i, r := range f.Regions {
-		if r.End <= r.Offset {
-			return fmt.Errorf("harl: fingerprint region %d has empty range [%d,%d)", i, r.Offset, r.End)
-		}
 		if r.H < 0 || r.S < 0 || r.H+r.S == 0 {
 			return fmt.Errorf("harl: fingerprint region %d has unusable stripes %v", i, r.Pair())
-		}
-		if i == 0 {
-			if r.Offset != 0 {
-				return fmt.Errorf("harl: fingerprint must start at offset 0, got %d", r.Offset)
-			}
-		} else if r.Offset != f.Regions[i-1].End {
-			return fmt.Errorf("harl: fingerprint region %d not contiguous: starts %d, previous ends %d",
-				i, r.Offset, f.Regions[i-1].End)
 		}
 		if r.Requests < 0 || !finiteNonNegative(r.MeanSize, r.CV, r.WriteMix) || r.WriteMix > 1 ||
 			!finiteNonNegative(r.SizeDeciles[:]...) {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
+
+	"harl/internal/textfmt"
 )
 
 // RSTEntry is one row of the Region Stripe Table (paper Fig. 6): a file
@@ -39,24 +39,37 @@ type RST struct {
 
 // Validate checks contiguity, ordering and stripe sanity.
 func (t *RST) Validate() error {
+	if err := contiguous("RST entry", len(t.Entries), func(i int) (int64, int64) {
+		return t.Entries[i].Offset, t.Entries[i].End
+	}); err != nil {
+		return err
+	}
 	for i, e := range t.Entries {
-		if e.End <= e.Offset {
-			return fmt.Errorf("harl: RST entry %d has empty range [%d,%d)", i, e.Offset, e.End)
-		}
 		if e.H < 0 || e.S < 0 || e.H+e.S == 0 {
 			return fmt.Errorf("harl: RST entry %d has unusable stripes %v", i, e.Pair())
 		}
 		if e.R < 0 {
 			return fmt.Errorf("harl: RST entry %d has negative replication factor %d", i, e.R)
 		}
-		if i == 0 {
-			if e.Offset != 0 {
-				return fmt.Errorf("harl: RST must start at offset 0, got %d", e.Offset)
-			}
-		} else if e.Offset != t.Entries[i-1].End {
-			return fmt.Errorf("harl: RST entry %d not contiguous: starts %d, previous ends %d",
-				i, e.Offset, t.Entries[i-1].End)
+	}
+	return nil
+}
+
+// contiguous checks that n regions, region i spanning span(i), are each
+// non-empty and tile [0, end of the last) in order: the layout rule the
+// RST, the tiered RST and the plan fingerprint share. what names one
+// region in errors.
+func contiguous(what string, n int, span func(i int) (off, end int64)) error {
+	prev := int64(0)
+	for i := 0; i < n; i++ {
+		off, end := span(i)
+		if end <= off {
+			return fmt.Errorf("harl: %s %d has empty range [%d,%d)", what, i, off, end)
 		}
+		if off != prev {
+			return fmt.Errorf("harl: %s %d not contiguous: starts %d, previous ends %d", what, i, off, prev)
+		}
+		prev = end
 	}
 	return nil
 }
@@ -192,49 +205,34 @@ func (t *RST) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// rstFormat is the RST's on-disk text format; the header's version sets
+// the row width.
+var rstFormat = textfmt.Format{Name: "harl: RST", Headers: []string{rstHeader, rstHeaderV2}}
+
 // ReadRST decodes a table written by Write and validates it.
 func ReadRST(r io.Reader) (*RST, error) {
-	sc := bufio.NewScanner(r)
 	t := &RST{}
-	lineNo := 0
-	wantFields := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	width := 0
+	head := func(version int, _ []string) error {
+		width = 4 + version // v2 rows append R
+		return nil
+	}
+	err := rstFormat.Read(r, head, func(fields []string) error {
+		if len(fields) != width {
+			return fmt.Errorf("want %d fields, got %d", width, len(fields))
 		}
-		if strings.HasPrefix(line, "#") {
-			if line != rstHeader && line != rstHeaderV2 {
-				continue
-			}
-			if wantFields != 0 {
-				return nil, fmt.Errorf("harl: RST line %d: second header %q", lineNo, line)
-			}
-			wantFields = 4
-			if line == rstHeaderV2 {
-				wantFields = 5
-			}
-			continue
+		v, err := textfmt.Ints(fields)
+		if err != nil {
+			return err
 		}
-		if wantFields == 0 {
-			return nil, fmt.Errorf("harl: RST line %d: missing %q or %q header", lineNo, rstHeader, rstHeaderV2)
-		}
-		fields := strings.Fields(line)
-		if len(fields) != wantFields {
-			return nil, fmt.Errorf("harl: RST line %d: want %d fields, got %d", lineNo, wantFields, len(fields))
-		}
-		var e RSTEntry
-		var err error
-		dsts := []*int64{&e.Offset, &e.End, &e.H, &e.S, &e.R}[:wantFields]
-		for i, dst := range dsts {
-			if *dst, err = strconv.ParseInt(fields[i], 10, 64); err != nil {
-				return nil, fmt.Errorf("harl: RST line %d field %d: %w", lineNo, i, err)
-			}
+		e := RSTEntry{Offset: v[0], End: v[1], H: v[2], S: v[3]}
+		if width == 5 {
+			e.R = v[4]
 		}
 		t.Entries = append(t.Entries, e)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := t.Validate(); err != nil {

@@ -4,10 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"harl/internal/layout"
+	"harl/internal/textfmt"
 )
 
 // TieredRSTEntry is one region of a multi-tier Region Stripe Table.
@@ -28,22 +27,17 @@ func (t *TieredRST) Validate() error {
 	if len(t.Counts) == 0 {
 		return fmt.Errorf("harl: tiered RST has no tiers")
 	}
+	if err := contiguous("tiered RST entry", len(t.Entries), func(i int) (int64, int64) {
+		return t.Entries[i].Offset, t.Entries[i].End
+	}); err != nil {
+		return err
+	}
 	for i, e := range t.Entries {
-		if e.End <= e.Offset {
-			return fmt.Errorf("harl: tiered RST entry %d has empty range", i)
-		}
 		if len(e.Stripes) != len(t.Counts) {
 			return fmt.Errorf("harl: tiered RST entry %d has %d stripes for %d tiers", i, len(e.Stripes), len(t.Counts))
 		}
 		if err := (layout.Tiered{Counts: t.Counts, Stripes: e.Stripes}).Validate(); err != nil {
 			return fmt.Errorf("harl: tiered RST entry %d: %w", i, err)
-		}
-		if i == 0 {
-			if e.Offset != 0 {
-				return fmt.Errorf("harl: tiered RST must start at 0")
-			}
-		} else if e.Offset != t.Entries[i-1].End {
-			return fmt.Errorf("harl: tiered RST entry %d not contiguous", i)
 		}
 	}
 	return nil
@@ -91,68 +85,39 @@ func (t *TieredRST) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// tieredFormat is the tiered RST's on-disk text format; its keyed
+// #counts line sets the row width.
+var tieredFormat = textfmt.Format{Name: "harl: tiered RST", Headers: []string{tieredHeader}, Key: "#counts"}
+
+// IsTieredRST reports whether data opens with the tiered RST header
+// rather than the two-tier one.
+func IsTieredRST(data []byte) bool { return tieredFormat.Opens(data) }
+
 // ReadTieredRST decodes a table written by Write and validates it.
 func ReadTieredRST(r io.Reader) (*TieredRST, error) {
-	sc := bufio.NewScanner(r)
 	t := &TieredRST{}
-	lineNo := 0
-	sawHeader, sawCounts := false, false
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	head := func(_ int, counts []string) error {
+		cs, err := textfmt.Ints(counts)
+		if err != nil {
+			return fmt.Errorf("counts: %w", err)
 		}
-		if strings.HasPrefix(line, "#") {
-			switch fields := strings.Fields(line); {
-			case line == tieredHeader:
-				sawHeader = true
-			case !strings.HasPrefix(line, "#counts"):
-			case fields[0] != "#counts":
-				return nil, fmt.Errorf("harl: tiered RST line %d: malformed #counts line %q", lineNo, line)
-			case sawCounts:
-				return nil, fmt.Errorf("harl: tiered RST line %d: second #counts line", lineNo)
-			default:
-				sawCounts = true
-				for _, fld := range fields[1:] {
-					c, err := strconv.Atoi(fld)
-					if err != nil {
-						return nil, fmt.Errorf("harl: tiered RST line %d: counts: %w", lineNo, err)
-					}
-					t.Counts = append(t.Counts, c)
-				}
-			}
-			continue
+		for _, c := range cs {
+			t.Counts = append(t.Counts, int(c))
 		}
-		if !sawHeader {
-			return nil, fmt.Errorf("harl: tiered RST line %d: missing %q header", lineNo, tieredHeader)
-		}
-		if len(t.Counts) == 0 {
-			return nil, fmt.Errorf("harl: tiered RST line %d: data before #counts", lineNo)
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2+len(t.Counts) {
-			return nil, fmt.Errorf("harl: tiered RST line %d: want %d fields, got %d",
-				lineNo, 2+len(t.Counts), len(fields))
-		}
-		var e TieredRSTEntry
-		var err error
-		if e.Offset, err = strconv.ParseInt(fields[0], 10, 64); err != nil {
-			return nil, fmt.Errorf("harl: tiered RST line %d: offset: %w", lineNo, err)
-		}
-		if e.End, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
-			return nil, fmt.Errorf("harl: tiered RST line %d: end: %w", lineNo, err)
-		}
-		for _, fld := range fields[2:] {
-			s, err := strconv.ParseInt(fld, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("harl: tiered RST line %d: stripe: %w", lineNo, err)
-			}
-			e.Stripes = append(e.Stripes, s)
-		}
-		t.Entries = append(t.Entries, e)
+		return nil
 	}
-	if err := sc.Err(); err != nil {
+	err := tieredFormat.Read(r, head, func(fields []string) error {
+		if len(fields) != 2+len(t.Counts) {
+			return fmt.Errorf("want %d fields, got %d", 2+len(t.Counts), len(fields))
+		}
+		v, err := textfmt.Ints(fields)
+		if err != nil {
+			return err
+		}
+		t.Entries = append(t.Entries, TieredRSTEntry{Offset: v[0], End: v[1], Stripes: v[2:]})
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := t.Validate(); err != nil {

@@ -56,6 +56,9 @@ func TestReadTieredRSTErrors(t *testing.T) {
 		"#harl-tiered-rst v1\n#counts 1 1\n0 10 9223372036854775807 1\n", // round overflows int64
 		"#harl-tiered-rst v1\n#counts 6 1\n#counts 1\n0 10 1 1 1\n",      // second #counts line
 		"#harl-tiered-rst v1\n#countsX 2\n0 10 1\n",                      // #counts misspelled
+		// The header opens the table, once; #counts follows it.
+		"#harl-tiered-rst v1\n#counts 1\n0 10 1\n#harl-tiered-rst v1\n10 20 1\n",
+		"#counts 1\n#harl-tiered-rst v1\n0 10 1\n",
 	}
 	for i, in := range cases {
 		if _, err := ReadTieredRST(strings.NewReader(in)); err == nil {

@@ -235,10 +235,9 @@ type Monitor struct {
 	windows     int
 	regions     []regionState
 
-	// Per-tier byte/op totals fed from the pfs disk-completion hook
+	// Per-tier byte totals fed from the pfs disk-completion hook
 	// (ObserveTier), indexed [tier][op].
 	tierBytes [2][2]int64
-	tierOps   [2][2]int64
 }
 
 // New builds a monitor for a plan fingerprint. The engine supplies
@@ -352,7 +351,6 @@ func (m *Monitor) ObserveTier(role device.Kind, op device.Op, bytes int64) {
 		oi = 1
 	}
 	m.tierBytes[ti][oi] += bytes
-	m.tierOps[ti][oi]++
 }
 
 // roll closes every window boundary passed since the last observation.

@@ -212,38 +212,6 @@ func (fs *FS) downServersIn(lo layout.Mapper) []int {
 	return down
 }
 
-// DegradedStriping returns a variant of st that stores no data on the
-// unhealthy tier — the degraded-mode layout a health-aware MDS hands out
-// while part of the cluster is down. It succeeds only when every Down or
-// Suspect server sits in one tier and the other tier is fully healthy;
-// otherwise ok is false and callers must either wait or fail fast.
-func (fs *FS) DegradedStriping(st layout.Striping) (degraded layout.Striping, ok bool) {
-	hBad, sBad := false, false
-	for i, h := range fs.health {
-		if h == Healthy {
-			continue
-		}
-		if i < st.M {
-			hBad = true
-		} else {
-			sBad = true
-		}
-	}
-	switch {
-	case hBad && sBad:
-		return st, false
-	case hBad && st.S > 0:
-		st.H = 0
-		return st, true
-	case sBad && st.H > 0:
-		st.S = 0
-		return st, true
-	case !hBad && !sBad:
-		return st, true
-	}
-	return st, false
-}
-
 // scale applies the server's SlowFactor to a service time. Factors in
 // (0, 1) speed the server up, factors above 1 slow it down; non-positive
 // (or NaN) factors always indicate a modelling bug and panic.

@@ -299,32 +299,6 @@ func TestFailFastOpenAndCreate(t *testing.T) {
 	}
 }
 
-func TestDegradedStriping(t *testing.T) {
-	_, fs := testbed(t)
-	st := layout.Fixed(6, 2, 64<<10)
-
-	if got, ok := fs.DegradedStriping(st); !ok || got != st {
-		t.Fatalf("healthy cluster: got %v ok=%v, want identity", got, ok)
-	}
-	fs.Crash(0) // HServer tier
-	got, ok := fs.DegradedStriping(st)
-	if !ok || got.H != 0 || got.S != st.S {
-		t.Fatalf("H-tier crash: got %v ok=%v, want H=0 variant", got, ok)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("degraded layout invalid: %v", err)
-	}
-	fs.Crash(6) // SServer tier too — no healthy tier remains
-	if _, ok := fs.DegradedStriping(st); ok {
-		t.Fatal("both tiers degraded should not produce a layout")
-	}
-	fs.Recover(0)
-	got, ok = fs.DegradedStriping(st)
-	if !ok || got.S != 0 || got.H != st.H {
-		t.Fatalf("S-tier crash: got %v ok=%v, want S=0 variant", got, ok)
-	}
-}
-
 func TestSetFlakyValidatesProbabilities(t *testing.T) {
 	_, fs := testbed(t)
 	for _, bad := range [][2]float64{{-0.1, 0}, {0, -0.1}, {0.7, 0.7}} {

@@ -542,10 +542,18 @@ func watchHorizon(base sim.Duration, tries int) sim.Duration {
 	return base << uint(tries)
 }
 
-// catchStep replays one log record to a catching-up member and chains
+// catchStep ships one catch-up unit to a catching-up member and chains
 // itself until the member is caught up (rejoin, maybe re-elect), the
 // replay stalls (no live replica holds the next record — a later
-// recovery re-kicks it), or the member crashes.
+// recovery re-kicks it), or the member crashes. The unit is the next log
+// record, or — when the member's replay gap was hard-pruned from the log
+// (repl.CatchResync) — the whole-slot image: the source's covered extent
+// travels as one transfer, lands through the member's disk, and the
+// source's store pages and commit point are installed as a snapshot
+// (repl.Group.Resynced), after which ordered replay resumes from the
+// installed point. The source's disk contents are read at install time,
+// so the image and the commit point it carries are a consistent pair
+// even if the source crashed mid-transfer.
 func (fs *FS) catchStep(meta *FileMeta, rg *replGroup, server int, token int) {
 	cs := rg.cu[server]
 	if cs == nil || !cs.active || cs.token != token {
@@ -569,34 +577,50 @@ func (fs *FS) catchStep(meta *FileMeta, rg *replGroup, server int, token int) {
 	case repl.CatchStalled:
 		cs.active = false
 		return
-	case repl.CatchResync:
-		// The member's replay gap was hard-pruned; it is stale until the
-		// image install lands. The instant feeds the staleness SLO.
-		fs.annotate(fs.servers[server], "repl.stale", obs.TInt("group", int64(g.Slot())))
-		fs.catchResync(meta, rg, server, src, token)
-		return
 	}
+	image := status == repl.CatchResync
 	member := fs.servers[server]
 	source := fs.servers[src]
-	// Each replay step is a span on the member's track carrying the
-	// group's coordinates and the member's remaining lag, so the flight
-	// recorder and critpath blame see catch-up traffic per group.
-	tr := fs.tracer
-	var cspan obs.SpanID
-	if tr != nil {
-		cspan = tr.Begin(member.Name, "repl.catchup", 0,
-			obs.TInt("group", int64(g.Slot())), obs.TInt("member", int64(server)),
-			obs.TInt("source", int64(src)), obs.TInt("view", int64(g.View())),
-			obs.TInt("seq", int64(rec.Seq)), obs.TInt("lag", int64(g.Lag(server))))
+	local, size, watch := rec.Local, rec.Size, replCatchStepWatch
+	if image {
+		// The member is stale until the image install lands. The instant
+		// feeds the staleness SLO.
+		fs.annotate(member, "repl.stale", obs.TInt("group", int64(g.Slot())))
+		local, size, watch = 0, g.Covered(), replResyncWatch
 	}
-	fs.net.TransferSpan(cspan, source.node, member.node, rec.Size, func(sim.Time) {
-		member.serve(device.Write, rec.Local, rec.Size, cspan, errDone, func(err error) {
+	// Each unit is a span on the member's track carrying the group's
+	// coordinates and the member's remaining lag (or the image's bytes),
+	// so the flight recorder and critpath blame see catch-up and resync
+	// traffic per group.
+	var span obs.SpanID
+	if tr := fs.tracer; tr != nil {
+		where := []obs.Tag{obs.TInt("group", int64(g.Slot())), obs.TInt("member", int64(server)),
+			obs.TInt("source", int64(src)), obs.TInt("view", int64(g.View()))}
+		if image {
+			span = tr.Begin(member.Name, "repl.resync", 0, append(where, obs.TInt("bytes", size))...)
+		} else {
+			span = tr.Begin(member.Name, "repl.catchup", 0,
+				append(where, obs.TInt("seq", int64(rec.Seq)), obs.TInt("lag", int64(g.Lag(server))))...)
+		}
+	}
+	fs.net.TransferSpan(span, source.node, member.node, size, func(sim.Time) {
+		member.serve(device.Write, local, size, span, errDone, func(err error) {
 			if cs.token != token || !cs.active {
-				fs.tracer.End(cspan, obs.T("status", "superseded"))
+				fs.tracer.End(span, obs.T("status", "superseded"))
 				return
 			}
-			if err != nil {
-				fs.tracer.End(cspan, obs.T("status", "error"))
+			failed := ""
+			switch {
+			case err != nil:
+				failed = "error"
+			case image && g.Stale(src):
+				// The source was itself overtaken by a hard prune while the
+				// image was in flight; its commit point no longer clears the
+				// floor. Re-plan against a fresh source.
+				failed = "stale-source"
+			}
+			if failed != "" {
+				fs.tracer.End(span, obs.T("status", failed))
 				cs.tries++
 				if cs.tries > replCatchMaxTries {
 					cs.active = false
@@ -606,109 +630,38 @@ func (fs *FS) catchStep(meta *FileMeta, rg *replGroup, server int, token int) {
 				return
 			}
 			cs.tries = 0
-			fs.Repl.CatchUpRecords++
-			fs.Repl.CatchUpBytes += uint64(rec.Size)
-			member.writeSlot(meta.ID, g.Slot(), rec.Data, rec.Local)
-			g.Replayed(server, rec.Seq)
-			fs.tracer.End(cspan, obs.T("status", "ok"), obs.TInt("lag", int64(g.Lag(server))))
-			if p := findPending(rg, rec.Seq); p != nil {
-				fs.checkPending(meta, rg, p)
+			if image {
+				fs.Repl.Resyncs++
+				fs.Repl.ResyncBytes += uint64(size)
+				member.installImage(meta.ID, g.Slot(), source)
+				g.Resynced(server, src)
+				fs.tracer.End(span, obs.T("status", "ok"))
+				fs.annotate(member, "repl.resync", obs.TInt("group", int64(g.Slot())))
+			} else {
+				fs.Repl.CatchUpRecords++
+				fs.Repl.CatchUpBytes += uint64(size)
+				member.writeSlot(meta.ID, g.Slot(), rec.Data, rec.Local)
+				g.Replayed(server, rec.Seq)
+				fs.tracer.End(span, obs.T("status", "ok"), obs.TInt("lag", int64(g.Lag(server))))
+				if p := findPending(rg, rec.Seq); p != nil {
+					fs.checkPending(meta, rg, p)
+				}
 			}
 			fs.catchStep(meta, rg, server, token)
 		})
 	})
-	// Watchdog: a flaky drop swallows the replay step with the session
-	// still active. Supersede the chain before re-driving — bumping the
-	// token silences a step that was merely queued behind other disk
-	// work, so a slow step cannot race a duplicate replay chain (and its
-	// own watchdog) against this one or double-count the replay.
-	fs.engine.Schedule(watchHorizon(replCatchStepWatch, cs.tries), func() {
+	// Watchdog: a flaky drop swallows the unit with the session still
+	// active. Supersede the chain before re-driving — bumping the token
+	// silences a unit that was merely queued behind other disk work, so a
+	// slow unit cannot race a duplicate chain (and its own watchdog)
+	// against this one or double-count it. An image gets a horizon
+	// generous enough for a full-slot transfer.
+	fs.engine.Schedule(watchHorizon(watch, cs.tries), func() {
 		if cs.token != token || !cs.active {
 			return
 		}
-		if g.MemberCP(server) >= rec.Seq {
-			return // this step landed; the chain moved on
-		}
-		cs.tries++
-		if cs.tries > replCatchMaxTries {
-			cs.active = false
-			return
-		}
-		cs.token++
-		fs.catchStep(meta, rg, server, cs.token)
-	})
-}
-
-// catchResync ships a whole-slot image to a member whose replay gap was
-// hard-pruned from the log (repl.CatchResync): the source's covered
-// extent travels as one transfer, lands through the member's disk, and
-// the source's store pages and commit point are installed as a snapshot
-// (repl.Group.Resynced). Ordered replay of the remaining log records
-// resumes from the installed point. The source's disk contents are read
-// at install time, so the image and the commit point it carries are a
-// consistent pair even if the source crashed mid-transfer.
-func (fs *FS) catchResync(meta *FileMeta, rg *replGroup, server, src, token int) {
-	cs := rg.cu[server]
-	g := rg.g
-	size := g.Covered()
-	member := fs.servers[server]
-	source := fs.servers[src]
-	replan := func() {
-		cs.tries++
-		if cs.tries > replCatchMaxTries {
-			cs.active = false
-			return
-		}
-		fs.engine.Schedule(replCatchStepDelay, func() { fs.catchStep(meta, rg, server, token) })
-	}
-	// The whole-image ship is one span on the member's track; its group
-	// and byte tags let blame charge resync traffic like catch-up replay.
-	tr := fs.tracer
-	var rspan obs.SpanID
-	if tr != nil {
-		rspan = tr.Begin(member.Name, "repl.resync", 0,
-			obs.TInt("group", int64(g.Slot())), obs.TInt("member", int64(server)),
-			obs.TInt("source", int64(src)), obs.TInt("view", int64(g.View())),
-			obs.TInt("bytes", size))
-	}
-	fs.net.TransferSpan(rspan, source.node, member.node, size, func(sim.Time) {
-		member.serve(device.Write, 0, size, rspan, errDone, func(err error) {
-			if cs.token != token || !cs.active {
-				fs.tracer.End(rspan, obs.T("status", "superseded"))
-				return
-			}
-			if err != nil {
-				fs.tracer.End(rspan, obs.T("status", "error"))
-				replan()
-				return
-			}
-			if g.Stale(src) {
-				// The source was itself overtaken by a hard prune while the
-				// image was in flight; its commit point no longer clears the
-				// floor. Re-plan against a fresh source.
-				fs.tracer.End(rspan, obs.T("status", "stale-source"))
-				replan()
-				return
-			}
-			cs.tries = 0
-			fs.Repl.Resyncs++
-			fs.Repl.ResyncBytes += uint64(size)
-			member.installImage(meta.ID, g.Slot(), source)
-			g.Resynced(server, src)
-			fs.tracer.End(rspan, obs.T("status", "ok"))
-			fs.annotate(member, "repl.resync", obs.TInt("group", int64(g.Slot())))
-			fs.catchStep(meta, rg, server, token)
-		})
-	})
-	// Watchdog, generous enough for a full-image transfer: re-drive only
-	// if the member is still stale (no install landed), superseding the
-	// possibly still-queued chain first.
-	fs.engine.Schedule(watchHorizon(replResyncWatch, cs.tries), func() {
-		if cs.token != token || !cs.active {
-			return
-		}
-		if !g.Stale(server) {
-			return // the image landed; replay moved on
+		if image && !g.Stale(server) || !image && g.MemberCP(server) >= rec.Seq {
+			return // the unit landed; the chain moved on
 		}
 		cs.tries++
 		if cs.tries > replCatchMaxTries {

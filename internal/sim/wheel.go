@@ -166,18 +166,16 @@ func (w *wheelQueue) advance() {
 		// Process coarse levels first: a cascade can only re-insert
 		// strictly ahead of the cursor, never into a bucket that also
 		// starts at min, so one high-to-low sweep settles everything.
-		// The slot holding min's block may instead hold a bucket one
-		// full lap ahead (the two never mix); the block of any chained
-		// event disambiguates.
+		// At a level >= 1 the slot holding min's block may instead hold
+		// events one full lap ahead; cascading them just re-inserts
+		// them a lap ahead, so the drain need not tell them apart. A
+		// level-0 slot only ever holds the tick being drained.
 		for l := wheelLevels - 1; l >= 0; l-- {
 			s := int(min>>(l*wheelLevelBits)) & wheelSlotMask
 			if w.occ[l]&(1<<s) == 0 {
 				continue
 			}
 			chain := w.slot[l][s]
-			if wheelTick(chain.at)>>(l*wheelLevelBits) != min>>(l*wheelLevelBits) {
-				continue
-			}
 			w.slot[l][s] = nil
 			w.occ[l] &^= 1 << s
 			for chain != nil {

@@ -18,11 +18,10 @@ import (
 	"io"
 	"math"
 	"slices"
-	"strconv"
-	"strings"
 
 	"harl/internal/device"
 	"harl/internal/sim"
+	"harl/internal/textfmt"
 )
 
 // Record is one traced file request.
@@ -220,76 +219,38 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// traceFormat is the trace's on-disk text format.
+var traceFormat = textfmt.Format{Name: "trace: IOSIG trace", Headers: []string{traceHeader}}
+
 // Read decodes a trace written by Write.
 func Read(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	t := &Trace{}
-	lineNo := 0
-	sawHeader := false
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if line == traceHeader {
-				sawHeader = true
-			}
-			continue
-		}
-		if !sawHeader {
-			return nil, fmt.Errorf("trace: line %d: missing %q header", lineNo, traceHeader)
-		}
-		fields := strings.Fields(line)
+	err := traceFormat.Read(r, nil, func(fields []string) error {
 		if len(fields) != 8 {
-			return nil, fmt.Errorf("trace: line %d: want 8 fields, got %d", lineNo, len(fields))
+			return fmt.Errorf("want 8 fields, got %d", len(fields))
 		}
-		var rec Record
-		var err error
-		if rec.PID, err = strconv.Atoi(fields[0]); err != nil {
-			return nil, fmt.Errorf("trace: line %d: pid: %w", lineNo, err)
+		v, err := textfmt.Ints(append(fields[:3:3], fields[4:]...)) // all but the op
+		if err != nil {
+			return err
 		}
-		if rec.Rank, err = strconv.Atoi(fields[1]); err != nil {
-			return nil, fmt.Errorf("trace: line %d: rank: %w", lineNo, err)
-		}
-		if rec.FD, err = strconv.Atoi(fields[2]); err != nil {
-			return nil, fmt.Errorf("trace: line %d: fd: %w", lineNo, err)
-		}
+		rec := Record{PID: int(v[0]), Rank: int(v[1]), FD: int(v[2]),
+			Offset: v[3], Size: v[4], Start: sim.Time(v[5]), End: sim.Time(v[6])}
 		switch fields[3] {
 		case "r":
 			rec.Op = device.Read
 		case "w":
 			rec.Op = device.Write
 		default:
-			return nil, fmt.Errorf("trace: line %d: unknown op %q", lineNo, fields[3])
+			return fmt.Errorf("unknown op %q", fields[3])
 		}
-		if rec.Offset, err = strconv.ParseInt(fields[4], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d: offset: %w", lineNo, err)
-		}
-		if rec.Size, err = strconv.ParseInt(fields[5], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d: size: %w", lineNo, err)
-		}
-		var ts int64
-		if ts, err = strconv.ParseInt(fields[6], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d: start: %w", lineNo, err)
-		}
-		rec.Start = sim.Time(ts)
-		if ts, err = strconv.ParseInt(fields[7], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d: end: %w", lineNo, err)
-		}
-		rec.End = sim.Time(ts)
 		if err := rec.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+			return err
 		}
 		t.Records = append(t.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if !sawHeader && len(t.Records) == 0 && lineNo > 0 {
-		return nil, fmt.Errorf("trace: missing %q header", traceHeader)
 	}
 	return t, nil
 }

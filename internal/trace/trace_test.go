@@ -212,6 +212,8 @@ func TestReadErrors(t *testing.T) {
 		"#iosig-trace v1\n1 0 3 r 0 1e3 0 5\n",                   // non-integer size
 		"#iosig-trace v1\n1 0 3 r 0 100 0 5 66\n",                // extra field
 		"#iosig-trace v1\n1 0 3 w 9223372036854775800 100 0 1\n", // offset+size overflows int64
+		// A second header mid-file.
+		"#iosig-trace v1\n1 0 3 r 0 100 0 5\n#iosig-trace v1\n2 0 3 r 100 100 0 5\n",
 	}
 	for i, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
