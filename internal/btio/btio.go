@@ -261,9 +261,11 @@ func (r Result) AggregateMBs() float64 {
 	return stats.Throughput(r.WriteBytes+r.ReadBytes, (r.WriteTime + r.ReadTime).Seconds())
 }
 
-// Run executes the BTIO kernel against f: Snapshots() collective write
-// phases, then a full collective read-back (with verification when
-// configured).
+// Run executes the BTIO kernel against f: Snapshots() write phases,
+// then a full read-back of every snapshot (with verification when
+// configured). The subtype only decides how one snapshot moves: the full
+// subtype's one collective call, or the simple subtype's row chains
+// (simple.go).
 func Run(w *mpiio.World, f mpiio.File, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -271,61 +273,65 @@ func Run(w *mpiio.World, f mpiio.File, cfg Config) (Result, error) {
 	if w.Ranks() != cfg.Ranks {
 		return Result{}, fmt.Errorf("btio: world has %d ranks, config wants %d", w.Ranks(), cfg.Ranks)
 	}
-	p := int(math.Round(math.Sqrt(float64(cfg.Ranks))))
-	if res, handled, err := dispatchRun(w, f, cfg, p); handled {
-		return res, err
+	write, read := w.CollectiveWrite, w.CollectiveRead
+	if cfg.Subtype == Simple {
+		write, read = writeRows, readRows
 	}
+	p := int(math.Round(math.Sqrt(float64(cfg.Ranks))))
 	res := Result{Config: cfg, Verified: true}
-	var verifyErr error
+	var runErr error
+	note := func(err error) {
+		if err != nil && runErr == nil {
+			runErr = err
+		}
+	}
 	sol := cfg.newSolution(p)
 
 	w.Run(func() {
-		writeStart := w.Engine().Now()
-		var writeSnapshot func(snap int)
-		writeSnapshot = func(snap int) {
-			if snap == cfg.Snapshots() {
-				res.WriteBytes = cfg.TotalBytes()
-				res.WriteTime = w.Engine().Now().Sub(writeStart)
-				readStart := w.Engine().Now()
-
-				var readSnapshot func(snap int)
-				readSnapshot = func(snap int) {
-					if snap == cfg.Snapshots() {
-						res.ReadBytes = cfg.TotalBytes()
-						res.ReadTime = w.Engine().Now().Sub(readStart)
-						return
-					}
-					w.CollectiveRead(f, sol.reads(snap), func(bufs [][][]byte, err error) {
-						if err != nil && verifyErr == nil {
-							verifyErr = err
-						}
-						if cfg.Verify && err == nil {
-							if err := sol.verify(snap, bufs); err != nil {
-								res.Verified = false
-								if verifyErr == nil {
-									verifyErr = err
-								}
-							}
-						}
-						readSnapshot(snap + 1)
-					})
-				}
-				readSnapshot(0)
-				return
-			}
-			w.CollectiveWrite(f, sol.writes(snap), func(err error) {
-				if err != nil && verifyErr == nil {
-					verifyErr = err
-				}
-				writeSnapshot(snap + 1)
+		start := w.Engine().Now()
+		writeSnap := func(snap int, next func()) {
+			write(f, sol.writes(snap), func(err error) {
+				note(err)
+				next()
 			})
 		}
-		writeSnapshot(0)
+		readSnap := func(snap int, next func()) {
+			read(f, sol.reads(snap), func(bufs [][][]byte, err error) {
+				note(err)
+				if cfg.Verify && err == nil {
+					if err := sol.verify(snap, bufs); err != nil {
+						res.Verified = false
+						note(err)
+					}
+				}
+				next()
+			})
+		}
+		cfg.eachSnapshot(writeSnap, func() {
+			res.WriteBytes = cfg.TotalBytes()
+			res.WriteTime = w.Engine().Now().Sub(start)
+			start = w.Engine().Now()
+			cfg.eachSnapshot(readSnap, func() {
+				res.ReadBytes = cfg.TotalBytes()
+				res.ReadTime = w.Engine().Now().Sub(start)
+			})
+		})
 	})
-	if verifyErr != nil {
-		return res, verifyErr
+	return res, runErr
+}
+
+// eachSnapshot runs step on every snapshot in order, each once the
+// previous one has called next, then calls done.
+func (c Config) eachSnapshot(step func(snap int, next func()), done func()) {
+	var at func(snap int)
+	at = func(snap int) {
+		if snap == c.Snapshots() {
+			done()
+			return
+		}
+		step(snap, func() { at(snap + 1) })
 	}
-	return res, nil
+	at(0)
 }
 
 // verify checks every rank's read-back buffers against the snapshot's

@@ -263,6 +263,11 @@ func TestSimpleSubtypeVerifies(t *testing.T) {
 	if res.WriteBytes != cfg.TotalBytes() || res.ReadBytes != cfg.TotalBytes() {
 		t.Fatalf("bytes = %d/%d", res.WriteBytes, res.ReadBytes)
 	}
+	// The phase times are deterministic; any change means the simple
+	// subtype's request stream changed.
+	if res.WriteTime != 245_192_599 || res.ReadTime != 247_090_348 {
+		t.Fatalf("write/read time = %dns/%dns, pinned 245192599ns/247090348ns", res.WriteTime, res.ReadTime)
+	}
 }
 
 func TestCollectiveBeatsSimple(t *testing.T) {

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -23,8 +27,10 @@ import (
 //	repl_recovery   TestReplRecoveryMeasured
 //	slo_alert       TestSLOAlertsOnDoubleCrashSeeds (seed 1)
 //	doctor_detect   TestDoctorNamesSeededStragglerSeeds (seed 1)
+//	btio_simple     internal/btio's TestSimpleSubtypeVerifies
 //
-// TestVirtualOutcomesPinned holds the rest. Host-time numbers (wall
+// TestVirtualOutcomesPinned holds the rest, and TestTraceExportsPinned
+// pins the traced run's export bytes. Host-time numbers (wall
 // time, events/sec, observer overhead) belong to the bench module.
 
 // pinNanos fails t unless a virtual outcome equals its pinned value.
@@ -68,6 +74,35 @@ func TestVirtualOutcomesPinned(t *testing.T) {
 			}
 			pinNanos(t, c.name, got, c.want)
 		})
+	}
+}
+
+// TestTraceExportsPinned pins the SHA-256 of the quick traced IOR run's
+// three exports: the Chrome trace (every span, its ID, order and tags),
+// the metrics text and the Prometheus exposition. Record recycling and
+// other internal rewrites must leave every byte of them unchanged.
+func TestTraceExportsPinned(t *testing.T) {
+	run, err := TraceIOR(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		want  string
+		write func(io.Writer) error
+	}{
+		{"chrome", "30f138d3552a871dca77b92fbcbeb204d381332fe93ffb5fa377dbb2a06773d8", run.WriteChrome},
+		{"metrics", "855e077b49eeb5581b7e9cc87fef7371168755b5b676627ce85f674a1ff7c5e0", run.WriteMetrics},
+		{"prom", "9e8e569e5be0aac2c2858eeac954a3a8fdf0469a4a952da87f003a3203702852", func(w io.Writer) error { return run.Metrics.WriteProm(w, run.End) }},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := c.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%s export sha256 = %s, pinned %s (%d bytes): the traced run changed", c.name, got, c.want, buf.Len())
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func (w *World) CollectiveWrite(f File, pieces [][]CollPiece, done func(error)) 
 	arrived := make([]CollPiece, len(planned))
 	copy(fill, base[:nAgg])
 
-	writeBack := func() {
+	writeBack := func(error) {
 		// Write phase: each aggregator flushes its covered intervals.
 		var reqs int
 		intervalsByAgg := make([][]interval, nAgg)
@@ -139,7 +139,7 @@ func (w *World) CollectiveWrite(f File, pieces [][]CollPiece, done func(error)) 
 			w.engine.Schedule(0, func() { done(nil) })
 			return
 		}
-		finish := sim.NewErrCountdown(reqs, done)
+		finish := sim.NewCountdown(reqs, done)
 		for ai, ivs := range intervalsByAgg {
 			for _, iv := range ivs {
 				f.WriteAt(aggs[ai], iv.off, iv.data, finish.Done)
@@ -150,7 +150,7 @@ func (w *World) CollectiveWrite(f File, pieces [][]CollPiece, done func(error)) 
 	land := func(arg any, _ sim.Time) {
 		m := arg.(*msg)
 		fill[m.agg] += copy(arrived[fill[m.agg]:], m.pieces)
-		shuffle.Done()
+		shuffle.Done(nil)
 	}
 	for i := range msgs {
 		m := &msgs[i]
@@ -283,8 +283,8 @@ func (w *World) CollectiveRead(f File, ranges [][]CollRange, done func([][][]byt
 			w.engine.Schedule(0, func() { done(out, nil) })
 			return
 		}
-		finish := sim.NewCountdown(msgs, func() { done(out, nil) })
-		landed := func(sim.Time) { finish.Done() }
+		finish := sim.NewCountdown(msgs, func(error) { done(out, nil) })
+		landed := func(sim.Time) { finish.Done(nil) }
 		for i, b := range pairBytes {
 			if b > 0 {
 				from := w.Client(aggs[i/nRanks])
@@ -297,7 +297,7 @@ func (w *World) CollectiveRead(f File, ranges [][]CollRange, done func([][][]byt
 	// The gather waits for every aggregator read (first error wins), then
 	// fails fast: a failed read leaves holes in the aggregation buffers,
 	// so the scatter phase is skipped rather than shipping bad bytes.
-	gather := sim.NewErrCountdown(len(got), func(err error) {
+	gather := sim.NewCountdown(len(got), func(err error) {
 		if err != nil {
 			done(nil, err)
 			return

@@ -218,7 +218,7 @@ func fanOut[R any](f *HARLFile, op device.Op, rank int, off, size int64, result 
 			obs.TInt("off", off), obs.TInt("bytes", size),
 			obs.TInt("regions", int64(len(spans))))
 	}
-	remaining := sim.NewErrCountdown(len(spans), func(err error) {
+	remaining := sim.NewCountdown(len(spans), func(err error) {
 		if tr != nil {
 			tr.End(mpiSpan, obs.T("status", opStatus(err)))
 		}

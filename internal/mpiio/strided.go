@@ -95,7 +95,7 @@ func (w *World) ReadStrided(f File, rank int, pattern Strided, done func([][]byt
 		})
 		return
 	}
-	remaining := sim.NewErrCountdown(pattern.Count, func(err error) {
+	remaining := sim.NewCountdown(pattern.Count, func(err error) {
 		if err != nil {
 			done(nil, err)
 			return
@@ -163,7 +163,7 @@ func (w *World) WriteStrided(f File, rank int, pattern Strided, blocks [][]byte,
 		})
 		return
 	}
-	remaining := sim.NewErrCountdown(pattern.Count, done)
+	remaining := sim.NewCountdown(pattern.Count, done)
 	for k := 0; k < pattern.Count; k++ {
 		f.WriteAt(rank, pattern.Offset+int64(k)*pattern.Stride, blocks[k], func(err error) {
 			remaining.Done(err)

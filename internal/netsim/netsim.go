@@ -53,10 +53,9 @@ type Network struct {
 	Transfers  uint64
 	BytesMoved int64
 
-	// xfer free list (xfer.go): pooled transfer records so the wire hot
-	// path is allocation-free.
-	freeXfers   *xfer
-	xfersPooled int
+	// xfers recycles transfer records (xfer.go), so the wire hot path
+	// is allocation-free.
+	xfers sim.Pool[xfer]
 }
 
 // New creates an empty network on the given engine.
@@ -64,7 +63,7 @@ func New(e *sim.Engine, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Network{engine: e, cfg: cfg, nodes: make(map[string]*Node)}, nil
+	return &Network{engine: e, cfg: cfg, nodes: make(map[string]*Node), xfers: sim.Pool[xfer]{Cap: xferPoolCap}}, nil
 }
 
 // MustNew is New for known-good configurations; it panics on error.
@@ -190,7 +189,7 @@ func (n *Network) TransferCall(parent obs.SpanID, from, to *Node, size int64, fn
 	n.Transfers++
 	n.BytesMoved += size
 
-	x := n.allocXfer()
+	x := n.xfers.Get()
 	x.n, x.parent, x.from, x.to, x.size = n, parent, from, to, size
 	x.submit, x.fn, x.arg = n.engine.Now(), fn, arg
 

@@ -6,12 +6,11 @@ import (
 )
 
 // xfer carries one transfer's state from submission to last-byte
-// arrival. Records are pooled on the Network free list and completed
+// arrival. Records come from the Network's pool and are completed
 // through the package-level xferDone, which hands the arrival time to
 // the caller's fn with its arg; with a package-level fn and a pooled arg
 // the wire hot path allocates nothing when tracing is off.
 type xfer struct {
-	next     *xfer
 	n        *Network
 	parent   obs.SpanID
 	from     *Node
@@ -24,34 +23,19 @@ type xfer struct {
 	arg      any
 }
 
-// xferPoolCap bounds the free list; see the event-pool rationale in
-// internal/sim.
+// xferPoolCap bounds the transfer pool (see sim.Pool).
 const xferPoolCap = 1 << 12
 
-func (n *Network) allocXfer() *xfer {
-	if x := n.freeXfers; x != nil {
-		n.freeXfers = x.next
-		n.xfersPooled--
-		x.next = nil
-		return x
-	}
-	return &xfer{}
-}
-
-func (n *Network) recycleXfer(x *xfer) {
-	*x = xfer{}
-	if n.xfersPooled >= xferPoolCap {
-		return
-	}
-	x.next = n.freeXfers
-	n.freeXfers = x
-	n.xfersPooled++
+// PoolStats reports the transfer pool's Stats: its current size, its
+// high-water mark, and how many records were dropped at the cap.
+func (n *Network) PoolStats() (pooled, highWater int, drops uint64) {
+	return n.xfers.Stats()
 }
 
 // xferDone completes every transfer: emit the xfer span (if traced),
-// recycle the record, then hand the arrival time to the caller. end is
-// the receive lane's release time for wire transfers and the fire time
-// for loopback.
+// reset and recycle the record, then hand the arrival time to the
+// caller. end is the receive lane's release time for wire transfers and
+// the fire time for loopback.
 func xferDone(arg any, _, end sim.Time) {
 	x := arg.(*xfer)
 	n, fn, farg := x.n, x.fn, x.arg
@@ -74,7 +58,8 @@ func xferDone(arg any, _, end sim.Time) {
 		}
 		ss.ObserveNet(x.to.sketchID, end.Sub(x.submit), x.size)
 	}
-	n.recycleXfer(x)
+	*x = xfer{}
+	n.xfers.Put(x)
 	if fn != nil {
 		fn(farg, n.engine.Now())
 	}

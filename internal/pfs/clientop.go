@@ -11,10 +11,9 @@ import (
 // ReadDiscard) waiting on its sub-requests. Each sub-request reports
 // into it exactly once (subOp.settle). The first error wins, but the
 // operation completes only after the last report, like errgroup.Wait, so
-// no sub-request outlives it. Records are pooled on the FS, so an
+// no sub-request outlives it. Records come from the FS's pool, so an
 // operation costs no countdown and no completion closure.
 type clientOp struct {
-	next    *clientOp
 	f       *File
 	op      device.Op
 	phantom bool
@@ -36,39 +35,14 @@ type clientOp struct {
 	rdone     func([]byte, error) // ReadAt
 }
 
-// clientOpPoolCap bounds the operation free list, as subOpPoolCap does.
+// clientOpPoolCap bounds the operation pool, as subOpPoolCap does.
 const clientOpPoolCap = 1 << 8
-
-func (fs *FS) allocClientOp() *clientOp {
-	if c := fs.freeClientOps; c != nil {
-		fs.freeClientOps = c.next
-		fs.clientOpsPooled--
-		c.next = nil
-		return c
-	}
-	return &clientOp{}
-}
-
-// recycleClientOp returns a completed record to the pool. Every pointer
-// is nilled, the buffer slots included, so a pooled record retains no
-// payload or continuation.
-func (fs *FS) recycleClientOp(c *clientOp) {
-	bufs := c.bufs
-	clear(bufs)
-	*c = clientOp{bufs: bufs[:0]}
-	if fs.clientOpsPooled >= clientOpPoolCap {
-		return
-	}
-	c.next = fs.freeClientOps
-	fs.freeClientOps = c
-	fs.clientOpsPooled++
-}
 
 // startOp opens an operation over [off, off+size): its span, its
 // sub-requests, and a pooled record to collect their reports.
 func (f *File) startOp(op device.Op, phantom bool, parent obs.SpanID, off, size int64) *clientOp {
 	fs := f.client.fs
-	c := fs.allocClientOp()
+	c := fs.clientOps.Get()
 	c.f, c.op, c.phantom, c.off, c.size = f, op, phantom, off, size
 	c.span = f.beginOp(opName(op), parent, off, size)
 	c.start = fs.engine.Now()
@@ -90,7 +64,7 @@ func (c *clientOp) useBufs() {
 func (c *clientOp) launch() {
 	fs := c.f.client.fs
 	for i, sub := range c.subs {
-		o := fs.allocSub()
+		o := fs.subs.Get()
 		o.f, o.op, o.phantom, o.parent = c.f, c.op, c.phantom, c.span
 		o.sub, o.cop, o.idx = sub, c, i
 		if c.op == device.Write && !c.phantom {
@@ -119,7 +93,9 @@ func (c *clientOp) report(i int, data []byte, err error) {
 // complete closes the operation: span and metrics, read reassembly into
 // the destination, EOF advance on a successful write, then the caller's
 // continuation. The record is recycled before the continuation runs,
-// which may start new operations that reuse it.
+// which may start new operations that reuse it: every pointer is
+// nilled, the buffer slots included, so a pooled record retains no
+// payload or continuation, but the slots' capacity survives.
 func (c *clientOp) complete() {
 	f, err := c.f, c.err
 	f.endOp(c, err)
@@ -130,7 +106,10 @@ func (c *clientOp) complete() {
 	}
 	done, rdone, out := c.done, c.rdone, c.out
 	write, eof := c.op == device.Write, c.off+c.size
-	f.client.fs.recycleClientOp(c)
+	bufs := c.bufs
+	clear(bufs)
+	*c = clientOp{bufs: bufs[:0]}
+	f.client.fs.clientOps.Put(c)
 	switch {
 	case rdone != nil && err != nil:
 		rdone(nil, err)

@@ -89,12 +89,50 @@ func TestSubOpRecycledOnlyAtZeroPending(t *testing.T) {
 	if fs.Faults.Hedges != uint64(subs) {
 		t.Fatalf("hedges = %d, want one per sub-request (%d)", fs.Faults.Hedges, subs)
 	}
-	if fs.subsPooled != 0 {
-		t.Fatalf("%d sub-op records pooled while their deadline timers are armed", fs.subsPooled)
+	if pooled, _, _ := fs.subs.Stats(); pooled != 0 {
+		t.Fatalf("%d sub-op records pooled while their deadline timers are armed", pooled)
 	}
 	e.Run()
-	if fs.subsPooled != subs {
-		t.Fatalf("%d sub-op records pooled after the timers fired, want %d", fs.subsPooled, subs)
+	if pooled, _, _ := fs.subs.Stats(); pooled != subs {
+		t.Fatalf("%d sub-op records pooled after the timers fired, want %d", pooled, subs)
+	}
+}
+
+// TestPoolCaps asserts every hot-path pool sheds records beyond its
+// cap: a burst with far more of each record in flight than the cap must
+// leave exactly the cap pooled afterwards, with the rest dropped to the
+// garbage collector rather than pinned for the rest of the run.
+func TestPoolCaps(t *testing.T) {
+	e, fs, f := wideFile(t, 1024, Policy{})
+	// 2048 concurrent 1 MB reads: 2048 client operations, 32768
+	// sub-requests, and as many request transfers and completion events
+	// in flight at once. The requests are small, so they reach the
+	// servers long before the disks drain: the disk passes pile up too.
+	const ops = 2048
+	for i := int64(0); i < ops; i++ {
+		f.ReadDiscard(i<<20, 1<<20, func(err error) {
+			if err != nil {
+				t.Errorf("read: %v", err)
+			}
+		})
+	}
+	e.Run()
+	for _, p := range []struct {
+		name  string
+		cap   int
+		stats func() (pooled, highWater int, drops uint64)
+	}{
+		{"event", sim.EventPoolCap, e.PoolStats},
+		{"diskOp", diskOpPoolCap, fs.ops.Stats},
+		{"subOp", subOpPoolCap, fs.subs.Stats},
+		{"clientOp", clientOpPoolCap, fs.clientOps.Stats},
+		{"xfer", 1 << 12, fs.Network().PoolStats}, // netsim's xferPoolCap
+	} {
+		pooled, hw, drops := p.stats()
+		if pooled != p.cap || hw != p.cap || drops == 0 {
+			t.Errorf("%s pool: pooled %d, high water %d, drops %d; want %d, %d and some drops",
+				p.name, pooled, hw, drops, p.cap, p.cap)
+		}
 	}
 }
 

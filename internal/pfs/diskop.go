@@ -7,13 +7,12 @@ import (
 )
 
 // diskOp carries one sub-request's disk pass from admission to
-// completion. Records are pooled on the FS free list and dispatched
+// completion. Records come from the FS's pool and are dispatched
 // through the package-level diskOpDone, so the per-sub-request hot path
 // — the dominant allocation site in large runs — allocates nothing. The
 // caller's continuation is fn(arg, err): with a package-level fn and a
 // pooled arg (the client's subLeg) it costs no closure either.
 type diskOp struct {
-	next   *diskOp
 	s      *Server
 	op     device.Op
 	local  int64
@@ -25,43 +24,20 @@ type diskOp struct {
 	arg    any
 }
 
-// diskOpPoolCap bounds the FS-wide diskOp free list; completions beyond
-// the cap drop their record to the garbage collector so a burst's peak
-// in-flight population is not pinned for the rest of the run.
+// diskOpPoolCap bounds the FS-wide diskOp pool (see sim.Pool).
 const diskOpPoolCap = 1 << 12
 
-func (fs *FS) allocOp() *diskOp {
-	if o := fs.freeOps; o != nil {
-		fs.freeOps = o.next
-		fs.opsPooled--
-		o.next = nil
-		return o
-	}
-	return &diskOp{}
-}
-
-// recycleOp returns a completed record to the pool with every pointer
-// field nilled, so pooled records never retain continuations.
-func (fs *FS) recycleOp(o *diskOp) {
-	*o = diskOp{}
-	if fs.opsPooled >= diskOpPoolCap {
-		return
-	}
-	o.next = fs.freeOps
-	fs.freeOps = o
-	fs.opsPooled++
-}
-
 // diskOpDone is the single completion callback for every disk pass. The
-// record is recycled as soon as its fields are copied out — before the
-// caller's continuation runs, which may issue new sub-requests that
-// reuse it. A delivered pass hands fn the fault outcome; a dropped one
-// never calls back.
+// record is reset, every pointer nilled, and recycled as soon as its
+// fields are copied out — before the caller's continuation runs, which
+// may issue new sub-requests that reuse it. A delivered pass hands fn
+// the fault outcome; a dropped one never calls back.
 func diskOpDone(arg any, start, end sim.Time) {
 	o := arg.(*diskOp)
 	s, epoch, fn, farg := o.s, o.epoch, o.fn, o.arg
 	s.observeDisk(o.op, o.parent, o.submit, start, end, o.size)
-	s.fs.recycleOp(o)
+	*o = diskOp{}
+	s.fs.ops.Put(o)
 	if err, ok := s.deliver(epoch); ok {
 		fn(farg, err)
 	}

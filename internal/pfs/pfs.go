@@ -155,7 +155,7 @@ func (s *Server) serve(op device.Op, local, size int64, parent obs.SpanID, fn fu
 		return
 	}
 	service := s.scale(s.Dev.ServiceTime(op, local, size, s.fs.engine.Rand()))
-	o := s.fs.allocOp()
+	o := s.fs.ops.Get()
 	o.s, o.op, o.local, o.size = s, op, local, size
 	o.parent, o.submit, o.epoch, o.fn, o.arg = parent, s.fs.engine.Now(), epoch, fn, arg
 	s.enqueue()
@@ -199,15 +199,12 @@ type FS struct {
 	nextID  uint64
 	health  []Health
 
-	// Free lists of pooled records, so the client data path is
-	// allocation-free: disk sub-requests (diskop.go), client sub-request
+	// Pools of recycled records, so the client data path is
+	// allocation-free: disk passes (diskop.go), client sub-request
 	// attempts (retry.go) and client operations (clientop.go).
-	freeOps         *diskOp
-	opsPooled       int
-	freeSubs        *subOp
-	subsPooled      int
-	freeClientOps   *clientOp
-	clientOpsPooled int
+	ops       sim.Pool[diskOp]
+	subs      sim.Pool[subOp]
+	clientOps sim.Pool[clientOp]
 
 	// MDSLookups counts metadata RPCs for overhead reports.
 	MDSLookups uint64
@@ -239,6 +236,10 @@ func New(e *sim.Engine, net *netsim.Network, profiles []device.Profile) (*FS, er
 		mdsNode: net.AddNode("mds"),
 		files:   make(map[string]*FileMeta),
 		nextID:  1,
+
+		ops:       sim.Pool[diskOp]{Cap: diskOpPoolCap},
+		subs:      sim.Pool[subOp]{Cap: subOpPoolCap},
+		clientOps: sim.Pool[clientOp]{Cap: clientOpPoolCap},
 	}
 	for i, prof := range profiles {
 		dev, err := device.New(prof)

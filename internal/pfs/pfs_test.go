@@ -316,10 +316,10 @@ func TestSharedNodeClientsContend(t *testing.T) {
 		f1 := mustCreate(t, e, c1, "f1", layout.Fixed(6, 2, 64<<10))
 		buf := make([]byte, 4<<20)
 		var end sim.Time
-		done := sim.NewCountdown(2, func() { end = e.Now() })
+		done := sim.NewCountdown(2, func(error) { end = e.Now() })
 		e.Schedule(0, func() {
-			f0.WriteAt(buf, 0, func(error) { done.Done() })
-			f1.WriteAt(buf, 0, func(error) { done.Done() })
+			f0.WriteAt(buf, 0, func(error) { done.Done(nil) })
+			f1.WriteAt(buf, 0, func(error) { done.Done(nil) })
 		})
 		e.Run()
 		return end

@@ -68,7 +68,6 @@ type Policy struct {
 // request or reply a server swallows never comes back; its record is
 // left to the garbage collector.
 type subOp struct {
-	next    *subOp
 	f       *File
 	op      device.Op
 	phantom bool
@@ -100,32 +99,12 @@ type subLeg struct {
 	err    error
 }
 
-// subOpPoolCap bounds the sub-op free list, as diskOpPoolCap does. The
+// subOpPoolCap bounds the sub-op pool, as diskOpPoolCap does. The
 // pool only has to absorb swings in the in-flight population, not hold
 // all of it, so the cap sits below ScaleHuge's ~1.3K concurrent
 // sub-requests and keeps the pooled records' share of the live heap
 // small.
 const subOpPoolCap = 1 << 9
-
-func (fs *FS) allocSub() *subOp {
-	if o := fs.freeSubs; o != nil {
-		fs.freeSubs = o.next
-		fs.subsPooled--
-		o.next = nil
-		return o
-	}
-	return &subOp{}
-}
-
-func (fs *FS) recycleSub(o *subOp) {
-	*o = subOp{}
-	if fs.subsPooled >= subOpPoolCap {
-		return
-	}
-	o.next = fs.freeSubs
-	fs.freeSubs = o
-	fs.subsPooled++
-}
 
 // arm schedules one of the attempt's timers.
 func (o *subOp) arm(delay sim.Duration, fn func(arg any, start, end sim.Time)) {
@@ -133,12 +112,14 @@ func (o *subOp) arm(delay sim.Duration, fn func(arg any, start, end sim.Time)) {
 	o.f.client.fs.engine.ScheduleCall(delay, fn, o)
 }
 
-// release retires one outstanding callback; the last one recycles the
-// record. Callbacks call it after their own work, so the record is never
-// pooled while a step still runs on it.
+// release retires one outstanding callback; the last one resets and
+// recycles the record. Callbacks call it after their own work, so the
+// record is never pooled while a step still runs on it.
 func (o *subOp) release() {
 	if o.pending--; o.pending == 0 {
-		o.f.client.fs.recycleSub(o)
+		fs := o.f.client.fs
+		*o = subOp{}
+		fs.subs.Put(o)
 	}
 }
 
@@ -361,7 +342,7 @@ func (o *subOp) outcome(data []byte, err error) {
 	}
 	p := o.f.client.Policy
 	if o.attempt < p.MaxRetries && Retryable(err) {
-		next := fs.allocSub()
+		next := fs.subs.Get()
 		*next = subOp{f: o.f, op: o.op, phantom: o.phantom, parent: o.parent, sub: o.sub,
 			payload: o.payload, cop: o.cop, idx: o.idx, attempt: o.attempt + 1}
 		o.cop = nil

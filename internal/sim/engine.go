@@ -6,13 +6,13 @@ import (
 )
 
 // event is a scheduled callback. Events with equal timestamps fire in
-// scheduling order (seq), which keeps runs deterministic. Records are
-// pooled on a free list and recycled when they fire, so the steady
+// scheduling order (seq), which keeps runs deterministic. Records come
+// from the engine's Pool and are recycled when they fire, so the steady
 // scheduling path does not allocate; exactly one of fn, dfn, cfn is
 // set. dfn and cfn carry a precomputed (start, end) span — and cfn one
 // caller argument — so completion callbacks need no closure either.
 type event struct {
-	next  *event // intrusive link: wheel bucket chain, then free list
+	next  *event // intrusive wheel bucket chain
 	at    Time
 	seq   uint64
 	fn    func()
@@ -23,10 +23,7 @@ type event struct {
 	end   Time
 }
 
-// EventPoolCap bounds the engine's event free list. Recycled records
-// beyond the cap are dropped to the garbage collector, so a burst that
-// once had millions of events in flight does not pin that memory for
-// the rest of the run.
+// EventPoolCap bounds the engine's event pool (see Pool).
 const EventPoolCap = 1 << 14
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
@@ -38,11 +35,7 @@ type Engine struct {
 	q       wheelQueue
 	rng     *rand.Rand
 	stopped bool
-
-	free      *event // recycled event records
-	pooled    int
-	poolHW    int
-	poolDrops uint64
+	pool    Pool[event]
 
 	// Processed counts events executed since construction; useful for
 	// cost accounting and runaway detection in tests.
@@ -52,7 +45,7 @@ type Engine struct {
 // NewEngine returns an engine whose random source is seeded with seed.
 // The same seed always yields the same simulation.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), pool: Pool[event]{Cap: EventPoolCap}}
 }
 
 // Now returns the current virtual time.
@@ -65,14 +58,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 func (e *Engine) allocEvent(at Time) *event {
-	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		e.pooled--
-		ev.next = nil
-	} else {
-		ev = &event{}
-	}
+	ev := e.pool.Get()
 	e.seq++
 	ev.at, ev.seq = at, e.seq
 	return ev
@@ -80,28 +66,19 @@ func (e *Engine) allocEvent(at Time) *event {
 
 // recycle returns a fired event record to the pool. Callback fields are
 // nilled first so a pooled record never retains a closure (or whatever
-// the closure captured) across its idle time, and the pool is capped so
-// peak in-flight bursts do not pin memory forever.
+// the closure captured) across its idle time. at and seq are rewritten
+// when the record is next scheduled, and the wheel clears next as it
+// drains a bucket.
 func (e *Engine) recycle(ev *event) {
 	ev.fn, ev.dfn, ev.cfn, ev.arg = nil, nil, nil, nil
 	ev.start, ev.end = 0, 0
-	if e.pooled >= EventPoolCap {
-		e.poolDrops++
-		return
-	}
-	ev.next = e.free
-	e.free = ev
-	e.pooled++
-	if e.pooled > e.poolHW {
-		e.poolHW = e.pooled
-	}
+	e.pool.Put(ev)
 }
 
-// PoolStats reports the event pool's current size, its high-water mark,
-// and how many records were dropped at the cap — the observability hook
-// for the pool-shrink guarantee.
+// PoolStats reports the event pool's Stats: its current size, its
+// high-water mark, and how many records were dropped at the cap.
 func (e *Engine) PoolStats() (pooled, highWater int, drops uint64) {
-	return e.pooled, e.poolHW, e.poolDrops
+	return e.pool.Stats()
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay panics:

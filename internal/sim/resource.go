@@ -110,20 +110,24 @@ func (r *Resource) Utilization() float64 {
 	return r.BusyTotal.Seconds() / (elapsed.Seconds() * float64(len(r.free)))
 }
 
-// Countdown invokes a callback once a fixed number of completions arrive.
-// It is the completion primitive for scatter-gather operations: a striped
-// request finishes when its last sub-request finishes, a collective I/O
-// phase finishes when every participating rank arrives.
+// Countdown invokes a callback once a fixed number of completions
+// arrive. It is the completion primitive for scatter-gather operations:
+// a striped request finishes when its last sub-request finishes, a
+// collective I/O phase when every participating rank arrives. The first
+// non-nil error wins, but the callback still waits for every straggler
+// — like errgroup.Wait — so no sub-request outlives its parent
+// operation and late completions never touch freed state.
 type Countdown struct {
 	remaining int
-	fn        func()
+	fn        func(error)
+	firstErr  error
 	fired     bool
 }
 
-// NewCountdown returns a countdown that calls fn after n Done calls.
-// n == 0 is allowed; the callback then fires on construction via the
-// engine's current event, keeping zero-fragment edge cases uniform.
-func NewCountdown(n int, fn func()) *Countdown {
+// NewCountdown returns a countdown that calls fn(firstErr) after n Done
+// calls. n == 0 is allowed; fn(nil) then fires on construction, keeping
+// zero-fragment edge cases uniform.
+func NewCountdown(n int, fn func(error)) *Countdown {
 	c := &Countdown{remaining: n, fn: fn}
 	if n == 0 {
 		c.fire()
@@ -137,61 +141,15 @@ func (c *Countdown) fire() {
 	}
 	c.fired = true
 	if c.fn != nil {
-		c.fn()
-	}
-}
-
-// Done records one completion; the n-th call fires the callback.
-func (c *Countdown) Done() {
-	if c.fired {
-		panic("sim: countdown Done after fire")
-	}
-	c.remaining--
-	if c.remaining == 0 {
-		c.fire()
-	}
-}
-
-// Remaining reports how many completions are still outstanding.
-func (c *Countdown) Remaining() int { return c.remaining }
-
-// ErrCountdown is Countdown with a failure path, the completion primitive
-// for scatter-gather operations that can partially fail: the first
-// non-nil error wins, but the callback still waits for every straggler —
-// like errgroup.Wait — so no sub-request outlives its parent operation
-// and late completions never touch freed state.
-type ErrCountdown struct {
-	remaining int
-	fn        func(error)
-	firstErr  error
-	fired     bool
-}
-
-// NewErrCountdown returns a countdown that calls fn(firstErr) after n
-// Done calls. n == 0 fires fn(nil) on construction, matching NewCountdown.
-func NewErrCountdown(n int, fn func(error)) *ErrCountdown {
-	c := &ErrCountdown{remaining: n, fn: fn}
-	if n == 0 {
-		c.fire()
-	}
-	return c
-}
-
-func (c *ErrCountdown) fire() {
-	if c.fired {
-		panic("sim: err countdown fired twice")
-	}
-	c.fired = true
-	if c.fn != nil {
 		c.fn(c.firstErr)
 	}
 }
 
 // Done records one completion and its outcome; the n-th call fires the
 // callback with the first non-nil error recorded (nil if all succeeded).
-func (c *ErrCountdown) Done(err error) {
+func (c *Countdown) Done(err error) {
 	if c.fired {
-		panic("sim: err countdown Done after fire")
+		panic("sim: countdown Done after fire")
 	}
 	if err != nil && c.firstErr == nil {
 		c.firstErr = err
@@ -203,7 +161,7 @@ func (c *ErrCountdown) Done(err error) {
 }
 
 // Err returns the first error recorded so far.
-func (c *ErrCountdown) Err() error { return c.firstErr }
+func (c *Countdown) Err() error { return c.firstErr }
 
 // Remaining reports how many completions are still outstanding.
-func (c *ErrCountdown) Remaining() int { return c.remaining }
+func (c *Countdown) Remaining() int { return c.remaining }

@@ -133,37 +133,27 @@ func TestResourceConservationProperty(t *testing.T) {
 }
 
 func TestCountdown(t *testing.T) {
-	e := NewEngine(1)
 	fired := false
-	c := NewCountdown(3, func() { fired = true })
-	c.Done()
-	c.Done()
+	c := NewCountdown(3, func(error) { fired = true })
+	c.Done(nil)
+	c.Done(nil)
 	if fired {
 		t.Fatal("fired early")
 	}
 	if c.Remaining() != 1 {
 		t.Fatalf("remaining = %d, want 1", c.Remaining())
 	}
-	c.Done()
+	c.Done(nil)
 	if !fired {
 		t.Fatal("did not fire after n completions")
 	}
-	mustPanic(t, func() { c.Done() })
-	_ = e
+	mustPanic(t, func() { c.Done(nil) })
 }
 
-func TestCountdownZero(t *testing.T) {
-	fired := false
-	NewCountdown(0, func() { fired = true })
-	if !fired {
-		t.Fatal("zero countdown should fire immediately")
-	}
-}
-
-func TestErrCountdownFirstErrorWinsButWaits(t *testing.T) {
+func TestCountdownFirstErrorWinsButWaits(t *testing.T) {
 	var got error
 	fired := false
-	c := NewErrCountdown(3, func(err error) { fired = true; got = err })
+	c := NewCountdown(3, func(err error) { fired = true; got = err })
 	errA := fmt.Errorf("first failure")
 	errB := fmt.Errorf("second failure")
 	c.Done(nil)
@@ -184,19 +174,34 @@ func TestErrCountdownFirstErrorWinsButWaits(t *testing.T) {
 	mustPanic(t, func() { c.Done(nil) })
 }
 
+// TestErrCountdownAllSuccess checks that a countdown whose completions
+// all succeed hands its callback a nil error.
 func TestErrCountdownAllSuccess(t *testing.T) {
 	var got error = fmt.Errorf("sentinel")
-	c := NewErrCountdown(2, func(err error) { got = err })
+	c := NewCountdown(2, func(err error) { got = err })
 	c.Done(nil)
 	c.Done(nil)
 	if got != nil {
 		t.Fatalf("callback error = %v, want nil", got)
 	}
+	if c.Err() != nil {
+		t.Fatalf("Err() = %v, want nil", c.Err())
+	}
 }
 
+func TestCountdownZero(t *testing.T) {
+	fired := false
+	NewCountdown(0, func(error) { fired = true })
+	if !fired {
+		t.Fatal("zero countdown should fire immediately")
+	}
+	NewCountdown(0, nil) // a nil callback is allowed
+}
+
+// TestErrCountdownZero checks that a zero countdown fires with a nil error.
 func TestErrCountdownZero(t *testing.T) {
 	fired := false
-	NewErrCountdown(0, func(err error) {
+	NewCountdown(0, func(err error) {
 		if err != nil {
 			t.Errorf("zero countdown error = %v", err)
 		}
