@@ -53,15 +53,12 @@ const boundSlices = 8
 // int-to-float conversion, max, multiplication by a non-negative
 // β or t, addition of non-negative terms, and the correctly rounded
 // k/(k+1) of expectedMaxUniform. Each is monotone under round-to-nearest.
-// A replicated write (R > 1) goes through the same requestTerms, whose
-// chain factor only scales Touched and the network term.
 func (e *Evaluator) Bound(op device.Op, size int64) float64 {
 	if size <= 0 {
 		return 0
 	}
 	terms := e.opTerms(op)
 	counts, stripes := e.tiers.Counts[:len(terms)], e.tiers.Stripes[:len(terms)]
-	base := newRequestTerms(op, e.p.R)
 	zone0 := int64(counts[0]) * stripes[0]
 	round := e.geo.Round()
 	q, rho := size/round, size%round
@@ -76,7 +73,7 @@ func (e *Evaluator) Bound(op device.Op, size int64) float64 {
 			// lower.
 			continue
 		}
-		t := terms[0].fold(base, tierFloor(counts[0], stripes[0], q, prev))
+		t := terms[0].fold(requestTerms{}, tierFloor(counts[0], stripes[0], q, prev))
 		for j := 1; j < len(terms); j++ {
 			others := round - zone0 - int64(counts[j])*stripes[j]
 			t = terms[j].fold(t, tierFloor(counts[j], stripes[j], q, max(0, rho-next-others)))

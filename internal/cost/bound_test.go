@@ -19,8 +19,8 @@ func checkBound(t testing.TB, e *Evaluator, op device.Op, size int64) {
 	for off := int64(0); off < round; off++ {
 		c := e.RequestCost(op, off, size)
 		if b > c || size%round == 0 && b != c {
-			t.Fatalf("counts %v R=%d stripes %v op %v size %d off %d: bound %v, cost %v",
-				e.p.Counts(), e.p.R, e.Stripes(), op, size, off, b, c)
+			t.Fatalf("counts %v stripes %v op %v size %d off %d: bound %v, cost %v",
+				e.p.Counts(), e.Stripes(), op, size, off, b, c)
 		}
 	}
 }
@@ -57,7 +57,7 @@ func boundGrid(t *testing.T, p Params, maxStripe, rounds int64) int {
 }
 
 // TestBoundExhaustive checks Bound against every offset on every small
-// geometry, with replication factors 0..2:
+// geometry:
 //   - two tiers: up to three servers per tier (none included), stripes
 //     0..5, every size up to three rounds and two bytes;
 //   - three tiers: up to two servers per tier, stripes 0..4, every size
@@ -82,15 +82,13 @@ func TestBoundExhaustive(t *testing.T) {
 				}
 				return
 			}
-			for r := 0; r <= 2; r++ {
-				p := c.base
-				p.Tiers = slices.Clone(p.Tiers)
-				for i, n := range counts {
-					p.Tiers[i].Count = n
-				}
-				if p.R = r; p.Validate() == nil {
-					checks += boundGrid(t, p, c.maxStripe, c.rounds)
-				}
+			p := c.base
+			p.Tiers = slices.Clone(p.Tiers)
+			for i, n := range counts {
+				p.Tiers[i].Count = n
+			}
+			if p.Validate() == nil {
+				checks += boundGrid(t, p, c.maxStripe, c.rounds)
 			}
 		}
 		walk(0)
@@ -142,20 +140,19 @@ func TestBoundAllocations(t *testing.T) {
 }
 
 // FuzzEvaluatorBound checks Bound against RequestCost on random
-// geometries of one to four tiers, offsets, sizes, operations and
-// replication factors. Tier i has counts[i] servers of stripe
+// geometries of one to four tiers, offsets, sizes and operations. Tier i has counts[i] servers of stripe
 // stripes[i], and k = max(1, k%5) tiers take part.
 func FuzzEvaluatorBound(f *testing.F) {
-	f.Add(uint16(6), uint16(2), uint64(36<<10), uint64(148<<10), uint64(12345), uint64(512<<10), uint8(0), false, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
-	f.Add(uint16(3), uint16(1), uint64(7), uint64(0), uint64(5), uint64(40), uint8(2), true, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
-	f.Add(uint16(0), uint16(4), uint64(0), uint64(4096), uint64(1<<33), uint64(2<<20), uint8(3), true, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
-	f.Add(uint16(5), uint16(5), uint64(100), uint64(300), uint64(999), uint64(2000), uint8(1), false, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint16(6), uint16(2), uint64(36<<10), uint64(148<<10), uint64(12345), uint64(512<<10), false, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint16(3), uint16(1), uint64(7), uint64(0), uint64(5), uint64(40), true, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint16(0), uint16(4), uint64(0), uint64(4096), uint64(1<<33), uint64(2<<20), true, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint16(5), uint16(5), uint64(100), uint64(300), uint64(999), uint64(2000), false, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
 	// 1000 HServers with 1 TB stripes: x·b passes 64 bits.
-	f.Add(uint16(1000), uint16(24), uint64(1<<40), uint64(0), uint64(3), uint64(1<<39), uint8(0), true, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
-	f.Add(uint16(6), uint16(1), uint64(16<<10), uint64(36<<10), uint64(777), uint64(512<<10), uint8(0), false, uint8(3), uint16(1), uint16(0), uint64(40<<10), uint64(0))
-	f.Add(uint16(2), uint16(0), uint64(5), uint64(9), uint64(31), uint64(100), uint8(2), true, uint8(4), uint16(3), uint16(1), uint64(0), uint64(7))
-	f.Add(uint16(4), uint16(9), uint64(4096), uint64(1), uint64(0), uint64(9000), uint8(1), true, uint8(1), uint16(5), uint16(5), uint64(2), uint64(3))
-	f.Fuzz(func(t *testing.T, m, n uint16, h, s, off, size uint64, r uint8, write bool, k uint8, c2, c3 uint16, x2, x3 uint64) {
+	f.Add(uint16(1000), uint16(24), uint64(1<<40), uint64(0), uint64(3), uint64(1<<39), true, uint8(2), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint16(6), uint16(1), uint64(16<<10), uint64(36<<10), uint64(777), uint64(512<<10), false, uint8(3), uint16(1), uint16(0), uint64(40<<10), uint64(0))
+	f.Add(uint16(2), uint16(0), uint64(5), uint64(9), uint64(31), uint64(100), true, uint8(4), uint16(3), uint16(1), uint64(0), uint64(7))
+	f.Add(uint16(4), uint16(9), uint64(4096), uint64(1), uint64(0), uint64(9000), true, uint8(1), uint16(5), uint16(5), uint64(2), uint64(3))
+	f.Fuzz(func(t *testing.T, m, n uint16, h, s, off, size uint64, write bool, k uint8, c2, c3 uint16, x2, x3 uint64) {
 		counts := []uint16{m, n, c2, c3}[:max(1, k%5)]
 		stripes := []uint64{h, s, x2, x3}[:len(counts)]
 		base := threeTier().Tiers
@@ -167,7 +164,6 @@ func FuzzEvaluatorBound(f *testing.F) {
 			p.Tiers = append(p.Tiers, tier)
 			xs[i] = int64(stripes[i] % (1 << 41))
 		}
-		p.R = int(r) % (p.Servers() + 1)
 		if p.Validate() != nil {
 			return
 		}
@@ -182,8 +178,8 @@ func FuzzEvaluatorBound(f *testing.F) {
 		sz, o := int64(size%(1<<42))+1, int64(off%(1<<42))
 		b, c := e.Bound(op, sz), e.RequestCost(op, o, sz)
 		if b > c || math.IsNaN(b) {
-			t.Fatalf("counts %v R=%d stripes %v op %v size %d off %d: bound %v > cost %v",
-				p.Counts(), p.R, xs, op, sz, o, b, c)
+			t.Fatalf("counts %v stripes %v op %v size %d off %d: bound %v > cost %v",
+				p.Counts(), xs, op, sz, o, b, c)
 		}
 	})
 }

@@ -58,13 +58,6 @@ type Params struct {
 
 	// Tiers lists the server classes in server-numbering order.
 	Tiers []TierParams
-
-	// Replication factor for writes: every written byte is committed on
-	// R replicas before the ack (primary/backup chain). 0 and 1 both
-	// mean "no replication" and leave every formula untouched, so the
-	// zero value models exactly the original paper. Reads are served by
-	// one replica and never pay for R.
-	R int
 }
 
 // TierParams is one server class: its server count and its storage
@@ -105,13 +98,8 @@ func (p Params) Validate() error {
 			}
 		}
 	}
-	switch servers := p.Servers(); {
-	case servers == 0:
+	if p.Servers() == 0 {
 		return fmt.Errorf("cost: no servers across tiers")
-	case p.R < 0:
-		return fmt.Errorf("cost: negative replication factor R=%d", p.R)
-	case p.R > servers:
-		return fmt.Errorf("cost: replication factor R=%d exceeds cluster size %d", p.R, servers)
 	}
 	return nil
 }
@@ -183,7 +171,7 @@ func (p Params) RequestBreakdown(op device.Op, offset, size int64, stripes ...in
 		panic(err)
 	}
 	geo.Distribute(offset, size, loads)
-	t := newRequestTerms(op, p.R)
+	var t requestTerms
 	for i, l := range loads {
 		t = t.add(l, p.startup(op, i, l.Touched), p.Tiers[i].Fit(op).Beta)
 	}
@@ -191,43 +179,29 @@ func (p Params) RequestBreakdown(op device.Op, offset, size int64, stripes ...in
 }
 
 // startup is Eqs. (2)-(4) for one tier under op: the expected maximum
-// startup draw when m of its servers are touched, across every store of
-// each touched slot's replica chain. It depends on nothing but its
-// arguments, so an Evaluator may tabulate it per touched count.
+// startup draw when m of its servers are touched. It depends on nothing
+// but its arguments, so an Evaluator may tabulate it per touched count.
 func (p *Params) startup(op device.Op, tier, m int) float64 {
 	f := p.Tiers[tier].Fit(op)
-	return expectedMaxUniform(f.AlphaMin, f.AlphaMax, m*newRequestTerms(op, p.R).chain)
+	return expectedMaxUniform(f.AlphaMin, f.AlphaMax, m)
 }
 
 // requestTerms is Eqs. (1)-(6) over any number of tiers, folded one tier
-// at a time: add takes a tier's load, its expected maximum startup and
-// its unit transfer time for the operation, and breakdown closes the
-// network term. Each term is the maximum across tiers. Every term is
-// non-negative, so running maxima that start at 0 equal the paper's max
-// over the tiers; and float rounding is monotone, so max(sub-request) × t
-// equals the max of the per-tier products. It is a value of at most four
-// words, so the fold stays in registers.
-//
-// A write replicated r > 1 ways forwards each primary's sub-request
-// serially down its chain over the primary's uplink (r-1 extra hops of
-// the largest sub-request), and its ack waits on startup draws across
-// all r stores of each touched slot. Reads are served by one replica.
+// at a time from its zero value: add takes a tier's load, its expected
+// maximum startup and its unit transfer time for the operation, and
+// breakdown closes the network term. Each term is the maximum across
+// tiers. Every term is non-negative, so running maxima that start at 0
+// equal the paper's max over the tiers; and float rounding is monotone,
+// so max(sub-request) × t equals the max of the per-tier products. It is
+// a value of three words, so the fold stays in registers.
 type requestTerms struct {
 	startup, transfer float64
 	maxSub            int64
-	chain             int // stores per touched slot: r for a replicated write, else 1
-}
-
-func newRequestTerms(op device.Op, r int) requestTerms {
-	if op == device.Write && r > 1 {
-		return requestTerms{chain: r}
-	}
-	return requestTerms{chain: 1}
 }
 
 // add folds in one tier: its load, the expected maximum startup of its
-// l.Touched·chain touched stores (Eqs. (2)-(4)) and its unit transfer
-// time beta.
+// l.Touched touched servers (Eqs. (2)-(4)) and its unit transfer time
+// beta.
 func (t requestTerms) add(l layout.Load, startup, beta float64) requestTerms {
 	t.maxSub = max(t.maxSub, l.Max)
 	// Eq. (5): the slower tier's startup.
@@ -237,12 +211,7 @@ func (t requestTerms) add(l layout.Load, startup, beta float64) requestTerms {
 	return t
 }
 
-// breakdown closes Eq. (1): network transfer of the largest sub-request,
-// plus its forwarding hops down a write's replica chain.
+// breakdown closes Eq. (1): network transfer of the largest sub-request.
 func (t requestTerms) breakdown(netUnit float64) Breakdown {
-	b := Breakdown{Network: float64(t.maxSub) * netUnit, Startup: t.startup, Transfer: t.transfer}
-	if t.chain > 1 {
-		b.Network += float64(t.chain-1) * float64(t.maxSub) * netUnit
-	}
-	return b
+	return Breakdown{Network: float64(t.maxSub) * netUnit, Startup: t.startup, Transfer: t.transfer}
 }

@@ -100,7 +100,7 @@ func (e *Evaluator) RequestCost(op device.Op, offset, size int64) float64 {
 	}
 	e.geo.Distribute(offset, size, e.loads)
 	terms := e.opTerms(op)[:len(e.loads)]
-	t := newRequestTerms(op, e.p.R)
+	var t requestTerms
 	for i, l := range e.loads {
 		t = terms[i].fold(t, l)
 	}

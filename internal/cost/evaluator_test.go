@@ -25,8 +25,7 @@ func evalParams() Params {
 // TestEvaluatorBitIdentical pins the determinism contract: the
 // evaluator must reproduce Params.RequestBreakdown's total to the last
 // bit across candidates (including the H==0 / S==0 extremes and three
-// tiers), operations, replication factors and offsets far beyond one
-// striping round.
+// tiers), operations and offsets far beyond one striping round.
 func TestEvaluatorBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, c := range []struct {
@@ -36,26 +35,22 @@ func TestEvaluatorBitIdentical(t *testing.T) {
 		{evalParams(), [][]int64{{4 << 10, 8 << 10}, {0, 64 << 10}, {64 << 10, 0}, {36 << 10, 148 << 10}, {1 << 20, 2 << 20}}},
 		{threeTier(), [][]int64{{16 << 10, 36 << 10, 40 << 10}, {0, 64 << 10, 128 << 10}, {4 << 10, 0, 8 << 10}}},
 	} {
-		for r := 0; r <= 2; r++ {
-			p := c.p
-			p.R = r
-			for _, stripes := range c.stripes {
-				e, err := p.NewEvaluator(stripes...)
-				if err != nil {
-					t.Fatalf("stripes %v: %v", stripes, err)
+		for _, stripes := range c.stripes {
+			e, err := c.p.NewEvaluator(stripes...)
+			if err != nil {
+				t.Fatalf("stripes %v: %v", stripes, err)
+			}
+			for trial := 0; trial < 100; trial++ {
+				off := rng.Int63n(1 << 32)
+				size := rng.Int63n(4<<20) + 1
+				op := device.Read
+				if trial%2 == 1 {
+					op = device.Write
 				}
-				for trial := 0; trial < 100; trial++ {
-					off := rng.Int63n(1 << 32)
-					size := rng.Int63n(4<<20) + 1
-					op := device.Read
-					if trial%2 == 1 {
-						op = device.Write
-					}
-					want := p.RequestBreakdown(op, off, size, stripes...).Total()
-					got := e.RequestCost(op, off, size)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("R=%d stripes %v op %v (%d,%d): evaluator %v != direct %v", r, stripes, op, off, size, got, want)
-					}
+				want := c.p.RequestBreakdown(op, off, size, stripes...).Total()
+				got := e.RequestCost(op, off, size)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("stripes %v op %v (%d,%d): evaluator %v != direct %v", stripes, op, off, size, got, want)
 				}
 			}
 		}

@@ -22,7 +22,6 @@ func TestMultiValidate(t *testing.T) {
 		{Tiers: []TierParams{{Count: 1, Read: DeviceFit{AlphaMin: 5, AlphaMax: 1}}}},
 		{Tiers: []TierParams{{Count: 1, Write: DeviceFit{AlphaMin: -2, AlphaMax: -1}}}},
 		{Tiers: []TierParams{{Count: 1, Read: DeviceFit{Beta: -1}}}},
-		{Tiers: []TierParams{{Count: 1}}, R: 2},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {
@@ -42,7 +41,7 @@ func TestEmptyTierEquivalenceProperty(t *testing.T) {
 	nvme.Count = 0
 	wide := p
 	wide.Tiers = []TierParams{p.Tiers[0], nvme, p.Tiers[1]}
-	prop := func(off32, size32 uint32, h8, s8, x8 uint8, opBit bool, r uint8) bool {
+	prop := func(off32, size32 uint32, h8, s8, x8 uint8, opBit bool) bool {
 		h := int64(h8%64) * 4096
 		s := int64(s8%64) * 4096
 		if h == 0 && s == 0 {
@@ -52,7 +51,6 @@ func TestEmptyTierEquivalenceProperty(t *testing.T) {
 		if opBit {
 			op = device.Write
 		}
-		p.R, wide.R = int(r%3), int(r%3)
 		off := int64(off32 % (8 << 20))
 		size := int64(size32%(4<<20)) + 1
 		a := p.RequestBreakdown(op, off, size, h, s)

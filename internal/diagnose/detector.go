@@ -4,8 +4,8 @@
 //
 //   - a Detector that scores every server's windowed tail latency against
 //     its tier-peer population with a robust MAD z-score and hysteresis
-//     (FlagAfter/ClearAfter, mirroring the monitor's StaleAfter/
-//     FreshAfter), producing straggler Episodes with onset times;
+//     (flagAfter/clearAfter, mirroring the monitor's StaleAfter and
+//     freshAfter), producing straggler Episodes with onset times;
 //   - a classifier (classify.go) that correlates each episode with the
 //     faults fired-event log, replication catch-up/promotion counters,
 //     monitor staleness and critical-path blame shares to label the root
@@ -26,63 +26,52 @@ import (
 	"harl/internal/sim"
 )
 
+// flagAfter confirms a straggler after this many consecutive outlier
+// windows; clearAfter clears it after this many consecutive healthy
+// scored windows — the hysteresis pair that keeps one noisy window from
+// flapping a diagnosis, mirroring the monitor.
+const (
+	flagAfter  = 2
+	clearAfter = 2
+)
+
+// zThreshold is the robust z-score (0.6745·(x−median)/MAD over tier
+// peers) above which a server's windowed p99 is an outlier: 3.5 is the
+// standard MAD outlier cut. Tiers with only two scored peers cannot form
+// a meaningful MAD; they fall back to the ratio test alone.
+const zThreshold = 3.5
+
+// madFloorFrac floors the MAD at this fraction of the median, so a
+// degenerate population (all peers identical) cannot produce infinite
+// z-scores.
+const madFloorFrac = 0.05
+
 // Config tunes the anomaly detector. The zero value gets defaults.
 type Config struct {
-	// FlagAfter confirms a straggler after this many consecutive outlier
-	// windows; ClearAfter clears it after this many consecutive healthy
-	// scored windows. Both default to 2 — the hysteresis pair that keeps
-	// one noisy window from flapping a diagnosis, mirroring the monitor.
-	FlagAfter  int
-	ClearAfter int
-
 	// MinOps is the fewest completed disk ops a server needs in a window
 	// to be scored; sparser windows neither flag nor clear. Default 8.
 	MinOps int64
-
-	// ZThreshold is the robust z-score (0.6745·(x−median)/MAD over tier
-	// peers) above which a server's windowed p99 is an outlier. Default
-	// 3.5, the standard MAD outlier cut. Tiers with only two scored peers
-	// cannot form a meaningful MAD; they fall back to the ratio test
-	// alone.
-	ZThreshold float64
 
 	// RatioThreshold is the minimum p99/median ratio an outlier must
 	// also exceed — a guard against statistically significant but
 	// operationally irrelevant deviations in very tight populations.
 	// Default 1.5.
 	RatioThreshold float64
-
-	// MADFloorFrac floors the MAD at this fraction of the median, so a
-	// degenerate population (all peers identical) cannot produce infinite
-	// z-scores. Default 0.05.
-	MADFloorFrac float64
 }
 
 func (c Config) withDefaults() Config {
-	if c.FlagAfter <= 0 {
-		c.FlagAfter = 2
-	}
-	if c.ClearAfter <= 0 {
-		c.ClearAfter = 2
-	}
 	if c.MinOps <= 0 {
 		c.MinOps = 8
 	}
-	if c.ZThreshold <= 0 {
-		c.ZThreshold = 3.5
-	}
 	if c.RatioThreshold <= 1 {
 		c.RatioThreshold = 1.5
-	}
-	if c.MADFloorFrac <= 0 {
-		c.MADFloorFrac = 0.05
 	}
 	return c
 }
 
 // Episode is one contiguous degradation on one server: flagged when
-// FlagAfter consecutive windows scored as outliers, cleared when
-// ClearAfter consecutive windows scored healthy. Times are virtual.
+// flagAfter consecutive windows scored as outliers, cleared when
+// clearAfter consecutive windows scored healthy. Times are virtual.
 type Episode struct {
 	Server   string
 	Tier     string
@@ -91,7 +80,7 @@ type Episode struct {
 	// Onset is the start of the first flagged window — the detector's
 	// estimate of when degradation began. Confirmed is the window
 	// boundary at which the hysteresis threshold was crossed, so
-	// Confirmed − Onset is the detection latency (FlagAfter windows).
+	// Confirmed − Onset is the detection latency (flagAfter windows).
 	Onset     sim.Time
 	Confirmed sim.Time
 
@@ -118,7 +107,7 @@ type serverState struct {
 	flagStreak  int
 	clearStreak int
 	// pendingOnset is the start of the current outlier streak — promoted
-	// to Episode.Onset when the streak reaches FlagAfter.
+	// to Episode.Onset when the streak reaches flagAfter.
 	pendingOnset sim.Time
 	episode      *Episode // open episode, nil when healthy
 }
@@ -179,7 +168,7 @@ func (d *Detector) observe(end sim.Time, window sim.Duration, servers []obs.Serv
 		med := median(p99s)
 		utilMed := median(utils)
 		mad := medianAbsDev(p99s, med)
-		floor := d.cfg.MADFloorFrac * med
+		floor := madFloorFrac * med
 		if mad < floor {
 			mad = floor
 		}
@@ -195,7 +184,7 @@ func (d *Detector) observe(end sim.Time, window sim.Duration, servers []obs.Serv
 			outlier := ratio >= d.cfg.RatioThreshold
 			if len(peers) >= 3 {
 				// A real population: demand statistical significance too.
-				outlier = outlier && z >= d.cfg.ZThreshold
+				outlier = outlier && z >= zThreshold
 			}
 			d.score(i, servers[i], end, window, outlier, z, ratio, utilMed)
 		}
@@ -212,7 +201,7 @@ func (d *Detector) score(i int, w obs.ServerWindow, end sim.Time, window sim.Dur
 		st.flagStreak++
 		st.clearStreak = 0
 		ep := st.episode
-		if ep == nil && st.flagStreak >= d.cfg.FlagAfter {
+		if ep == nil && st.flagStreak >= flagAfter {
 			ep = &Episode{
 				Server:    w.Server,
 				Tier:      w.Tier,
@@ -244,7 +233,7 @@ func (d *Detector) score(i int, w obs.ServerWindow, end sim.Time, window sim.Dur
 	st.flagStreak = 0
 	if st.episode != nil {
 		st.clearStreak++
-		if st.clearStreak >= d.cfg.ClearAfter {
+		if st.clearStreak >= clearAfter {
 			st.episode.Cleared = end
 			st.episode = nil
 			st.clearStreak = 0

@@ -72,14 +72,14 @@ func TestDetectorFlagsConfirmsAndClears(t *testing.T) {
 		t.Fatalf("flagged %s/%s id %d", ep.Server, ep.Tier, ep.ServerID)
 	}
 	// First outlier window is window 2 → onset = its start = 20ms;
-	// confirmation after FlagAfter=2 windows → end of window 3 = 40ms.
+	// confirmation after flagAfter=2 windows → end of window 3 = 40ms.
 	if ep.Onset != sim.Time(20*sim.Millisecond) {
 		t.Fatalf("onset %v, want 20ms", ep.Onset)
 	}
 	if ep.Confirmed != sim.Time(40*sim.Millisecond) {
 		t.Fatalf("confirmed %v, want 40ms", ep.Confirmed)
 	}
-	// Healthy again from window 6; cleared after ClearAfter=2 scored
+	// Healthy again from window 6; cleared after clearAfter=2 scored
 	// healthy windows → end of window 7 = 80ms.
 	if ep.Active() || ep.Cleared != sim.Time(80*sim.Millisecond) {
 		t.Fatalf("cleared %v active=%v, want 80ms", ep.Cleared, ep.Active())
@@ -91,7 +91,7 @@ func TestDetectorFlagsConfirmsAndClears(t *testing.T) {
 
 func TestDetectorHysteresisIgnoresOneOff(t *testing.T) {
 	e, ss, d := feed(t, Config{})
-	// A single outlier window must not confirm (FlagAfter 2).
+	// A single outlier window must not confirm (flagAfter 2).
 	for w := 0; w < 5; w++ {
 		slow := -1
 		if w == 2 {

@@ -56,16 +56,7 @@ func (r *TraceRun) WhatIf(factor float64) (*critpath.Report, error) {
 			return rep.End.Sub(0), nil
 		}
 	}
-	slow := 1 / factor
-	cands := []critpath.Candidate{
-		{Name: "identity", Detail: "unmodified replay (must measure zero delta)", Run: makespan(nil)},
-		{Name: fmt.Sprintf("tier/hdd x%g", factor), Detail: fmt.Sprintf("every HDD server %g× faster", factor),
-			Run: makespan(func(tb *cluster.Testbed) { tb.FS.ScaleTier(device.HDD, slow) })},
-		{Name: fmt.Sprintf("tier/ssd x%g", factor), Detail: fmt.Sprintf("every SSD server %g× faster", factor),
-			Run: makespan(func(tb *cluster.Testbed) { tb.FS.ScaleTier(device.SSD, slow) })},
-		{Name: fmt.Sprintf("net x%g", factor), Detail: fmt.Sprintf("interconnect bandwidth %g× higher", factor),
-			Run: makespan(func(tb *cluster.Testbed) { tb.Net.ScaleBandwidth(factor) })},
-	}
+	cands := baseCandidates(factor, makespan)
 	if top, ok := topServer(cp); ok {
 		id := -1
 		for _, s := range r.FS.Servers() {
@@ -77,11 +68,29 @@ func (r *TraceRun) WhatIf(factor float64) (*critpath.Report, error) {
 			cands = append(cands, critpath.Candidate{
 				Name:   fmt.Sprintf("server/%s x%g", top, factor),
 				Detail: fmt.Sprintf("most-blamed server %s %g× faster", top, factor),
-				Run:    makespan(func(tb *cluster.Testbed) { tb.FS.Straggle(id, slow) }),
+				Run:    makespan(func(tb *cluster.Testbed) { tb.FS.Straggle(id, 1/factor) }),
 			})
 		}
 	}
 	return critpath.WhatIf(r.End.Sub(0), cands)
+}
+
+// baseCandidates are the counterfactuals every what-if profile ranks:
+// the identity control and the uniform hardware upgrades, each tier and
+// the interconnect sped up by factor. replay turns a testbed adjustment
+// (nil for none) into the candidate's measurement. critpath.WhatIf ranks
+// by measured delta, then name, so the list's order is free.
+func baseCandidates(factor float64, replay func(adjust func(*cluster.Testbed)) func() (sim.Duration, error)) []critpath.Candidate {
+	slow := 1 / factor
+	return []critpath.Candidate{
+		{Name: "identity", Detail: "unmodified replay (must measure zero delta)", Run: replay(nil)},
+		{Name: fmt.Sprintf("tier/hdd x%g", factor), Detail: fmt.Sprintf("every HDD server %g× faster", factor),
+			Run: replay(func(tb *cluster.Testbed) { tb.FS.ScaleTier(device.HDD, slow) })},
+		{Name: fmt.Sprintf("tier/ssd x%g", factor), Detail: fmt.Sprintf("every SSD server %g× faster", factor),
+			Run: replay(func(tb *cluster.Testbed) { tb.FS.ScaleTier(device.SSD, slow) })},
+		{Name: fmt.Sprintf("net x%g", factor), Detail: fmt.Sprintf("interconnect bandwidth %g× higher", factor),
+			Run: replay(func(tb *cluster.Testbed) { tb.Net.ScaleBandwidth(factor) })},
+	}
 }
 
 // topServer returns the server carrying the most critical-path device
@@ -153,19 +162,11 @@ func RunDriftWhatIf(o Options, factor float64) (*DriftWhatIfRun, error) {
 		return nil, fmt.Errorf("experiments: monitored post-shift window %v != bare %v; monitor perturbed the run", monitored, baseline)
 	}
 
-	slow := 1 / factor
 	restripe := fmt.Sprintf("restripe/r%d", adv.Region)
-	cands := []critpath.Candidate{
-		{Name: "identity", Detail: "unmodified replay (must measure zero delta)", Run: window(nil, nil)},
-		{Name: restripe, Detail: fmt.Sprintf("region %d placed as %s per advice", adv.Region, adv.To),
-			Run: window(map[int]harl.StripePair{adv.Region: adv.To}, nil)},
-		{Name: fmt.Sprintf("tier/hdd x%g", factor), Detail: fmt.Sprintf("every HDD server %g× faster", factor),
-			Run: window(nil, func(tb *cluster.Testbed) { tb.FS.ScaleTier(device.HDD, slow) })},
-		{Name: fmt.Sprintf("tier/ssd x%g", factor), Detail: fmt.Sprintf("every SSD server %g× faster", factor),
-			Run: window(nil, func(tb *cluster.Testbed) { tb.FS.ScaleTier(device.SSD, slow) })},
-		{Name: fmt.Sprintf("net x%g", factor), Detail: fmt.Sprintf("interconnect bandwidth %g× higher", factor),
-			Run: window(nil, func(tb *cluster.Testbed) { tb.Net.ScaleBandwidth(factor) })},
-	}
+	cands := append(baseCandidates(factor, func(adjust func(*cluster.Testbed)) func() (sim.Duration, error) {
+		return window(nil, adjust)
+	}), critpath.Candidate{Name: restripe, Detail: fmt.Sprintf("region %d placed as %s per advice", adv.Region, adv.To),
+		Run: window(map[int]harl.StripePair{adv.Region: adv.To}, nil)})
 	rep, err := critpath.WhatIf(baseline, cands)
 	if err != nil {
 		return nil, err

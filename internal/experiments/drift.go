@@ -312,7 +312,7 @@ func FigDrift(o Options) (*Table, error) {
 	}
 
 	cfg := shifted.Monitor.Config()
-	bound := sim.Duration(cfg.StaleAfter+2) * cfg.Window
+	bound := sim.Duration(monitor.StaleAfter+2) * cfg.Window
 	if lat := shifted.DetectionLatency(); lat < 0 {
 		return nil, fmt.Errorf("experiments: drift never detected (%d windows scored)", shifted.Monitor.Windows())
 	} else if lat > bound {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"harl/internal/device"
+	"harl/internal/monitor"
 	"harl/internal/obs"
 	"harl/internal/sim"
 )
@@ -44,7 +45,7 @@ func TestDriftDetectionAndAdvice(t *testing.T) {
 			if lat < 0 {
 				t.Fatalf("shift never detected (%d windows)", run.Monitor.Windows())
 			}
-			if bound := sim.Duration(cfg.StaleAfter+2) * cfg.Window; lat > bound {
+			if bound := sim.Duration(monitor.StaleAfter+2) * cfg.Window; lat > bound {
 				t.Errorf("detection latency %v exceeds bound %v", lat, bound)
 			}
 			if run.Monitor.Stale(0) {

@@ -189,14 +189,6 @@ type Config struct {
 	// Bout bounds flaky and straggle episode lengths. Defaults 30–200 ms.
 	MinBout, MaxBout sim.Duration
 
-	// MaxErrP and MaxDropP cap the per-request probabilities a flaky
-	// bout may draw. Defaults 0.3 and 0.3.
-	MaxErrP, MaxDropP float64
-
-	// MaxFactor caps straggle slowdowns (drawn in [1, MaxFactor]).
-	// Default 8.
-	MaxFactor float64
-
 	// ReplicaGroups lists the replica groups of the file under test
 	// (primary first, as in repl.Spec.Groups); the replica-targeted crash
 	// shapes below draw their victims from groups with at least two
@@ -221,6 +213,14 @@ type Config struct {
 	// overlapping crash). Defaults 5–30 ms.
 	MinStagger, MaxStagger sim.Duration
 }
+
+// maxErrP and maxDropP cap the per-request probabilities a flaky bout
+// may draw; maxFactor caps straggle slowdowns, drawn in [1, maxFactor].
+const (
+	maxErrP   = 0.3
+	maxDropP  = 0.3
+	maxFactor = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.Horizon <= 0 {
@@ -247,15 +247,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBout < c.MinBout {
 		c.MaxBout = 200 * sim.Millisecond
-	}
-	if c.MaxErrP <= 0 {
-		c.MaxErrP = 0.3
-	}
-	if c.MaxDropP <= 0 {
-		c.MaxDropP = 0.3
-	}
-	if c.MaxFactor < 1 {
-		c.MaxFactor = 8
 	}
 	if c.MinStagger <= 0 {
 		c.MinStagger = 5 * sim.Millisecond
@@ -311,13 +302,13 @@ func Chaos(seed int64, cfg Config) Schedule {
 	}
 	for i := 0; i < cfg.FlakyRuns; i++ {
 		episode(Flaky, Clear, span(cfg.MinBout, cfg.MaxBout), func(ev *Event) {
-			ev.ErrP = rng.Float64() * cfg.MaxErrP
-			ev.DropP = rng.Float64() * cfg.MaxDropP
+			ev.ErrP = rng.Float64() * maxErrP
+			ev.DropP = rng.Float64() * maxDropP
 		})
 	}
 	for i := 0; i < cfg.Straggles; i++ {
 		episode(Straggle, Unstraggle, span(cfg.MinBout, cfg.MaxBout), func(ev *Event) {
-			ev.Factor = 1 + rng.Float64()*(cfg.MaxFactor-1)
+			ev.Factor = 1 + rng.Float64()*(maxFactor-1)
 		})
 	}
 	// Replica-targeted shapes draw strictly after the legacy episodes, so

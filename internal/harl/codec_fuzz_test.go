@@ -3,16 +3,14 @@ package harl
 import (
 	"bytes"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"harl/internal/layout"
 )
 
-// The RST and fingerprint decoders read on-disk input, so any byte string
-// must either be rejected or decode to a table that re-encodes and
-// decodes to itself.
+// The RST decoders read on-disk input, so any byte string must either be
+// rejected or decode to a table that re-encodes and decodes to itself.
 // The seed corpora live in testdata/fuzz and run with every go test.
 
 func FuzzReadRST(f *testing.F) {
@@ -66,26 +64,6 @@ func FuzzReadTieredRST(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, rst) {
 			t.Fatalf("round trip:\n got %+v\nwant %+v", again, rst)
-		}
-	})
-}
-
-func FuzzReadFingerprint(f *testing.F) {
-	f.Fuzz(func(t *testing.T, in string) {
-		fp, err := ReadFingerprint(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := fp.Write(&buf); err != nil {
-			t.Fatalf("accepted fingerprint does not encode: %v", err)
-		}
-		again, err := ReadFingerprint(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decoding %q: %v", buf.String(), err)
-		}
-		if again.Threshold != fp.Threshold || !slices.Equal(again.Regions, fp.Regions) {
-			t.Fatalf("round trip:\n got %+v\nwant %+v", again, fp)
 		}
 	})
 }

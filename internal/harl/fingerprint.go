@@ -1,14 +1,10 @@
 package harl
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
-	"strconv"
 
 	"harl/internal/stats"
-	"harl/internal/textfmt"
 	"harl/internal/trace"
 )
 
@@ -86,90 +82,6 @@ func (p *Plan) fingerprint(groups [][]trace.Record) *PlanFingerprint {
 		fp.Regions = append(fp.Regions, fingerprintRegion(e, merged[i]))
 	}
 	return fp
-}
-
-// fpHeader versions the on-disk fingerprint format.
-const fpHeader = "#harl-fp v1"
-
-// fpFloat renders a float exactly and compactly (round-trips via ParseFloat).
-func fpFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// Write encodes the fingerprint as text: a threshold line, then one
-// "offset end h s requests mean cv mix d10..d90" line per region —
-// stored alongside the RST so a later monitoring run can reload the
-// plan-time assumptions. An invalid fingerprint is rejected before any
-// byte is written.
-func (f *PlanFingerprint) Write(w io.Writer) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, fpHeader); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "threshold %s\n", fpFloat(f.Threshold)); err != nil {
-		return err
-	}
-	for _, r := range f.Regions {
-		if _, err := fmt.Fprintf(bw, "%d %d %d %d %d %s %s %s",
-			r.Offset, r.End, r.H, r.S, r.Requests,
-			fpFloat(r.MeanSize), fpFloat(r.CV), fpFloat(r.WriteMix)); err != nil {
-			return err
-		}
-		for _, d := range r.SizeDeciles {
-			if _, err := fmt.Fprintf(bw, " %s", fpFloat(d)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// fpFormat is the fingerprint's on-disk text format; its keyed line
-// carries the threshold.
-var fpFormat = textfmt.Format{Name: "harl: fingerprint", Headers: []string{fpHeader}, Key: "threshold"}
-
-// ReadFingerprint decodes a fingerprint written by Write.
-func ReadFingerprint(r io.Reader) (*PlanFingerprint, error) {
-	f := &PlanFingerprint{}
-	head := func(_ int, threshold []string) error {
-		if len(threshold) != 1 {
-			return fmt.Errorf("malformed threshold")
-		}
-		var err error
-		f.Threshold, err = strconv.ParseFloat(threshold[0], 64)
-		return err
-	}
-	err := fpFormat.Read(r, head, func(fields []string) error {
-		if len(fields) != 17 {
-			return fmt.Errorf("want 17 fields, got %d", len(fields))
-		}
-		v, err := textfmt.Ints(fields[:5])
-		if err != nil {
-			return err
-		}
-		var vals [12]float64 // mean, cv, mix, then the nine deciles
-		for i := range vals {
-			if vals[i], err = strconv.ParseFloat(fields[5+i], 64); err != nil {
-				return err
-			}
-		}
-		reg := RegionFingerprint{Offset: v[0], End: v[1], H: v[2], S: v[3], Requests: int(v[4]),
-			MeanSize: vals[0], CV: vals[1], WriteMix: vals[2]}
-		copy(reg.SizeDeciles[:], vals[3:])
-		f.Regions = append(f.Regions, reg)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // Validate checks the fingerprint's regions are contiguous and sane,

@@ -1,9 +1,7 @@
 package harl
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"harl/internal/device"
@@ -98,79 +96,77 @@ func TestFingerprintAlignsWithMergedRST(t *testing.T) {
 	}
 }
 
-func TestFingerprintRoundTrip(t *testing.T) {
-	fp := &PlanFingerprint{
-		Threshold: 1.25,
-		Regions: []RegionFingerprint{
-			{Offset: 0, End: 1 << 20, H: 36 << 10, S: 148 << 10, Requests: 100,
-				MeanSize: 65536.5, CV: 0.123456789, WriteMix: 0.75,
-				SizeDeciles: [9]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}},
-			{Offset: 1 << 20, End: 2 << 20, H: 0, S: 512 << 10, Requests: 42,
-				MeanSize: math.Pi * 1e5, CV: 2, WriteMix: 0,
-				SizeDeciles: [9]float64{10, 20, 30, 40, 50, 60, 70, 80, 90}},
-		},
-	}
-	var b bytes.Buffer
-	if err := fp.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFingerprint(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Threshold != fp.Threshold {
-		t.Errorf("threshold %v, want %v", got.Threshold, fp.Threshold)
-	}
-	if len(got.Regions) != len(fp.Regions) {
-		t.Fatalf("got %d regions, want %d", len(got.Regions), len(fp.Regions))
-	}
-	for i := range fp.Regions {
-		if got.Regions[i] != fp.Regions[i] {
-			t.Errorf("region %d round-trips to %+v, want %+v", i, got.Regions[i], fp.Regions[i])
+// fingerprintCase is one PlanFingerprint.Validate table row.
+type fingerprintCase struct {
+	name string
+	fp   PlanFingerprint
+	ok   bool
+}
+
+// validFingerprintRegion is a one-request region that passes Validate;
+// withRegion returns it as a one-region list after edit.
+var validFingerprintRegion = RegionFingerprint{Offset: 0, End: 4096, H: 4096, Requests: 1, MeanSize: 1, WriteMix: 1,
+	SizeDeciles: [9]float64{1, 1, 1, 1, 1, 1, 1, 1, 1}}
+
+func withRegion(edit func(*RegionFingerprint)) []RegionFingerprint {
+	r := validFingerprintRegion
+	edit(&r)
+	return []RegionFingerprint{r}
+}
+
+func checkFingerprintCases(t *testing.T, cases []fingerprintCase) {
+	t.Helper()
+	for _, c := range cases {
+		if err := c.fp.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }
 
-// TestFingerprintWriteRejectsInvalid: Write validates first, so it
-// never emits a fingerprint ReadFingerprint would refuse.
+// TestFingerprintWriteRejectsInvalid: Validate is the gate between the
+// planner that writes a fingerprint and the monitor that reads it
+// (monitor.New refuses one that fails), so a fingerprint whose threshold
+// or region layout could not have come from a plan must fail it: the
+// regions must tile the file like an RST's, each with a usable pair.
 func TestFingerprintWriteRejectsInvalid(t *testing.T) {
-	region := RegionFingerprint{Offset: 0, End: 10, H: 4096, Requests: 1, MeanSize: 1}
+	region := validFingerprintRegion
+	next := region
+	next.Offset, next.End = 4096, 8192
 	gap := region
-	gap.Offset, gap.End = 20, 30
-	for name, bad := range map[string]*PlanFingerprint{
-		"NaN threshold": {Threshold: math.NaN(), Regions: []RegionFingerprint{region}},
-		"gap":           {Threshold: 1, Regions: []RegionFingerprint{region, gap}},
-	} {
-		var buf bytes.Buffer
-		if err := bad.Write(&buf); err == nil {
-			t.Errorf("%s: invalid fingerprint written as %q", name, buf.String())
-		} else if buf.Len() != 0 {
-			t.Errorf("%s: refused fingerprint still wrote %q", name, buf.String())
-		}
-	}
+	gap.Offset, gap.End = 20000, 30000
+	checkFingerprintCases(t, []fingerprintCase{
+		{"one region", PlanFingerprint{Threshold: 1, Regions: []RegionFingerprint{region}}, true},
+		{"two regions", PlanFingerprint{Threshold: 1.25, Regions: []RegionFingerprint{region, next}}, true},
+		{"NaN threshold", PlanFingerprint{Threshold: math.NaN(), Regions: []RegionFingerprint{region}}, false},
+		{"negative threshold", PlanFingerprint{Threshold: -1, Regions: []RegionFingerprint{region}}, false},
+		{"gap", PlanFingerprint{Threshold: 1, Regions: []RegionFingerprint{region, gap}}, false},
+		{"zero stripes", PlanFingerprint{Threshold: 1, Regions: withRegion(func(r *RegionFingerprint) { r.H = 0 })}, false},
+		{"negative H", PlanFingerprint{Threshold: 1, Regions: withRegion(func(r *RegionFingerprint) { r.H, r.S = -4096, 8192 })}, false},
+		{"negative S", PlanFingerprint{Threshold: 1, Regions: withRegion(func(r *RegionFingerprint) { r.S = -1 })}, false},
+	})
 }
 
+// TestFingerprintReadRejectsGarbage: every per-region statistic the
+// monitor reads out of a fingerprint must be a finite number in range,
+// or Validate fails; a region that saw no requests keeps zero statistics
+// and passes.
 func TestFingerprintReadRejectsGarbage(t *testing.T) {
-	for name, in := range map[string]string{
-		"no header":    "threshold 1\n0 1 1 1 1 1 0 0 0 0 0 0 0 0 0 0 0\n",
-		"no threshold": fpHeader + "\n",
-		"short line":   fpHeader + "\nthreshold 1\n0 1 1 1\n",
-		"bad float":    fpHeader + "\nthreshold x\n",
-		"gap": fpHeader + "\nthreshold 1\n" +
-			"0 10 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n" +
-			"20 30 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
-		"NaN threshold": fpHeader + "\nthreshold NaN\n0 10 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
-		"NaN mean":      fpHeader + "\nthreshold 1\n0 10 4096 0 1 NaN 0 1 1 1 1 1 1 1 1 1 1\n",
-		"NaN write mix": fpHeader + "\nthreshold 1\n0 10 4096 0 1 1 0 NaN 1 1 1 1 1 1 1 1 1\n",
-		"Inf decile":    fpHeader + "\nthreshold 1\n0 10 4096 0 1 1 0 1 1 1 1 1 +Inf 1 1 1 1\n",
-		"zero stripes":  fpHeader + "\nthreshold 1\n0 10 0 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
-		"negative S":    fpHeader + "\nthreshold 1\n0 10 4096 -1 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
-		"second threshold": fpHeader + "\nthreshold 100\n0 10 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n" +
-			"threshold 7\n",
-		"second header": fpHeader + "\nthreshold 1\n" + fpHeader + "\n0 10 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
-	} {
-		if _, err := ReadFingerprint(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: ReadFingerprint accepted malformed input", name)
-		}
+	nan, inf := math.NaN(), math.Inf(1)
+	stat := func(name string, edit func(*RegionFingerprint)) fingerprintCase {
+		return fingerprintCase{name, PlanFingerprint{Threshold: 1, Regions: withRegion(edit)}, false}
 	}
+	checkFingerprintCases(t, []fingerprintCase{
+		{"empty region", PlanFingerprint{Threshold: 1, Regions: withRegion(func(r *RegionFingerprint) {
+			*r = RegionFingerprint{Offset: 0, End: 4096, S: 65536}
+		})}, true},
+		stat("negative requests", func(r *RegionFingerprint) { r.Requests = -1 }),
+		stat("NaN mean", func(r *RegionFingerprint) { r.MeanSize = nan }),
+		stat("+Inf mean", func(r *RegionFingerprint) { r.MeanSize = inf }),
+		stat("NaN CV", func(r *RegionFingerprint) { r.CV = nan }),
+		stat("NaN write mix", func(r *RegionFingerprint) { r.WriteMix = nan }),
+		stat("write mix above 1", func(r *RegionFingerprint) { r.WriteMix = 1.5 }),
+		stat("NaN decile", func(r *RegionFingerprint) { r.SizeDeciles[5] = nan }),
+		stat("+Inf decile", func(r *RegionFingerprint) { r.SizeDeciles[5] = inf }),
+		stat("negative decile", func(r *RegionFingerprint) { r.SizeDeciles[0] = -1 }),
+	})
 }

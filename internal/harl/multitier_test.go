@@ -212,11 +212,6 @@ func TestTieredPlannerErrors(t *testing.T) {
 	if _, err := pl.Analyze(tr); err == nil {
 		t.Fatal("Analyze accepted three tiers")
 	}
-	repl := pl
-	repl.Repl = &ReplAxis{MaxR: 2}
-	if _, err := repl.AnalyzeTiered(tr); err == nil {
-		t.Fatal("replication axis accepted without a replication column")
-	}
 }
 
 func record(op device.Op, off, size int64) trace.Record {

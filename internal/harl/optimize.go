@@ -15,7 +15,10 @@
 //     its own physical PFS file striped with the region's pair, recorded
 //     in the region-to-file table (R2F).
 //
-// This package owns phase 2 and the two tables.
+// This package owns phase 2 and the two tables. The RST's replication
+// column is not planned: Analyze leaves every entry's R at 0
+// (unreplicated), and a caller that wants replicated regions stamps
+// RSTEntry.R on the table itself.
 //
 // # More than two server profiles
 //

@@ -61,8 +61,6 @@ func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 	hOnly.Tiers[1].Count = 0
 	sOnly := modelParams()
 	sOnly.Tiers[0].Count = 0
-	r2 := modelParams()
-	r2.R = 2
 
 	for name, recs := range searchTraces() {
 		for _, params := range []struct {
@@ -72,7 +70,6 @@ func TestOptimizeRegionParallelBitIdentical(t *testing.T) {
 			{"hybrid", Optimizer{Params: modelParams()}},
 			{"h-only", Optimizer{Params: hOnly}},
 			{"s-only", Optimizer{Params: sOnly}},
-			{"hybrid-r2", Optimizer{Params: r2}},
 			{"three-tier", Optimizer{Params: threeTierParams()}},
 		} {
 			base := params.opt

@@ -32,12 +32,6 @@ type Planner struct {
 	// resulting plan is bit-identical at every setting.
 	Parallelism int
 
-	// Repl, when non-nil, opens the per-region replication axis: each
-	// region's search also chooses r in [1, Repl.MaxR], trading write
-	// amplification against durability (see ReplAxis). Nil reproduces
-	// the unreplicated planner bit-for-bit.
-	Repl *ReplAxis
-
 	// Profile, when non-nil, is filled in by Analyze with the search's
 	// per-region and per-worker profile (see profile.go). Profiling never
 	// changes the produced plan.
@@ -53,7 +47,6 @@ type Planner struct {
 type PlannedRegion struct {
 	region.Region
 	Stripes   StripePair
-	R         int64   // chosen replication factor; 0 when no ReplAxis ran
 	ModelCost float64 // summed model cost of the scored requests
 	WriteMix  float64 // fraction of region bytes written
 }
@@ -92,7 +85,6 @@ func (pl Planner) Analyze(tr *trace.Trace) (*Plan, error) {
 		plan.Regions[i] = PlannedRegion{
 			Region:    reg,
 			Stripes:   pairOf(rs.Best),
-			R:         a.r[i],
 			ModelCost: rs.Cost,
 			WriteMix:  ReadWriteMix(a.groups[i]),
 		}
@@ -101,7 +93,6 @@ func (pl Planner) Analyze(tr *trace.Trace) (*Plan, error) {
 			End:    reg.End,
 			H:      rs.Best[0],
 			S:      rs.Best[1],
-			R:      a.r[i],
 		})
 	}
 	plan.RST.Merge()
@@ -116,12 +107,8 @@ func (pl Planner) Analyze(tr *trace.Trace) (*Plan, error) {
 
 // AnalyzeTiered is Analyze for any tier count: it divides the trace the
 // same way and optimizes each region's per-tier stripes (coordinate
-// descent beyond two tiers), producing a tiered RST. The tiered RST has
-// no replication column, so a ReplAxis is rejected.
+// descent beyond two tiers), producing a tiered RST.
 func (pl Planner) AnalyzeTiered(tr *trace.Trace) (*TieredPlan, error) {
-	if pl.Repl != nil {
-		return nil, fmt.Errorf("harl: the tiered RST cannot carry a replication factor")
-	}
 	a, err := pl.analyze(tr)
 	if err != nil {
 		return nil, err
@@ -142,14 +129,12 @@ func (pl Planner) AnalyzeTiered(tr *trace.Trace) (*TieredPlan, error) {
 }
 
 // analysis is what both plan shapes are built from: the divided regions,
-// their request groups, the CV threshold used, and each region's search
-// with its replication factor (0 when no ReplAxis ran).
+// their request groups, the CV threshold used, and each region's search.
 type analysis struct {
 	regions   []region.Region
 	threshold float64
 	groups    [][]trace.Record
 	searches  []RegionSearch
-	r         []int64
 }
 
 // analyze is the Analysis Phase shared by Analyze and AnalyzeTiered: it
@@ -158,11 +143,6 @@ type analysis struct {
 func (pl Planner) analyze(tr *trace.Trace) (*analysis, error) {
 	if err := pl.Params.Validate(); err != nil {
 		return nil, err
-	}
-	if pl.Repl != nil {
-		if err := pl.Repl.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	regions, threshold, groups, err := DivideTrace(tr, pl.ChunkSize, pl.Threshold)
 	if err != nil {
@@ -194,13 +174,11 @@ func (pl Planner) analyze(tr *trace.Trace) (*analysis, error) {
 		analyzeStart = time.Now()
 	}
 
-	replicating := pl.Repl != nil && pl.Repl.MaxR > 1
 	a := &analysis{
 		regions:   regions,
 		threshold: threshold,
 		groups:    groups,
 		searches:  make([]RegionSearch, len(regions)),
-		r:         make([]int64, len(regions)),
 	}
 	scatter(pool, len(regions), func(w, i int) {
 		reg := regions[i]
@@ -208,12 +186,7 @@ func (pl Planner) analyze(tr *trace.Trace) (*analysis, error) {
 		if prof != nil {
 			t0 = time.Now()
 		}
-		var rs RegionSearch
-		if replicating {
-			rs, a.r[i] = pl.optimizeRegionRepl(opt, groups[i], reg)
-		} else {
-			rs = opt.optimize(groups[i], reg.Offset, reg.AvgSize)
-		}
+		rs := opt.optimize(groups[i], reg.Offset, reg.AvgSize)
 		if prof != nil {
 			// Each scatter worker index runs on exactly one goroutine, so
 			// Workers[w] is written race-free.

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"harl/internal/device"
 )
 
 func TestReplRSTV1RoundTripUnchanged(t *testing.T) {
@@ -74,127 +72,5 @@ func TestReplRSTValidateRejectsNegativeR(t *testing.T) {
 	rst := RST{Entries: []RSTEntry{{Offset: 0, End: 100, H: 64, S: 64, R: -1}}}
 	if rst.Validate() == nil {
 		t.Fatal("negative R validated")
-	}
-}
-
-func TestReplAxisNilPlansIdentical(t *testing.T) {
-	tr := uniformTrace(256, 512<<10, device.Write, 11)
-	base := Planner{Params: modelParams(), ChunkSize: 8 << 20, Parallelism: 1}
-	p1, err := base.Analyze(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MaxR 1 axis: the r loop has one candidate, zero durability terms
-	// change nothing; plans must match the nil-axis planner exactly
-	// except for the explicit R=1 stamp.
-	withAxis := base
-	withAxis.Repl = &ReplAxis{MaxR: 1}
-	p2, err := withAxis.Analyze(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p1.RST.Entries) != len(p2.RST.Entries) {
-		t.Fatalf("entry counts differ: %d vs %d", len(p1.RST.Entries), len(p2.RST.Entries))
-	}
-	for i, e := range p2.RST.Entries {
-		want := p1.RST.Entries[i]
-		if e.Offset != want.Offset || e.End != want.End || e.H != want.H || e.S != want.S {
-			t.Fatalf("entry %d: %+v vs %+v", i, e, want)
-		}
-		if e.R > 1 {
-			t.Fatalf("entry %d: MaxR=1 axis stamped R=%d", i, e.R)
-		}
-	}
-}
-
-func TestReplAxisPicksReplicationUnderHighPenalty(t *testing.T) {
-	tr := uniformTrace(256, 512<<10, device.Read, 12)
-	pl := Planner{
-		Params:      modelParams(),
-		ChunkSize:   8 << 20,
-		Parallelism: 1,
-		Repl:        &ReplAxis{MaxR: 3, FaultRate: 0.1, UnavailPenalty: 1e6},
-	}
-	plan, err := pl.Analyze(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range plan.RST.Entries {
-		if e.R != 3 {
-			t.Fatalf("entry %d: R=%d; an enormous unavailability penalty must buy maximum durability", i, e.R)
-		}
-	}
-}
-
-func TestReplAxisWriteCostPushesRDown(t *testing.T) {
-	// Same fault model, negligible penalty: replication only costs
-	// (write forwarding + rebuild), so the planner stays at r=1.
-	tr := uniformTrace(256, 512<<10, device.Write, 13)
-	pl := Planner{
-		Params:      modelParams(),
-		ChunkSize:   8 << 20,
-		Parallelism: 1,
-		Repl:        &ReplAxis{MaxR: 3, FaultRate: 0.1, UnavailPenalty: 0, RebuildWeight: 1},
-	}
-	plan, err := pl.Analyze(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range plan.RST.Entries {
-		if e.R > 1 {
-			t.Fatalf("entry %d: R=%d with nothing to gain from replication", i, e.R)
-		}
-	}
-}
-
-func TestReplAxisDeterministicAcrossParallelism(t *testing.T) {
-	tr := uniformTrace(512, 256<<10, device.Read, 14)
-	mk := func(par int) *Plan {
-		pl := Planner{
-			Params:      modelParams(),
-			ChunkSize:   4 << 20,
-			Parallelism: par,
-			Repl:        &ReplAxis{MaxR: 3, FaultRate: 0.05, UnavailPenalty: 10, RebuildWeight: 0.5},
-		}
-		plan, err := pl.Analyze(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan
-	}
-	want := mk(1)
-	for _, par := range []int{2, 4} {
-		got := mk(par)
-		if !reflect.DeepEqual(got.RST.Entries, want.RST.Entries) {
-			t.Fatalf("parallelism %d: %+v != %+v", par, got.RST.Entries, want.RST.Entries)
-		}
-	}
-}
-
-func TestReplAxisProfiledPlanUnchanged(t *testing.T) {
-	tr := uniformTrace(256, 256<<10, device.Read, 15)
-	mk := func(prof *SearchProfile) *Plan {
-		pl := Planner{
-			Params:      modelParams(),
-			ChunkSize:   8 << 20,
-			Parallelism: 1,
-			Repl:        &ReplAxis{MaxR: 2, FaultRate: 0.05, UnavailPenalty: 10},
-			Profile:     prof,
-		}
-		plan, err := pl.Analyze(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan
-	}
-	bare := mk(nil)
-	prof := &SearchProfile{}
-	profiled := mk(prof)
-	if !reflect.DeepEqual(bare.RST.Entries, profiled.RST.Entries) {
-		t.Fatal("profiling changed the replicated plan")
-	}
-	tot := prof.Totals()
-	if tot.Candidates == 0 || tot.Evals == 0 {
-		t.Fatalf("profile empty: %+v", tot)
 	}
 }

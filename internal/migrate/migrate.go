@@ -32,9 +32,6 @@ type Policy struct {
 	CheckInterval sim.Duration
 	// CopyChunk bounds each copy request's size (default 4 MiB).
 	CopyChunk int64
-	// Relayout maps a file's current layout to its migration target; nil
-	// uses HalveSServerShare.
-	Relayout func(layout.Mapper) (layout.Mapper, error)
 }
 
 // Validate reports whether the policy is usable.
@@ -52,7 +49,7 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// HalveSServerShare is the default relayout: halve the SServer stripe
+// HalveSServerShare is the migrator's relayout: halve the SServer stripe
 // (grid-aligned, at least one 4 KB step) and grow the HServer stripe to
 // preserve the round size, shifting roughly half of the file's SSD bytes
 // to HDDs.
@@ -110,9 +107,6 @@ func New(fs *pfs.FS, policy Policy) (*Migrator, error) {
 	}
 	if policy.CopyChunk == 0 {
 		policy.CopyChunk = 4 << 20
-	}
-	if policy.Relayout == nil {
-		policy.Relayout = HalveSServerShare
 	}
 	return &Migrator{fs: fs, client: fs.NewClient("migrator"), policy: policy}, nil
 }
@@ -194,9 +188,10 @@ func (m *Migrator) biggestFileOn(server int) string {
 	return bestName
 }
 
-// Restripe copies one file onto its migration-target layout: read the
-// logical extent chunk by chunk, write it into a temporary file with the
-// new layout, then swap names. done receives the logical bytes moved.
+// Restripe copies one file onto the layout HalveSServerShare derives from
+// its current one: read the logical extent chunk by chunk, write it into
+// a temporary file with the new layout, then swap names. done receives
+// the logical bytes moved.
 //
 // Failure handling: until the final Remove/Rename swap, the source file
 // is never touched, so an aborted migration (server crash, exhausted
@@ -204,10 +199,10 @@ func (m *Migrator) biggestFileOn(server int) string {
 // a retrying client policy (pfs.FS.ClientPolicy) a migration spanning a
 // short outage instead rides it out and completes after recovery.
 func (m *Migrator) Restripe(name string, done func(moved int64, err error)) {
-	m.RestripeWith(name, m.policy.Relayout, done)
+	m.RestripeWith(name, HalveSServerShare, done)
 }
 
-// RelayoutTo adapts a fixed target layout to the Relayout function shape,
+// RelayoutTo adapts a fixed target layout to RestripeWith's relayout shape,
 // for callers — like the monitor's replan advisor — that already know the
 // destination striping rather than deriving it from the current one.
 func RelayoutTo(target layout.Mapper) func(layout.Mapper) (layout.Mapper, error) {
@@ -219,13 +214,10 @@ func RelayoutTo(target layout.Mapper) func(layout.Mapper) (layout.Mapper, error)
 	}
 }
 
-// RestripeWith is Restripe with an explicit relayout function, so a
-// one-off migration (e.g. acting on monitor advice via RelayoutTo) can
-// bypass the policy default without mutating the policy.
+// RestripeWith is Restripe with an explicit relayout function, which maps
+// the file's current layout to its target, so a one-off migration (e.g.
+// acting on monitor advice via RelayoutTo) can choose its own target.
 func (m *Migrator) RestripeWith(name string, relayout func(layout.Mapper) (layout.Mapper, error), done func(moved int64, err error)) {
-	if relayout == nil {
-		relayout = m.policy.Relayout
-	}
 	m.client.Open(name, func(f *pfs.File, err error) {
 		if err != nil {
 			done(0, err)

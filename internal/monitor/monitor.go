@@ -38,18 +38,12 @@ import (
 	"harl/internal/stats"
 )
 
-// Config tunes the monitor's windows, drift thresholds and hysteresis.
-// The zero value selects the defaults noted per field.
+// Config tunes the monitor's window, scoring gates, CV threshold and
+// advisor bar. The zero value selects the defaults noted per field.
 type Config struct {
 	// Window is the sliding statistics window on the virtual clock;
 	// 0 means DefaultWindow.
 	Window sim.Duration
-	// StaleAfter is the hysteresis up-count: a region is flagged stale
-	// only after this many consecutive drifted windows (0 means 2).
-	StaleAfter int
-	// FreshAfter is the hysteresis down-count: a stale region is
-	// unflagged after this many consecutive clean windows (0 means 2).
-	FreshAfter int
 	// MinRequests gates scoring: windows with fewer requests in a region
 	// leave that region's streaks untouched — sparse windows say nothing
 	// either way (0 means 16).
@@ -58,42 +52,41 @@ type Config struct {
 	// re-optimizes over (0 means 256).
 	ReservoirSize int
 
-	// Drift thresholds: a window counts as drifted when any score
-	// reaches its threshold (score/threshold >= 1).
-	//
 	// CVThreshold bounds |cv - cvPlan| / max(cvPlan, 0.25): how far the
 	// window's request-size dispersion may wander from plan time
-	// (0 means 1.0).
+	// (0 means 1.0). A window counts as drifted when any score reaches
+	// its threshold (score/threshold >= 1); sizeThreshold and
+	// mixThreshold are the other two.
 	CVThreshold float64
-	// SizeThreshold bounds the mean relative decile distance between the
-	// window's size distribution and the fingerprint's (0 means 0.5).
-	SizeThreshold float64
-	// MixThreshold bounds |writeMix - writeMixPlan| (0 means 0.25).
-	MixThreshold float64
 
 	// GainThreshold is the advisor's bar: recommend a restripe only when
 	// the modeled cost gain (cur-best)/cur clears it (0 means 0.05).
 	GainThreshold float64
-	// Step is the advisor's grid granularity; 0 means harl.DefaultStep.
-	Step int64
-	// MaxRequests caps the advisor's scored sample per region; 0 means
-	// harl.DefaultMaxRequests.
-	MaxRequests int
 }
 
 // DefaultWindow is the default sliding-window length.
 const DefaultWindow = 50 * sim.Millisecond
 
+// StaleAfter is the hysteresis up-count: a region is flagged stale only
+// after this many consecutive drifted windows. A stale region is
+// unflagged after freshAfter consecutive clean windows.
+const (
+	StaleAfter = 2
+	freshAfter = 2
+)
+
+// The other drift thresholds: sizeThreshold bounds the mean relative
+// decile distance between the window's size distribution and the
+// fingerprint's, and mixThreshold bounds |writeMix - writeMixPlan|.
+const (
+	sizeThreshold = 0.5
+	mixThreshold  = 0.25
+)
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = DefaultWindow
-	}
-	if c.StaleAfter == 0 {
-		c.StaleAfter = 2
-	}
-	if c.FreshAfter == 0 {
-		c.FreshAfter = 2
 	}
 	if c.MinRequests == 0 {
 		c.MinRequests = 16
@@ -103,12 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CVThreshold == 0 {
 		c.CVThreshold = 1.0
-	}
-	if c.SizeThreshold == 0 {
-		c.SizeThreshold = 0.5
-	}
-	if c.MixThreshold == 0 {
-		c.MixThreshold = 0.25
 	}
 	if c.GainThreshold == 0 {
 		c.GainThreshold = 0.05
@@ -121,14 +108,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.Window < 0:
 		return fmt.Errorf("monitor: negative window %v", c.Window)
-	case c.StaleAfter < 0 || c.FreshAfter < 0:
-		return fmt.Errorf("monitor: negative hysteresis counts %d/%d", c.StaleAfter, c.FreshAfter)
 	case c.MinRequests < 0 || c.ReservoirSize < 0:
 		return fmt.Errorf("monitor: negative request gates %d/%d", c.MinRequests, c.ReservoirSize)
-	case c.CVThreshold < 0 || c.SizeThreshold < 0 || c.MixThreshold < 0 || c.GainThreshold < 0:
+	case c.CVThreshold < 0 || c.GainThreshold < 0:
 		return fmt.Errorf("monitor: negative thresholds")
-	case c.Step < 0:
-		return fmt.Errorf("monitor: negative step %d", c.Step)
 	}
 	return nil
 }
@@ -180,8 +163,8 @@ type WindowStats struct {
 // normalized by its threshold so >= 1 means "drifted on this axis".
 type DriftScores struct {
 	CVDivergence float64 // |cv-cvPlan| / max(cvPlan, 0.25), over CVThreshold
-	SizeDistance float64 // mean relative decile distance, over SizeThreshold
-	MixShift     float64 // |mix-mixPlan|, over MixThreshold
+	SizeDistance float64 // mean relative decile distance, over sizeThreshold
+	MixShift     float64 // |mix-mixPlan|, over mixThreshold
 }
 
 // Max returns the dominant normalized score.
@@ -383,14 +366,14 @@ func (m *Monitor) closeWindow(end sim.Time) {
 			if scores.Max() >= 1 {
 				r.staleStreak++
 				r.freshStreak = 0
-				if !r.stale && r.staleStreak >= m.cfg.StaleAfter {
+				if !r.stale && r.staleStreak >= StaleAfter {
 					r.stale = true
 					r.staleAt = end
 				}
 			} else {
 				r.freshStreak++
 				r.staleStreak = 0
-				if r.stale && r.freshStreak >= m.cfg.FreshAfter {
+				if r.stale && r.freshStreak >= freshAfter {
 					r.stale = false
 				}
 			}
@@ -447,11 +430,11 @@ func (m *Monitor) score(i int, ws WindowStats, w *windowAccum) DriftScores {
 			}
 		}
 		if cnt > 0 {
-			d.SizeDistance = sum / float64(cnt) / m.cfg.SizeThreshold
+			d.SizeDistance = sum / float64(cnt) / sizeThreshold
 		}
 	}
 
-	d.MixShift = abs(ws.WriteMix-fp.WriteMix) / m.cfg.MixThreshold
+	d.MixShift = abs(ws.WriteMix-fp.WriteMix) / mixThreshold
 	return d
 }
 

@@ -53,8 +53,6 @@ func testFingerprint() *harl.PlanFingerprint {
 func testConfig() Config {
 	return Config{
 		Window:        10 * sim.Millisecond,
-		StaleAfter:    2,
-		FreshAfter:    2,
 		MinRequests:   4,
 		ReservoirSize: 64,
 	}

@@ -139,7 +139,7 @@ func (m *Monitor) advise(i int, name string) (Advice, bool) {
 	}
 	avg := sizeSum / float64(len(records))
 
-	opt := harl.Optimizer{Params: m.params, Step: m.cfg.Step, MaxRequests: m.cfg.MaxRequests}
+	opt := harl.Optimizer{Params: m.params}
 	best, bestCost := opt.OptimizeRegion(records, 0, avg)
 
 	ev, err := m.params.NewEvaluator(fp.H, fp.S)

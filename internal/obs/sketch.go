@@ -31,17 +31,11 @@ type SketchConfig struct {
 	// Window is the time-series window on the virtual clock; 0 means
 	// DefaultSketchWindow.
 	Window sim.Duration
-	// Alpha is the digests' relative accuracy; 0 means
-	// stats.DefaultSketchAlpha.
-	Alpha float64
 }
 
 func (c SketchConfig) withDefaults() SketchConfig {
 	if c.Window == 0 {
 		c.Window = DefaultSketchWindow
-	}
-	if c.Alpha == 0 {
-		c.Alpha = stats.DefaultSketchAlpha
 	}
 	return c
 }
@@ -203,7 +197,7 @@ func (ss *SketchSet) AddServer(name, tier string) int {
 	if ss == nil {
 		return -1
 	}
-	alpha := ss.cfg.Alpha
+	const alpha = stats.DefaultSketchAlpha
 	s := &serverSketch{
 		name:      name,
 		tier:      tier,
@@ -328,7 +322,7 @@ func (ss *SketchSet) NetIndex(node string) int {
 	if !ok {
 		idx = len(ss.nets)
 		ss.netIdx[node] = idx
-		ss.nets = append(ss.nets, &netSketch{name: node, lat: stats.NewQuantileSketch(ss.cfg.Alpha)})
+		ss.nets = append(ss.nets, &netSketch{name: node, lat: stats.NewQuantileSketch(stats.DefaultSketchAlpha)})
 	}
 	return idx
 }
@@ -464,7 +458,7 @@ func (ss *SketchSet) TierDigest(tier string, write bool) *stats.QuantileSketch {
 	if write {
 		op = 1
 	}
-	out := stats.NewQuantileSketch(ss.cfg.Alpha)
+	out := stats.NewQuantileSketch(stats.DefaultSketchAlpha)
 	for _, s := range ss.servers {
 		if s.tier == tier {
 			out.Merge(s.lat[op])

@@ -32,10 +32,11 @@ type Config struct {
 	// BundleRoot, when non-empty, is the directory incident bundles are
 	// written under; empty keeps bundles in memory only.
 	BundleRoot string
-	// MaxBundles caps alert-triggered captures per run (default 8) so a
-	// flapping objective cannot fill the disk.
-	MaxBundles int
 }
+
+// maxBundles caps alert-triggered captures per run so a flapping
+// objective cannot fill the disk.
+const maxBundles = 8
 
 // T is the telemetry pipeline: recorder + SLO engine + bundle capture.
 type T struct {
@@ -53,9 +54,6 @@ func New(cfg Config) (*T, error) {
 	eng, err := NewEngine(cfg.Objectives)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 8
 	}
 	return &T{cfg: cfg, rec: NewRecorder(cfg.RingSpans), slo: eng}, nil
 }
@@ -90,7 +88,7 @@ func (t *T) Err() error { return t.writeErr }
 func (t *T) OnSpan(s *obs.Span) {
 	t.rec.Add(s)
 	for _, a := range t.observe(s) {
-		if len(t.bundles) >= t.cfg.MaxBundles {
+		if len(t.bundles) >= maxBundles {
 			break
 		}
 		alert := a
@@ -99,7 +97,7 @@ func (t *T) OnSpan(s *obs.Span) {
 }
 
 // CaptureNow freezes the current recorder window into a bundle outside
-// any alert — the `harlctl record` path. Not counted against MaxBundles.
+// any alert — the `harlctl record` path. Not counted against maxBundles.
 func (t *T) CaptureNow(reason string, at sim.Time) *Bundle {
 	return t.capture(reason, nil, at)
 }

@@ -1,8 +1,8 @@
 // Package textfmt is the one line scanner behind HARL's on-disk text
-// formats: the Region Stripe Table (v1 and v2), the k-tier RST, the plan
-// fingerprint and the IOSIG trace. Each format is a header line, an
-// optional keyed line, and whitespace-separated data rows; the rules they
-// share live here so the decoders cannot drift apart:
+// formats: the Region Stripe Table (v1 and v2), the k-tier RST and the
+// IOSIG trace. Each format is a header line, an optional keyed line, and
+// whitespace-separated data rows; the rules they share live here so the
+// decoders cannot drift apart:
 //
 //   - blank lines and '#' comments are skipped anywhere;
 //   - the header must be the first line that is neither blank nor a
